@@ -18,7 +18,6 @@ composes per-function results bottom-up over the call graph.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -168,26 +167,6 @@ class ValueAnalysisResult:
         return cached
 
 
-#: Names of the two execution engines of the analysis core.
-ENGINES = ("fused", "reference")
-
-
-def default_engine() -> str:
-    """Engine used when none is requested: ``$REPRO_ENGINE`` or ``"fused"``.
-
-    ``"fused"`` runs the block-compiled transfer kernels below (plus the
-    array-backed simplex rows in :mod:`repro.wcet.simplex`); ``"reference"``
-    runs the instruction-at-a-time closures that serve as the bit-identity
-    oracle.  Both produce identical results — CI runs the suite under each.
-    """
-    engine = os.environ.get("REPRO_ENGINE", "").strip() or "fused"
-    if engine not in ENGINES:
-        raise AnalysisError(
-            f"REPRO_ENGINE={engine!r} is not a known engine (expected one of {ENGINES})"
-        )
-    return engine
-
-
 #: Compiled per-block transfer kernels, shared process-wide and keyed by
 #: (program content digest, function name).  Kernels close over instruction
 #: operands and interned abstract constants only — everything program- or
@@ -251,7 +230,6 @@ class ValueAnalysis:
         assume_initial_globals: bool = False,
         widen_after: int = 2,
         max_iterations: int = 50_000,
-        engine: Optional[str] = None,
     ):
         program.ensure_layout()
         self.program = program
@@ -261,11 +239,6 @@ class ValueAnalysis:
         self.assume_initial_globals = assume_initial_globals
         self.widen_after = widen_after
         self.max_iterations = max_iterations
-        self.engine = default_engine() if engine is None else engine
-        if self.engine not in ENGINES:
-            raise AnalysisError(
-                f"unknown analysis engine {self.engine!r} (expected one of {ENGINES})"
-            )
         self._recording: Optional[Dict[int, AccessInfo]] = None
         # Per-instruction transfer closures, compiled on first use.  A block
         # is re-interpreted once per fixpoint visit (typically 10-30 times),
@@ -274,20 +247,17 @@ class ValueAnalysis:
         # itself many times over.
         self._appliers_by_block: Dict[int, list] = {}
         self._applier_by_address: Dict[int, object] = {}
-        # Fused engine: one compiled kernel per basic block, memoised on the
-        # function's content digest so repeated analyses (per-context runs,
-        # modes, cache replays) skip recompilation entirely.
-        self._kernels: Optional[Dict[int, object]] = None
-        self._kernel_runs: Optional[Dict[int, int]] = None
-        if self.engine == "fused":
-            key = (program.content_digest(), cfg.function_name)
-            entry = _KERNEL_CACHE.get(key)
-            if entry is None:
-                if len(_KERNEL_CACHE) >= _KERNEL_CACHE_LIMIT:
-                    _KERNEL_CACHE.clear()
-                entry = ({}, {})
-                _KERNEL_CACHE[key] = entry
-            self._kernels, self._kernel_runs = entry
+        # One compiled kernel per hot basic block, memoised on the function's
+        # content digest so repeated analyses (per-context runs, modes, cache
+        # replays) skip recompilation entirely.
+        key = (program.content_digest(), cfg.function_name)
+        entry = _KERNEL_CACHE.get(key)
+        if entry is None:
+            if len(_KERNEL_CACHE) >= _KERNEL_CACHE_LIMIT:
+                _KERNEL_CACHE.clear()
+            entry = ({}, {})
+            _KERNEL_CACHE[key] = entry
+        self._kernels, self._kernel_runs = entry
 
     # ------------------------------------------------------------------ #
     # Entry state
@@ -379,12 +349,7 @@ class ValueAnalysis:
 
     def _run_block(self, block_id: int, state: AbstractState) -> AbstractState:
         """Apply every instruction effect of one block to ``state``."""
-        kernels = self._kernels
-        if kernels is None:
-            for apply_instruction in self._appliers(block_id):
-                state = apply_instruction(state)
-            return state
-        kernel = kernels.get(block_id)
+        kernel = self._kernels.get(block_id)
         if kernel is None:
             # Tiered execution: interpret through the appliers until the
             # block's program-wide run count (shared across analysis
@@ -402,7 +367,7 @@ class ValueAnalysis:
             kernel = _compile_block_kernel(
                 self.cfg.block(block_id), self.cfg.function_name
             )
-            kernels[block_id] = kernel
+            self._kernels[block_id] = kernel
             _M_COMPILES.inc()
         return kernel(self, state)
 
@@ -891,18 +856,18 @@ def _negate_bool(interval: Interval) -> Interval:
 
 
 # --------------------------------------------------------------------------- #
-# Fused engine: per-basic-block transfer kernel compiler
+# Per-basic-block transfer kernel compiler
 # --------------------------------------------------------------------------- #
 #
-# The reference engine interprets one closure per instruction, paying for a
-# call, a ``state.get``/``state.set`` pair and a copy-on-write ownership check
-# per register write.  The fused engine compiles each basic block into a
-# single Python function that takes ownership of the register and fact dicts
-# once, then applies every instruction effect with direct dict operations.
-# The generated code mirrors ``_compile_unpredicated`` operation for
-# operation — the same lattice calls in the same order on the same interned
-# constants — so the resulting states are bit-identical to the reference
-# engine; tests/test_fused_engine.py enforces this across the fuzz presets.
+# A cold block is interpreted through one closure per instruction, paying for
+# a call, a ``state.get``/``state.set`` pair and a copy-on-write ownership
+# check per register write.  Once the block is hot (see ``_run_block``) it is
+# compiled into a single Python function that takes ownership of the register
+# and fact dicts once, then applies every instruction effect with direct dict
+# operations.  The generated code mirrors ``_compile_unpredicated`` operation
+# for operation — the same lattice calls in the same order on the same
+# interned constants — so the resulting states are bit-identical to the
+# appliers; tests/test_fused_engine.py enforces this across the fuzz presets.
 
 _TOP = AbstractValue.top()
 

@@ -25,7 +25,8 @@ Quick start::
     print(result.report.wcet_cycles)
     payload = result.to_json()          # crosses process/machine boundaries
 
-Every other entry point — :func:`repro.wcet.batch.analyze_batch`, the
+Many requests go through :meth:`AnalysisService.analyze_many` (serial or
+over a process pool).  Every other entry point — the analysis server, the
 differential oracle behind :func:`repro.testing.sweep.run_sweep`, the
 benchmarks — is a thin consumer of this layer; new workloads and back ends
 plug in here instead of growing another bespoke surface.

@@ -16,9 +16,9 @@ A project bundles everything the analysis pipeline consumes:
 Compilation is lazy and memoised: :meth:`Project.build` compiles the sources
 to a :class:`~repro.ir.program.Program` once, :meth:`Project.compilation_unit`
 parses the mini-C AST once (for the guideline checker).  Every front end —
-the ``python -m repro`` CLI, :func:`repro.wcet.batch.analyze_batch`, the
-differential oracle, the benchmarks — goes through a project instead of
-re-implementing source loading and cache wiring.
+the ``python -m repro`` CLI, :meth:`~repro.api.service.AnalysisService.analyze_many`
+and its pool workers, the differential oracle, the benchmarks — goes through a
+project instead of re-implementing source loading and cache wiring.
 """
 
 from __future__ import annotations

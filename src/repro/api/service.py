@@ -14,12 +14,15 @@ one :class:`~repro.api.project.Project`:
   boundaries.
 
 Every front end is a thin consumer of this layer: the ``python -m repro``
-CLI, :func:`repro.wcet.batch.analyze_batch` (which fans service requests over
-a process pool), the differential oracle and the benchmarks.
+CLI, the analysis server's workers, the differential oracle and the
+benchmarks.  :meth:`AnalysisService.analyze_many` (and its streaming twin
+:meth:`AnalysisService.analyze_iter`) serves many requests, serially or over
+a process pool.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -30,6 +33,7 @@ from repro.api import serialize
 from repro.errors import ReproError
 from repro.guidelines.checker import GuidelineChecker, GuidelineReport
 from repro.obs import trace as obs_trace
+from repro.wcet import batch
 from repro.wcet.analyzer import AnalysisOptions, WCETAnalyzer
 from repro.wcet.report import WCETReport
 
@@ -130,7 +134,7 @@ class AnalysisService:
     The service owns the project's summary-cache wiring: all requests served
     by one service share an in-process :class:`SummaryCache` tier, backed by
     the project's resolved persistent store (if any).  Callers with their own
-    caching contract (the differential oracle, the batch pool workers) pass
+    caching contract (the differential oracle, pool and server workers) pass
     an explicit ``summary_cache``.
     """
 
@@ -209,56 +213,30 @@ class AnalysisService:
         """Serve many requests, yielding each result **as it finishes**.
 
         Yields ``(index, AnalysisResult)`` in completion order (request order
-        when serial).  This is the streaming twin of :meth:`analyze_many` —
-        the analysis server's progress events and incremental sweep reporting
-        ride on it.  Cache wiring is identical: serial runs share this
-        service's in-process cache, parallel runs share the project's
-        persistent store across workers.
+        when serial); each result equals what :meth:`analyze` returns for
+        that request.  ``jobs``: ``None``/1 serial, ``0`` all cores, else
+        that many worker processes.  Serial runs share this service's
+        in-process cache; each pool worker keeps one of its own, backed by
+        this service's persistent store (if any).
         """
-        from repro.wcet.batch import (
-            AnalysisRequest as BatchRequest,
-            analyze_batch_iter,
-            resolve_jobs,
-        )
-
         requests = list(requests)
-        program = self.project.build()
-        batch_requests = [
-            BatchRequest(
-                program,
-                self.project.processor,
-                annotations=self.project.annotations,
-                options=request.options,
-                entry=request.entry or self.project.entry,
-                mode=request.mode,
-                error_scenario=request.error_scenario,
-                all_modes=request.all_modes,
-                label=request.label,
-            )
-            for request in requests
-        ]
-        store = self.project.summary_store()
-        parallel = resolve_jobs(jobs) > 1
-        outcomes = analyze_batch_iter(
-            batch_requests,
-            jobs=jobs,
-            cache_dir=store.path if (store is not None and parallel) else None,
-            summary_cache=None if parallel else self.summary_cache,
-            # The project already resolved the cache precedence (including
-            # "off"); workers must not fall back to an ambient global store.
-            use_default_store=False,
-        )
-        for index, outcome, stats, seconds in outcomes:
-            request = requests[index]
-            reports = outcome if isinstance(outcome, dict) else {request.mode: outcome}
-            yield index, AnalysisResult(
-                label=request.label or self.project.name,
-                entry=request.entry or self.project.entry or program.entry,
-                processor=self.project.processor.name,
-                reports=reports,
-                cache_stats=stats,
-                seconds=seconds,
-            )
+        jobs = batch.resolve_jobs(jobs)
+        if jobs <= 1 or len(requests) <= 1:
+            for index, request in enumerate(requests):
+                yield index, self.analyze(request)
+            return
+        # Build once here, so the pickled project carries the program (and a
+        # mini-C project's AST, for guideline checks) instead of every task
+        # recompiling it.
+        self.project.build()
+        store = self.summary_cache.store
+        tasks = [(self.project, index, request) for index, request in enumerate(requests)]
+        with multiprocessing.Pool(
+            processes=min(jobs, len(requests)),
+            initializer=batch._init_batch_worker,
+            initargs=(store.path if store is not None else None,),
+        ) as pool:
+            yield from pool.imap_unordered(_analyze_in_worker, tasks)
 
     def analyze_many(
         self,
@@ -272,7 +250,7 @@ class AnalysisService:
         delta and wall time.  ``on_result(index, result)`` — if given — is
         invoked once per request *as it finishes* (completion order), so
         callers can report progress without switching to
-        :meth:`analyze_iter`.
+        :meth:`analyze_iter`.  ``jobs`` is as for :meth:`analyze_iter`.
         """
         requests = list(requests)
         results: List[Optional[AnalysisResult]] = [None] * len(requests)
@@ -285,3 +263,12 @@ class AnalysisService:
     def check_guidelines(self) -> GuidelineReport:
         """Run the MISRA predictability checker over the project's source."""
         return GuidelineChecker().check_unit(self.project.compilation_unit())
+
+
+def _analyze_in_worker(
+    task: Tuple[Project, int, AnalysisRequest],
+) -> Tuple[int, AnalysisResult]:
+    """Pool-worker side of :meth:`AnalysisService.analyze_iter`."""
+    project, index, request = task
+    service = AnalysisService(project, summary_cache=batch._WORKER_CACHE)
+    return index, service.analyze(request)

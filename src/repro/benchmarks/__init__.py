@@ -30,11 +30,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.summaries import SummaryCache, merge_stats
-from repro.api import Project, resolve_summary_store
+from repro.api import AnalysisRequest, AnalysisService, Project, resolve_summary_store
 from repro.hardware.processor import leon2_like, simple_scalar
 from repro.testing.oracle import OracleConfig
 from repro.testing.sweep import SweepResult, run_sweep
-from repro.wcet.batch import AnalysisRequest, analyze_batch
 
 #: Seeds of the sweep half of the macro workload (fixed forever: entries in
 #: BENCH_perf.json are only comparable if every PR measures the same work).
@@ -112,12 +111,13 @@ class BenchmarkRecord:
 # The two halves of the macro workload
 # --------------------------------------------------------------------------- #
 def run_analysis_half(repeats: int = ANALYSIS_REPEATS, cache_dir: Optional[str] = None):
-    """Analyse the two paper workloads through the batch API.
+    """Analyse the two paper workloads on both processor models.
 
-    Returns ``(reports, phase_seconds, wall, cache_stats, counters)``.  All analyses of
-    one benchmark run share an in-process summary cache (that *is* the
-    workload now: the engine memoises repeated analyses); ``cache_dir``
-    additionally attaches the persistent tier shared with previous runs.
+    Returns ``(reports, phase_seconds, wall, cache_stats, counters)``.  Every
+    workload × processor pair gets its own :class:`AnalysisService`, and all
+    of them share one in-process summary cache (that *is* the workload now:
+    the engine memoises repeated analyses); ``cache_dir`` additionally
+    attaches the persistent tier shared with previous runs.
     """
     started = time.perf_counter()
     phase_totals: Dict[str, float] = {}
@@ -129,36 +129,20 @@ def run_analysis_half(repeats: int = ANALYSIS_REPEATS, cache_dir: Optional[str] 
     cache = SummaryCache(store=resolve_summary_store(cache_dir if cache_dir else "off"))
     for _ in range(repeats):
         reports = {}
-        # Fresh projects per repeat: program construction is part of the
-        # measured workload (as it was when the modules were built directly).
-        fc = Project.from_workload("flight-control", cache="off")
-        mh = Project.from_workload("message-handler", cache="off")
-        requests = []
         for proc_name, factory in (("simple", simple_scalar), ("leon2", leon2_like)):
-            requests.append(
-                AnalysisRequest(
-                    fc.build(),
-                    factory(),
-                    annotations=fc.annotations,
-                    all_modes=True,
-                    label=f"flight_control/{proc_name}",
+            for workload, all_modes in (("flight_control", True), ("message_handler", False)):
+                # Fresh projects per repeat: program construction is part of
+                # the measured workload.
+                project = Project.from_workload(workload, processor=factory(), cache="off")
+                result = AnalysisService(project, summary_cache=cache).analyze(
+                    AnalysisRequest(all_modes=all_modes)
                 )
-            )
-            requests.append(
-                AnalysisRequest(
-                    mh.build(),
-                    factory(),
-                    annotations=mh.annotations,
-                    label=f"message_handler/{proc_name}",
-                )
-            )
-        batch = analyze_batch(requests, jobs=1, summary_cache=cache)
-        for request, result in zip(requests, batch.results):
-            if request.all_modes:
-                for mode, report in result.items():
-                    reports[f"{request.label}/{mode or 'all'}"] = report
-            else:
-                reports[request.label] = result
+                label = f"{workload}/{proc_name}"
+                if all_modes:
+                    for mode, report in result.reports.items():
+                        reports[f"{label}/{mode or 'all'}"] = report
+                else:
+                    reports[label] = result.report
         for report in reports.values():
             for phase, seconds in report.phase_seconds().items():
                 key = f"analysis.{phase}"

@@ -189,7 +189,11 @@ def _dump_analysis_options(options: AnalysisOptions) -> Dict[str, Any]:
 
 
 def _load_analysis_options(data: Dict[str, Any]) -> AnalysisOptions:
-    payload = {k: v for k, v in data.items() if k not in ("schema", "kind")}
+    # "engine" was a knob of older clients; the analyzer has one execution
+    # path now, so the field is dropped rather than rejected.
+    payload = {
+        k: v for k, v in data.items() if k not in ("schema", "kind", "engine")
+    }
     try:
         return AnalysisOptions(**payload)
     except TypeError as exc:

@@ -201,8 +201,9 @@ def _worker_main(
     # into that copy would silently vanish.  Drop it so _serve installs its
     # own per-job tracer and ships spans back over the pipe instead.
     obs_trace.install(None)
-    # Reuse the batch pool's initialiser so worker cache wiring has exactly
-    # one implementation, then layer the warm-service table on top of it.
+    # Reuse the pool initialiser of AnalysisService.analyze_many so worker
+    # cache wiring has exactly one implementation, then layer the
+    # warm-service table on top of it.
     batch._init_batch_worker(cache_dir)
     warm = _WarmServices(batch._WORKER_CACHE)
     while True:

@@ -1,9 +1,9 @@
-"""Batch API for differential sweeps, optionally parallel across processes.
+"""Differential sweeps over many programs, optionally parallel across processes.
 
 :func:`run_sweep` checks many generated programs (and/or explicit cases)
 through the differential oracle and aggregates the outcome.  With ``jobs > 1``
 the per-program checks are distributed over a :mod:`multiprocessing` worker
-pool (the pool plumbing is shared with :mod:`repro.wcet.batch`) — each
+pool (:func:`repro.wcet.batch.pool_map`, the repo's shared pool helper) — each
 program is an independent compile→analyze→replay pipeline, so the sweep
 scales with cores.  When the oracle configuration names a ``cache_dir``,
 every worker shares the same persistent function-summary store, so repeated

@@ -19,13 +19,9 @@ from repro.wcet.ipet import IPETBuilder, PathAnalysisResult
 from repro.wcet.blocktime import BlockTimeTable
 from repro.wcet.contexts import CallContext
 from repro.wcet.analyzer import AnalysisOptions, WCETAnalyzer
-from repro.wcet.batch import AnalysisRequest, BatchResult, analyze_batch
 from repro.wcet.report import FunctionReport, WCETReport, ChallengeReport
 
 __all__ = [
-    "AnalysisRequest",
-    "BatchResult",
-    "analyze_batch",
     "ILPProblem",
     "ILPSolution",
     "LinearExpression",

@@ -44,12 +44,7 @@ from repro.analysis.loopbounds import LoopBoundAnalysis, LoopBoundResult
 from repro.analysis.summaries import FunctionSummary, SummaryCache
 from repro.cache import configured_store
 from repro.analysis.reachability import find_unreachable_code
-from repro.analysis.value import (
-    AccessInfo,
-    ValueAnalysis,
-    ValueAnalysisResult,
-    default_engine,
-)
+from repro.analysis.value import AccessInfo, ValueAnalysis, ValueAnalysisResult
 from repro.annotations.registry import AnnotationSet
 from repro.cfg.callgraph import CallGraph, build_callgraph
 from repro.cfg.graph import ControlFlowGraph
@@ -136,10 +131,6 @@ class AnalysisOptions:
     compute_bcet: bool = True
     #: Cap on distinct argument contexts analysed per callee.
     max_contexts_per_function: int = 16
-    #: Value-analysis execution engine: "fused" (block-compiled kernels) or
-    #: "reference" (instruction-at-a-time oracle).  Defaults to the
-    #: ``REPRO_ENGINE`` environment variable, falling back to "fused".
-    engine: str = field(default_factory=default_engine)
 
 
 class WCETAnalyzer:
@@ -411,7 +402,6 @@ class WCETAnalyzer:
                     loops,
                     initial_registers=initial_registers,
                     assume_initial_globals=self.options.assume_initial_globals,
-                    engine=self.options.engine,
                 )
                 values = value_analysis.run()
                 pristine_bounds = LoopBoundAnalysis(cfg, loops, values).run()
@@ -491,7 +481,7 @@ class WCETAnalyzer:
                 header: bound.max_back_edges for header, bound in bounds.bounds.items()
             }
 
-            ipet = IPETBuilder(cfg, loops, engine=self.options.engine)
+            ipet = IPETBuilder(cfg, loops)
             solve_span = obs_trace.begin("simplex-solve", attrs={"function": name})
             if self.options.compute_bcet:
                 # Both objectives share one constraint system (and, under the

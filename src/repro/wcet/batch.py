@@ -1,43 +1,24 @@
-"""Parallel batch-analysis API: many whole-program analyses, one cache.
+"""Process-pool helpers shared by every parallel entry point.
 
-:func:`analyze_batch` fans a list of :class:`AnalysisRequest` objects over a
-:mod:`multiprocessing` worker pool (or runs them serially for ``jobs <= 1``).
-Every worker shares the same persistent summary store (``cache_dir``), and
-within each process all requests share one in-process
-:class:`~repro.analysis.summaries.SummaryCache` — so analysing the same
-program on the same platform twice, whether across requests, across workers
-or across separate batch runs, pays for the analysis once.  Results are
-deterministic and identical to serial execution: the cache is content
-addressed, so a hit can only skip work, never change a bound.
-
-The module also owns the generic pool plumbing (:func:`resolve_jobs`,
-:func:`pool_map`) used by :mod:`repro.testing.sweep`, so every parallel
-entry point in the repo schedules work the same way.  Each request is
-*executed* through the :mod:`repro.api` facade (one
-:class:`~repro.api.project.Project` + :class:`~repro.api.service.AnalysisService`
-per request) — this module only contributes the fan-out and the cache
-sharing, never a second analysis surface.
+:func:`resolve_jobs` normalises a ``--jobs`` value and :func:`pool_map` is
+``Pool.map`` with the repo's standard chunking (the differential sweep of
+:mod:`repro.testing.sweep`).  :func:`_init_batch_worker` gives a worker
+process its own in-process :class:`~repro.analysis.summaries.SummaryCache`
+over the shared persistent store; the pool behind
+:meth:`repro.api.service.AnalysisService.analyze_iter` and the analysis
+server's supervised workers both start from it, so worker cache wiring has
+exactly one implementation.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence
 
-from repro.analysis.summaries import SummaryCache, merge_stats
-from repro.annotations.registry import AnnotationSet
-from repro.cache import SummaryStore, configured_store
-from repro.hardware.processor import ProcessorConfig
-from repro.ir.program import Program
-from repro.wcet.analyzer import AnalysisOptions
-from repro.wcet.report import WCETReport
+from repro.analysis.summaries import SummaryCache
+from repro.cache import SummaryStore
 
 
-# --------------------------------------------------------------------------- #
-# Generic pool plumbing (shared with the differential sweep)
-# --------------------------------------------------------------------------- #
 def resolve_jobs(jobs: Optional[int]) -> int:
     """Normalise a ``--jobs`` value: ``None``/1 → serial, <=0 → all cores."""
     if jobs is None:
@@ -62,81 +43,7 @@ def pool_map(
         return pool.map(function, items, chunksize=chunksize)
 
 
-# --------------------------------------------------------------------------- #
-# Requests and results
-# --------------------------------------------------------------------------- #
-@dataclass
-class AnalysisRequest:
-    """One whole-program analysis to run (pickled to pool workers)."""
-
-    program: Program
-    processor: ProcessorConfig
-    annotations: Optional[AnnotationSet] = None
-    options: Optional[AnalysisOptions] = None
-    entry: Optional[str] = None
-    mode: Optional[str] = None
-    error_scenario: Optional[str] = None
-    #: Analyse the mode-unaware case plus every declared operating mode
-    #: through the shared mode pipeline; the result is then a dict
-    #: ``{mode_name_or_None: report}`` instead of a single report.
-    all_modes: bool = False
-    label: str = ""
-
-
-@dataclass
-class BatchResult:
-    """Outcome of one :func:`analyze_batch` call."""
-
-    #: One entry per request, in request order: a :class:`WCETReport`, or a
-    #: ``{mode: report}`` dict for ``all_modes`` requests.
-    results: List[Union[WCETReport, Dict[Optional[str], WCETReport]]]
-    #: Summary-cache hit/miss counters aggregated over every worker.
-    cache_stats: Dict[str, int] = field(default_factory=dict)
-    seconds: float = 0.0
-    jobs: int = 1
-
-    def reports(self) -> List[WCETReport]:
-        """Flatten per-mode dictionaries into one report list."""
-        flat: List[WCETReport] = []
-        for result in self.results:
-            if isinstance(result, dict):
-                flat.extend(result.values())
-            else:
-                flat.append(result)
-        return flat
-
-
-# --------------------------------------------------------------------------- #
-def _execute(request: AnalysisRequest, cache: SummaryCache):
-    # Each request is served through the repro.api facade — batch is a thin
-    # fan-out layer, not a second implementation of program/cache wiring.
-    # (Function-level import: repro.api.service imports this module for its
-    # analyze_many plumbing.)
-    from repro.api import AnalysisService, Project
-    from repro.api import AnalysisRequest as ServiceRequest
-
-    project = Project.from_program(
-        request.program,
-        processor=request.processor,
-        annotations=request.annotations,
-        cache="off",  # tier-2 wiring is the batch pool's job, not the project's
-    )
-    service = AnalysisService(project, summary_cache=cache)
-    result = service.analyze(
-        ServiceRequest(
-            entry=request.entry,
-            mode=request.mode,
-            all_modes=request.all_modes,
-            error_scenario=request.error_scenario,
-            options=request.options,
-            label=request.label,
-        )
-    )
-    if request.all_modes:
-        return result.reports
-    return result.report
-
-
+#: The summary cache of a pool worker process, set by :func:`_init_batch_worker`.
 _WORKER_CACHE: Optional[SummaryCache] = None
 
 
@@ -144,127 +51,3 @@ def _init_batch_worker(cache_dir: Optional[str]) -> None:
     global _WORKER_CACHE
     store = SummaryStore(cache_dir) if cache_dir else None
     _WORKER_CACHE = SummaryCache(store=store)
-
-
-def _run_request(request: AnalysisRequest):
-    assert _WORKER_CACHE is not None
-    before = _WORKER_CACHE.stats()
-    started = time.perf_counter()
-    result = _execute(request, _WORKER_CACHE)
-    seconds = time.perf_counter() - started
-    after = _WORKER_CACHE.stats()
-    delta = {key: after[key] - before.get(key, 0) for key in after}
-    return result, delta, seconds
-
-
-# --------------------------------------------------------------------------- #
-def analyze_batch(
-    requests: Sequence[AnalysisRequest],
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    summary_cache: Optional[SummaryCache] = None,
-    use_default_store: bool = True,
-) -> BatchResult:
-    """Analyse every request, optionally in parallel, sharing the cache.
-
-    ``jobs``: ``None``/1 serial, ``0`` all cores, else that many workers.
-    ``cache_dir`` attaches the persistent tier-2 store (created on demand)
-    in every worker; with ``jobs <= 1`` an explicit ``summary_cache`` may be
-    passed instead to share an in-process tier with the caller.  Parallel and
-    serial execution produce identical reports (modulo wall-clock timings).
-    ``use_default_store=False`` suppresses the fallback to the process-global
-    configured store when ``cache_dir`` is absent — callers that already
-    resolved the cache precedence themselves (the :mod:`repro.api` facade)
-    pass this so "caching off" stays off in workers too.
-    """
-    requests = list(requests)
-    jobs = resolve_jobs(jobs)
-    started = time.perf_counter()
-
-    # One execution path: collect the streaming iterator (below), which owns
-    # the cache wiring, the jobs/summary_cache validation and the pool.
-    results: List = [None] * len(requests)
-    stats: Dict[str, int] = {}
-    for index, result, delta, _ in analyze_batch_iter(
-        requests,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        summary_cache=summary_cache,
-        use_default_store=use_default_store,
-    ):
-        results[index] = result
-        merge_stats(stats, delta)
-    return BatchResult(
-        results,
-        stats,
-        seconds=time.perf_counter() - started,
-        jobs=1 if (jobs <= 1 or len(requests) <= 1) else jobs,
-    )
-
-
-# --------------------------------------------------------------------------- #
-def analyze_batch_iter(
-    requests: Sequence[AnalysisRequest],
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    summary_cache: Optional[SummaryCache] = None,
-    use_default_store: bool = True,
-) -> Iterator[Tuple[int, Union[WCETReport, Dict[Optional[str], WCETReport]], Dict[str, int], float]]:
-    """Like :func:`analyze_batch`, but yield each outcome *as it finishes*.
-
-    Yields ``(index, result, cache_stats_delta, seconds)`` tuples in
-    **completion order** (serial runs complete in request order; parallel
-    runs complete as workers finish).  ``index`` is the request's position in
-    ``requests``; ``result`` is a report or a per-mode dict exactly as in
-    :class:`BatchResult.results`.  Consumers that need streaming progress
-    (the analysis server, incremental sweeps) use this; everyone else keeps
-    the batch form.  Cache semantics and results are identical to
-    :func:`analyze_batch` — only delivery granularity differs.
-    """
-    requests = list(requests)
-    jobs = resolve_jobs(jobs)
-
-    if jobs > 1 and summary_cache is not None:
-        raise ValueError(
-            "an in-process summary_cache cannot be shared across pool "
-            "workers; pass cache_dir to share a persistent store instead "
-            "(or run with jobs=1)"
-        )
-    if cache_dir is None and use_default_store:
-        default_store = configured_store()
-        if default_store is not None:
-            cache_dir = default_store.path
-
-    if jobs <= 1 or len(requests) <= 1:
-        cache = summary_cache
-        if cache is None:
-            store = SummaryStore(cache_dir) if cache_dir else None
-            cache = SummaryCache(store=store)
-        for index, request in enumerate(requests):
-            before = cache.stats()
-            started = time.perf_counter()
-            result = _execute(request, cache)
-            seconds = time.perf_counter() - started
-            after = cache.stats()
-            delta = {key: after[key] - before.get(key, 0) for key in after}
-            yield index, result, delta, seconds
-        return
-
-    # Completion-order delivery needs per-task futures; the plain Pool.map
-    # plumbing cannot express that, so the iterator rides on
-    # concurrent.futures with the same worker initialiser and chunk-free
-    # scheduling (requests are coarse units — chunking buys nothing here).
-    import concurrent.futures
-
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_init_batch_worker,
-        initargs=(cache_dir,),
-    ) as executor:
-        futures = {
-            executor.submit(_run_request, request): index
-            for index, request in enumerate(requests)
-        }
-        for future in concurrent.futures.as_completed(futures):
-            result, delta, seconds = future.result()
-            yield futures[future], result, delta, seconds

@@ -110,11 +110,9 @@ class ILPSolution:
 class ILPProblem:
     """A named-variable ILP: maximise/minimise a linear objective."""
 
-    def __init__(self, name: str = "ilp", maximise: bool = True, engine: str = "fused"):
+    def __init__(self, name: str = "ilp", maximise: bool = True):
         self.name = name
         self.maximise = maximise
-        #: Simplex tableau engine ("fused" dense-row storage or "reference").
-        self.engine = engine
         self._variables: Dict[str, Tuple[float, Optional[float], bool]] = {}
         self._order: List[str] = []
         self.constraints: List[Constraint] = []
@@ -404,8 +402,7 @@ class ILPProblem:
         """Hand constraint rows to the bespoke sparse/dense-row simplex."""
         a_ub, b_ub, a_eq, b_eq = self._sparse_system(index, bounds)
         result = simplex.solve_sparse_lp(
-            objective, a_ub, b_ub, a_eq, b_eq,
-            maximise=self.maximise, engine=self.engine,
+            objective, a_ub, b_ub, a_eq, b_eq, maximise=self.maximise
         )
         if result.status == "infeasible":
             raise InfeasibleILPError(f"{self.name}: path analysis ILP is infeasible")
@@ -454,9 +451,7 @@ def solve_ilp_pair(
     index = {variable: position for position, variable in enumerate(order)}
     bounds = first._default_bounds()
     a_ub, b_ub, a_eq, b_eq = first._sparse_system(index, bounds)
-    prepared = simplex.prepare_sparse_tableau(
-        len(order), a_ub, b_ub, a_eq, b_eq, engine=first.engine
-    )
+    prepared = simplex.prepare_sparse_tableau(len(order), a_ub, b_ub, a_eq, b_eq)
 
     solutions: List[ILPSolution] = []
     # Phase 1 runs once for the pair; attribute its pivots to the first

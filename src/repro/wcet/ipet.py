@@ -79,10 +79,9 @@ def _edge_variable(source: int, target: int) -> str:
 class IPETBuilder:
     """Builds and solves the IPET ILP for one function."""
 
-    def __init__(self, cfg: ControlFlowGraph, loops: LoopForest, engine: str = "fused"):
+    def __init__(self, cfg: ControlFlowGraph, loops: LoopForest):
         self.cfg = cfg
         self.loops = loops
-        self.engine = engine
 
     # ------------------------------------------------------------------ #
     def build(
@@ -103,7 +102,6 @@ class IPETBuilder:
         problem = ILPProblem(
             name=f"ipet:{self.cfg.function_name}:{'wcet' if maximise else 'bcet'}",
             maximise=maximise,
-            engine=self.engine,
         )
 
         blocks = self.cfg.node_ids()

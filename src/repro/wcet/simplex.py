@@ -29,18 +29,19 @@ touched entry is exactly the dense update ``row[c] -= factor * pivot[c]``, so
 results are bit-identical to the dense implementation — including fill-in and
 the tiny cancellation residues the epsilon comparisons were tuned for.
 
-Under the fused engine a row whose fill-in crosses a quarter of the tableau
-width is promoted to a flat float list ("dense row"): pivot updates then index
-straight into the list with no hashing or fill-in bookkeeping.  The arithmetic
-sequence is unchanged — a dict's absent entry and a list's stored ``0.0``
-produce the same update (at most the sign of a zero differs, which no epsilon
-comparison, Bland scan or ratio test can observe) — so pivot sequences and
-results remain bit-identical to the all-sparse reference path.
+In a tableau at least ``_DENSE_MIN_COLUMNS`` wide, a row whose fill-in
+crosses a quarter of the width is promoted to a flat float list ("dense
+row"): pivot updates then index straight into the list with no hashing or
+fill-in bookkeeping.  The arithmetic sequence is unchanged — a dict's absent
+entry and a list's stored ``0.0`` produce the same update (at most the sign
+of a zero differs, which no epsilon comparison, Bland scan or ratio test can
+observe) — so pivot sequences and results are bit-identical to keeping every
+row sparse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InfeasibleILPError, PathAnalysisError, UnboundedILPError
@@ -51,7 +52,7 @@ _EPSILON = 1e-9
 SparseRow = Dict[int, float]
 
 #: Promote a sparse row to dense list storage when it carries entries in more
-#: than 1/_DENSE_FILL_RATIO of the tableau's columns (fused engine only).
+#: than 1/_DENSE_FILL_RATIO of the tableau's columns.
 _DENSE_FILL_RATIO = 4
 #: Never densify tiny tableaus; the dict overhead is irrelevant there.
 _DENSE_MIN_COLUMNS = 64
@@ -113,14 +114,13 @@ def _pivot(
     col_rows: Dict[int, set],
     row: int,
     col: int,
-    dense_rows: Optional[set] = None,
-    total_columns: int = 0,
+    dense_rows: set,
+    total_columns: int,
 ) -> None:
     """Pivot on ``(row, col)``: normalise the pivot row, eliminate elsewhere.
 
-    ``dense_rows`` is the set of list-backed row indices (None disables dense
-    storage entirely — the reference path).  Rows it names are not tracked in
-    ``col_rows``; elimination visits them unconditionally.
+    ``dense_rows`` is the set of list-backed row indices.  Rows it names are
+    not tracked in ``col_rows``; elimination visits them unconditionally.
     """
     pivot_row = rows[row]
     dense_pivot = type(pivot_row) is list
@@ -145,7 +145,7 @@ def _pivot(
     if dense_rows:
         targets.extend(dense_rows)
     densify_floor = 0
-    if dense_rows is not None and total_columns >= _DENSE_MIN_COLUMNS:
+    if total_columns >= _DENSE_MIN_COLUMNS:
         densify_floor = total_columns // _DENSE_FILL_RATIO
     for r in targets:
         if r == row:
@@ -182,8 +182,8 @@ def _run_simplex(
     basis: List[int],
     col_rows: Dict[int, set],
     num_columns: int,
-    dense_rows: Optional[set] = None,
-    total_columns: int = 0,
+    dense_rows: set,
+    total_columns: int,
 ) -> Tuple[str, int]:
     """Run primal simplex; ``objective``/``objective_rhs[0]`` is the cost row.
 
@@ -258,7 +258,6 @@ def solve_lp(
     a_eq: Sequence[Sequence[float]],
     b_eq: Sequence[float],
     maximise: bool = True,
-    engine: str = "fused",
 ) -> SimplexResult:
     """Solve the LP with dense constraint rows (convenience wrapper)."""
     return solve_sparse_lp(
@@ -268,7 +267,6 @@ def solve_lp(
         [_sparse(row) for row in a_eq],
         b_eq,
         maximise=maximise,
-        engine=engine,
     )
 
 
@@ -293,9 +291,8 @@ class PreparedTableau:
     #: Total column count (vars + slack + artificial); dense rows are lists
     #: of this length.
     total_columns: int = 0
-    #: Indices of list-backed rows (None = dense storage disabled, the
-    #: reference engine).
-    dense_rows: Optional[set] = None
+    #: Indices of list-backed rows.
+    dense_rows: set = field(default_factory=set)
     #: Pivots spent by phase 1 (including driving artificials out).
     pivots: int = 0
 
@@ -307,16 +304,13 @@ def solve_sparse_lp(
     a_eq: Sequence[SparseRow],
     b_eq: Sequence[float],
     maximise: bool = True,
-    engine: str = "fused",
 ) -> SimplexResult:
     """Solve the LP; see module docstring for the problem form.
 
     Constraint rows are ``{variable index: coefficient}`` dicts (explicit
     zeros are ignored); the objective remains a dense sequence.
     """
-    prepared = prepare_sparse_tableau(
-        len(objective), a_ub, b_ub, a_eq, b_eq, engine=engine
-    )
+    prepared = prepare_sparse_tableau(len(objective), a_ub, b_ub, a_eq, b_eq)
     result = optimise_prepared(prepared, objective, maximise, clone=False)
     result.pivots += prepared.pivots
     return result
@@ -328,14 +322,8 @@ def prepare_sparse_tableau(
     b_ub: Sequence[float],
     a_eq: Sequence[SparseRow],
     b_eq: Sequence[float],
-    engine: str = "fused",
 ) -> PreparedTableau:
-    """Build the tableau and run phase 1 (minimise artificial variables).
-
-    ``engine="fused"`` enables dense list storage for rows whose fill-in
-    grows past the densification threshold; ``"reference"`` keeps every row
-    as a sparse dict.  Both produce bit-identical pivot sequences.
-    """
+    """Build the tableau and run phase 1 (minimise artificial variables)."""
     rows_in: List[Tuple[SparseRow, float, str]] = []
     for coefficients, bound in zip(a_ub, b_ub):
         rows_in.append((_nonzero(coefficients), float(bound), "<="))
@@ -384,7 +372,7 @@ def prepare_sparse_tableau(
         rhs.append(bound)
 
     col_rows = _build_column_index(rows)
-    dense_rows: Optional[set] = set() if engine == "fused" else None
+    dense_rows: set = set()
     pivots = 0
 
     # ------------------------------------------------------------------ #
@@ -461,7 +449,7 @@ def optimise_prepared(
         rhs = list(prepared.rhs)
         basis = list(prepared.basis)
         col_rows = {column: set(members) for column, members in prepared.col_rows.items()}
-        dense_rows = None if prepared.dense_rows is None else set(prepared.dense_rows)
+        dense_rows = set(prepared.dense_rows)
     else:
         rows = prepared.rows
         rhs = prepared.rhs

@@ -319,6 +319,23 @@ class TestCachePrecedence:
         assert project.summary_store().path == str(tmp_path / "store")
 
 
+#: A mini-C program that analyses cleanly and breaks one guideline (a goto).
+GOTO_SOURCE = """
+int table[8];
+int main(void) {
+    int i;
+    int total = 0;
+    for (i = 0; i < 8; i++) {
+        total = total + table[i];
+    }
+    if (total > 3) goto done;
+    total = total * 2;
+done:
+    return total;
+}
+"""
+
+
 # --------------------------------------------------------------------------- #
 class TestServiceEquivalence:
     """The facade must reproduce the pre-redesign API's numbers exactly."""
@@ -370,24 +387,46 @@ class TestServiceEquivalence:
                 AnalysisRequest(all_modes=True, error_scenario="single_fault")
             )
 
-    def test_batch_off_cache_never_uses_global_store(self, tmp_path):
-        """A facade-resolved "off" must stay off inside analyze_batch, even
-        when a process-global default store is configured."""
-        from repro.wcet.batch import AnalysisRequest as BatchRequest, analyze_batch
-
-        project = Project.from_workload("message-handler", cache="off")
-        request = BatchRequest(
-            project.build(), project.processor, annotations=project.annotations
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_analyze_many_runs_guideline_checks(self, jobs):
+        """analyze_many serves check_guidelines exactly like analyze does,
+        serially and in pool workers."""
+        project = Project.from_source(GOTO_SOURCE, cache="off")
+        service = AnalysisService(project)
+        single = service.analyze(AnalysisRequest(check_guidelines=True))
+        assert single.guidelines is not None and single.guidelines.findings
+        many = service.analyze_many(
+            [
+                AnalysisRequest(check_guidelines=True, label="checked"),
+                AnalysisRequest(label="unchecked"),
+            ],
+            jobs=jobs,
         )
+        assert [r.label for r in many] == ["checked", "unchecked"]
+        assert many[0].guidelines == single.guidelines
+        assert many[1].guidelines is None
+        assert [r.wcet_cycles for r in many] == [single.wcet_cycles] * 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_analyze_many_off_cache_never_uses_global_store(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        """A project's cache="off" stays off in analyze_many, serially and
+        in pool workers, even when a process-global default store is
+        configured."""
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        requests = [AnalysisRequest(label="a"), AnalysisRequest(label="b")]
         global_dir = tmp_path / "global-store"
         configure(str(global_dir))
         try:
-            analyze_batch([request], jobs=1, use_default_store=False)
+            project = Project.from_workload("message-handler", cache="off")
+            AnalysisService(project).analyze_many(requests, jobs=jobs)
             assert not list(global_dir.glob("*.pkl")), (
                 "cache='off' leaked into the process-global store"
             )
-            # Sanity: the default behaviour does write through the store.
-            analyze_batch([request], jobs=1)
+            # Sanity: the default cache setting does write through the store.
+            project = Project.from_workload("message-handler")
+            AnalysisService(project).analyze_many(requests, jobs=jobs)
             assert list(global_dir.glob("*.pkl"))
         finally:
             configure(None)

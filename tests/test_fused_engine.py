@@ -1,11 +1,16 @@
-"""Fused-engine equivalence: kernels, interning, dense simplex rows.
+"""Fast-path equivalence: block kernels, interning, dense simplex rows.
 
-The fused execution layer (block-compiled transfer kernels, interned lattice
-values, dense simplex rows) must be *bit-identical* to the reference path —
-not merely close.  Three layers of evidence:
+The analyzer's fast paths (block-compiled transfer kernels, interned lattice
+values, dense simplex rows) must be *bit-identical* to the plain paths they
+replace — not merely close.  The kernel JIT compiles a block once its run
+count crosses ``value._KERNEL_JIT_THRESHOLD``, and a simplex row goes dense
+once its fill crosses the threshold in a tableau at least
+``simplex._DENSE_MIN_COLUMNS`` wide; the tests move those two constants to
+force each path.  Three layers of evidence:
 
 * a differential sweep: generator seeds 1-100, rotating through all six fuzz
-  presets, full-report identity fused vs reference;
+  presets, full-report identity with every block compiled and dense rows on
+  vs no block compiled and every row sparse;
 * unit tests for the interval/abstract-value interning invariants the fast
   paths rely on;
 * the dict-tableau vs dense-row-tableau pivot sequence of the simplex.
@@ -13,46 +18,43 @@ not merely close.  Three layers of evidence:
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
+from repro.analysis import value as value_analysis
 from repro.analysis.domains.interval import Interval
 from repro.analysis.domains.memstate import AbstractState, AbstractValue
-from repro.analysis.value import ENGINES, default_engine
 from repro.api import Project
 from repro.api.service import AnalysisRequest, AnalysisService
-from repro.errors import AnalysisError, ReproError
+from repro.errors import ReproError
 from repro.testing import generate_case, render_case
 from repro.testing.fuzz import default_presets, report_identity
 from repro.wcet import simplex
-from repro.wcet.analyzer import AnalysisOptions
 
 #: The differential sweep: 100 generated programs, preset rotation covering
 #: every fuzz hard spot (recursion, irreducible flow, function pointers,
 #: context caps) at least 16 times each.
 SWEEP_SEEDS = list(range(1, 101))
 PRESETS = default_presets()
+#: A threshold no block run count or tableau width reaches.
+NEVER = 1 << 30
 
 
-def _engine_options(preset, engine: str) -> AnalysisOptions:
-    if preset.options is None:
-        return AnalysisOptions(engine=engine)
-    return dataclasses.replace(preset.options, engine=engine)
+def _identity(project: Project, options):
+    """Full-report identity (or the exact failure) of one cold analysis.
 
-
-def _identity_under(service: AnalysisService, options: AnalysisOptions):
-    """Full-report identity (or the exact failure) of one analysis."""
+    A fresh service per call: a shared in-process summary cache would
+    replay the first analysis instead of running the second.
+    """
     try:
-        result = service.analyze(AnalysisRequest(options=options))
+        result = AnalysisService(project).analyze(AnalysisRequest(options=options))
     except ReproError as exc:
         return ("error", type(exc).__name__, str(exc))
     return {mode: report_identity(report) for mode, report in result.reports.items()}
 
 
-class TestFusedVsReferenceSweep:
+class TestFastPathSweep:
     @pytest.mark.parametrize("seed", SWEEP_SEEDS)
-    def test_engines_agree_bit_for_bit(self, seed):
+    def test_compiled_and_interpreted_agree_bit_for_bit(self, seed, monkeypatch):
         preset = PRESETS[seed % len(PRESETS)]
         case = generate_case(seed, preset.mix)
         rendered = render_case(case)
@@ -63,31 +65,28 @@ class TestFusedVsReferenceSweep:
             cache="off",
             name=case.name,
         )
-        service = AnalysisService(project)
-        fused = _identity_under(service, _engine_options(preset, "fused"))
-        reference = _identity_under(service, _engine_options(preset, "reference"))
-        assert fused == reference, (
-            f"seed {seed} preset {preset.name}: fused and reference engines diverged"
+        compiles = value_analysis._M_COMPILES.value()
+        interpreted = value_analysis._M_INTERPRETED.value()
+
+        # Every block compiled on its first run, dense rows at the default.
+        monkeypatch.setattr(value_analysis, "_KERNEL_JIT_THRESHOLD", 1)
+        monkeypatch.setattr(value_analysis, "_KERNEL_CACHE", {})
+        compiled = _identity(project, preset.options)
+        assert value_analysis._M_INTERPRETED.value() == interpreted
+        assert value_analysis._M_COMPILES.value() > compiles
+
+        # No block compiled, every simplex row sparse.
+        compiles = value_analysis._M_COMPILES.value()
+        monkeypatch.setattr(value_analysis, "_KERNEL_JIT_THRESHOLD", NEVER)
+        monkeypatch.setattr(value_analysis, "_KERNEL_CACHE", {})
+        monkeypatch.setattr(simplex, "_DENSE_MIN_COLUMNS", NEVER)
+        interpreted_only = _identity(project, preset.options)
+        assert value_analysis._M_COMPILES.value() == compiles
+
+        assert compiled == interpreted_only, (
+            f"seed {seed} preset {preset.name}: compiled kernels/dense rows "
+            "and interpreted blocks/sparse rows diverged"
         )
-
-
-class TestEngineSelection:
-    def test_default_engine_is_fused(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert default_engine() == "fused"
-
-    def test_env_selects_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
-        assert default_engine() == "reference"
-        assert AnalysisOptions().engine == "reference"
-
-    def test_unknown_engine_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "turbo")
-        with pytest.raises(AnalysisError):
-            default_engine()
-
-    def test_engines_tuple_is_exhaustive(self):
-        assert ENGINES == ("fused", "reference")
 
 
 class TestIntervalInterning:
@@ -170,9 +169,8 @@ def _dense_heavy_lp():
     """An LP whose equality rows exceed the densification threshold.
 
     48 variables, three full-width equality constraints and per-variable
-    upper bounds: the equality rows carry ~49 of ~99 columns, so the fused
-    tableau promotes them to dense lists on the first pivot that updates
-    them, while the reference tableau keeps every row sparse.
+    upper bounds: the equality rows carry ~49 of ~99 columns, so the tableau
+    promotes them to dense lists on the first pivot that updates them.
     """
     n = 48
     objective = [1.0 + (i % 5) * 0.25 for i in range(n)]
@@ -188,7 +186,7 @@ def _dense_heavy_lp():
 
 
 class TestDenseTableau:
-    def _trace(self, monkeypatch, engine):
+    def _trace(self, monkeypatch):
         """Solve the dense-heavy LP recording every (row, col) pivot."""
         trace = []
         original = simplex._pivot
@@ -200,38 +198,40 @@ class TestDenseTableau:
         monkeypatch.setattr(simplex, "_pivot", recording)
         objective, a_ub, b_ub, a_eq, b_eq = _dense_heavy_lp()
         result = simplex.solve_sparse_lp(
-            objective, a_ub, b_ub, a_eq, b_eq, maximise=True, engine=engine
+            objective, a_ub, b_ub, a_eq, b_eq, maximise=True
         )
         return trace, result
 
     def test_pivot_sequences_identical(self, monkeypatch):
         with monkeypatch.context() as patch:
-            fused_trace, fused = self._trace(patch, "fused")
+            dense_trace, dense = self._trace(patch)
         with monkeypatch.context() as patch:
-            reference_trace, reference = self._trace(patch, "reference")
-        assert fused_trace == reference_trace
-        assert fused.status == reference.status == "optimal"
-        assert fused.objective == reference.objective
-        assert fused.values == reference.values
-        assert fused.pivots == reference.pivots > 0
+            patch.setattr(simplex, "_DENSE_MIN_COLUMNS", NEVER)
+            sparse_trace, sparse = self._trace(patch)
+        assert dense_trace == sparse_trace
+        assert dense.status == sparse.status == "optimal"
+        assert dense.objective == sparse.objective
+        assert dense.values == sparse.values
+        assert dense.pivots == sparse.pivots > 0
 
-    def test_fused_engine_actually_densifies(self):
+    def test_wide_tableau_actually_densifies(self, monkeypatch):
         objective, a_ub, b_ub, a_eq, b_eq = _dense_heavy_lp()
         prepared = simplex.prepare_sparse_tableau(
-            len(objective), a_ub, b_ub, a_eq, b_eq, engine="fused"
+            len(objective), a_ub, b_ub, a_eq, b_eq
         )
         assert prepared.dense_rows, "expected dense-row promotion on this LP"
         assert any(type(row) is list for row in prepared.rows)
-        reference = simplex.prepare_sparse_tableau(
-            len(objective), a_ub, b_ub, a_eq, b_eq, engine="reference"
+        monkeypatch.setattr(simplex, "_DENSE_MIN_COLUMNS", NEVER)
+        sparse = simplex.prepare_sparse_tableau(
+            len(objective), a_ub, b_ub, a_eq, b_eq
         )
-        assert reference.dense_rows is None
-        assert all(type(row) is dict for row in reference.rows)
+        assert not sparse.dense_rows
+        assert all(type(row) is dict for row in sparse.rows)
 
     def test_prepared_tableau_reuse_counts_phase1_once(self):
         objective, a_ub, b_ub, a_eq, b_eq = _dense_heavy_lp()
         prepared = simplex.prepare_sparse_tableau(
-            len(objective), a_ub, b_ub, a_eq, b_eq, engine="fused"
+            len(objective), a_ub, b_ub, a_eq, b_eq
         )
         assert prepared.pivots > 0
         maxi = simplex.optimise_prepared(prepared, objective, maximise=True)
@@ -240,7 +240,7 @@ class TestDenseTableau:
         # Phase-2 counters exclude the shared phase-1 work.
         assert maxi.pivots >= 0 and mini.pivots >= 0
         single = simplex.solve_sparse_lp(
-            objective, a_ub, b_ub, a_eq, b_eq, maximise=True, engine="fused"
+            objective, a_ub, b_ub, a_eq, b_eq, maximise=True
         )
         assert single.pivots == prepared.pivots + maxi.pivots
         assert single.objective == maxi.objective

@@ -138,6 +138,17 @@ class TestWireRoundTrips:
         with pytest.raises(SchemaError, match="malformed"):
             from_json(payload)
 
+    def test_retired_engine_knob_dropped(self):
+        """Envelopes from clients that still send the removed engine field
+        load, and equal the same options without it."""
+        options = AnalysisOptions(max_contexts_per_function=4)
+        payload = to_json(options)
+        payload["engine"] = "reference"
+        assert from_json(payload) == options
+        payload["warp_speed"] = True
+        with pytest.raises(SchemaError, match="malformed"):
+            from_json(payload)
+
     def test_result_payload_is_plain_analysis_result(self):
         """A finished job's payload is the existing AnalysisResult kind."""
         result = AnalysisService(

@@ -1,9 +1,10 @@
 """Tests for the cross-analysis memoization layer (PR 3).
 
 Covers the content-addressed function-summary cache (both tiers), the shared
-mode pipeline of ``analyze_all_modes``, the parallel batch API, the sweep's
-``keep_reports`` handling, the ``ContextCache`` accounting/index fixes, and
-the ``max_contexts_per_function`` capping behaviour — with the overarching
+mode pipeline of ``analyze_all_modes``, ``AnalysisService.analyze_many``
+(serial and over a process pool), the sweep's ``keep_reports`` handling, the
+``ContextCache`` accounting/index fixes, and the
+``max_contexts_per_function`` capping behaviour — with the overarching
 invariant that cached, shared and parallel paths are bit-identical to the
 cold serial path.
 """
@@ -14,20 +15,16 @@ import pickle
 
 import pytest
 
-from repro.analysis.summaries import SummaryCache, merge_stats
+from repro.analysis.summaries import merge_stats
 from repro.analysis.value import ValueAnalysis
 from repro.annotations import AnnotationSet
+from repro.api import CACHE_ENV_VAR, AnalysisRequest, AnalysisService, Project
 from repro.cache import SummaryStore, configure, configured_store
 from repro.hardware.processor import leon2_like, simple_scalar
 from repro.minic import compile_source
 from repro.testing.oracle import OracleConfig
 from repro.testing.sweep import run_sweep
-from repro.wcet import (
-    AnalysisOptions,
-    AnalysisRequest,
-    WCETAnalyzer,
-    analyze_batch,
-)
+from repro.wcet import AnalysisOptions, WCETAnalyzer
 from repro.wcet.contexts import CallContext, ContextCache
 from repro.workloads import flight_control, message_handler
 
@@ -261,82 +258,71 @@ class TestSharedModePipeline:
 
 
 # --------------------------------------------------------------------------- #
-# Batch API
+# Many requests
 # --------------------------------------------------------------------------- #
-class TestAnalyzeBatch:
-    def _requests(self):
-        return [
-            AnalysisRequest(
-                flight_control.program(),
-                leon2_like(),
-                annotations=flight_control.annotations(),
-                all_modes=True,
-                label="fc",
-            ),
-            AnalysisRequest(
-                message_handler.program(),
-                simple_scalar(),
-                annotations=message_handler.annotations(),
-                label="mh",
-            ),
-            AnalysisRequest(
-                message_handler.program(),
-                leon2_like(),
-                annotations=message_handler.annotations(),
-                label="mh-leon",
-            ),
-        ]
+class TestAnalyzeMany:
+    """``AnalysisService.analyze_many``: serial and pool runs, cache sharing."""
+
+    REQUESTS = (
+        AnalysisRequest(all_modes=True, label="fc"),
+        AnalysisRequest(mode="air", label="air"),
+        AnalysisRequest(mode="ground", label="ground"),
+    )
+
+    @staticmethod
+    def _service(cache="off", workload="flight-control", processor="leon2"):
+        return AnalysisService(
+            Project.from_workload(workload, processor=processor, cache=cache)
+        )
+
+    @staticmethod
+    def _stats(results):
+        total = {}
+        for result in results:
+            merge_stats(total, result.cache_stats)
+        return total
 
     def test_parallel_matches_serial(self, tmp_path):
-        serial = analyze_batch(self._requests(), jobs=1)
-        parallel = analyze_batch(
-            self._requests(), jobs=2, cache_dir=str(tmp_path / "store")
+        serial = self._service().analyze_many(self.REQUESTS, jobs=1)
+        parallel = self._service(cache=str(tmp_path / "store")).analyze_many(
+            self.REQUESTS, jobs=2
         )
-        assert len(serial.results) == len(parallel.results) == 3
-        for left, right in zip(serial.results, parallel.results):
-            if isinstance(left, dict):
-                assert set(left) == set(right)
-                for mode in left:
-                    assert _report_fingerprint(left[mode]) == _report_fingerprint(
-                        right[mode]
-                    )
-            else:
-                assert _report_fingerprint(left) == _report_fingerprint(right)
-
-    def test_serial_batch_shares_cache_between_requests(self):
-        requests = [
-            AnalysisRequest(
-                message_handler.program(),
-                simple_scalar(),
-                annotations=message_handler.annotations(),
+        assert len(serial) == len(parallel) == 3
+        for left, right in zip(serial, parallel):
+            assert (left.label, left.entry, left.processor) == (
+                right.label, right.entry, right.processor
             )
-            for _ in range(3)
-        ]
-        batch = analyze_batch(requests, jobs=1)
-        assert batch.cache_stats["tier1_hits"] > 0
-        assert len(batch.reports()) == 3
-        bounds = {(r.wcet_cycles, r.bcet_cycles) for r in batch.reports()}
+            assert set(left.reports) == set(right.reports)
+            for mode in left.reports:
+                assert _report_fingerprint(left.reports[mode]) == _report_fingerprint(
+                    right.reports[mode]
+                )
+
+    def test_serial_requests_share_cache(self):
+        service = self._service(workload="message-handler", processor="simple")
+        results = service.analyze_many([AnalysisRequest() for _ in range(3)], jobs=1)
+        assert self._stats(results)["tier1_hits"] > 0
+        bounds = {(r.wcet_cycles, r.bcet_cycles) for r in results}
         assert len(bounds) == 1
 
-    def test_parallel_batch_rejects_inprocess_cache(self, tmp_path):
-        with pytest.raises(ValueError, match="cache_dir"):
-            analyze_batch(self._requests(), jobs=2, summary_cache=SummaryCache())
-
-    def test_parallel_batch_honours_global_store(self, tmp_path):
+    def test_parallel_workers_honour_global_store(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
         store_dir = tmp_path / "global-store"
         try:
             configure(str(store_dir))
-            analyze_batch(self._requests()[1:], jobs=2)
+            self._service(cache="auto").analyze_many(self.REQUESTS[1:], jobs=2)
         finally:
             configure(None)
         assert list(store_dir.glob("*.pkl")), "workers did not persist summaries"
 
-    def test_warm_batch_run_hits_persistent_store(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_warm_run_hits_persistent_store(self, tmp_path, jobs):
         cache_dir = str(tmp_path / "store")
-        analyze_batch(self._requests(), jobs=1, cache_dir=cache_dir)
-        warm = analyze_batch(self._requests(), jobs=1, cache_dir=cache_dir)
-        assert warm.cache_stats["tier2_hits"] > 0
-        assert warm.cache_stats["puts"] == 0
+        self._service(cache=cache_dir).analyze_many(self.REQUESTS, jobs=jobs)
+        warm = self._service(cache=cache_dir).analyze_many(self.REQUESTS, jobs=jobs)
+        stats = self._stats(warm)
+        assert stats["tier2_hits"] > 0
+        assert stats["puts"] == 0
 
 
 # --------------------------------------------------------------------------- #
