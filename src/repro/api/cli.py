@@ -142,13 +142,14 @@ def _cmd_analyze_remote(args) -> int:
         check_guidelines=args.guidelines,
         label=args.label,
     )
+    client = ServerClient(args.remote)
     try:
-        result = ServerClient(args.remote).analyze(
-            spec, request, lane=args.lane, timeout=args.timeout
-        )
+        result = client.analyze(spec, request, lane=args.lane, timeout=args.timeout)
     except (ClientError, RemoteError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    finally:
+        client.close()
     _emit(args, to_json(result), result.format_text())
     return EXIT_OK
 
@@ -641,7 +642,14 @@ def cmd_serve(args) -> int:
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, lambda *_: stop.set())
 
+    def stop_on_http_shutdown() -> None:
+        # POST /v1/shutdown drains the server from a request thread; the
+        # process must exit then too.
+        server.wait_closing()
+        stop.set()
+
     server.start()
+    threading.Thread(target=stop_on_http_shutdown, daemon=True).start()
     # Parseable by wrapper scripts (CI waits for this line): keep the format.
     print(
         f"repro server listening on {server.url} "
@@ -650,7 +658,7 @@ def cmd_serve(args) -> int:
     )
     stop.wait()
     print("repro server: shutting down (draining workers)...", flush=True)
-    server.shutdown()
+    server.shutdown()  # waits for a drain already under way
     stats = server.stats()
     print(
         f"repro server: done — {stats.submitted} submissions, "

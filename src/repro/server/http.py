@@ -21,20 +21,29 @@ GET       ``/metrics``                → 200 Prometheus text exposition
 POST      ``/v1/shutdown``            → 200, then graceful shutdown
 ========  ==========================  =======================================
 
+Both job GETs take ``?wait=S``: the reply is held until the job is
+terminal, ``S`` seconds have passed (at most :data:`MAX_LONG_POLL`) or the
+server is closing, and is then the same reply as without it.
+
 Every non-2xx response body is a :class:`~repro.server.wire.ServerError`.
 The server is a :class:`ThreadingHTTPServer`: requests are handled on
 daemon threads while analyses run on the :class:`~repro.server.workers.
 WorkerPool`, so status polls and event streams stay responsive under load.
+Connections are HTTP/1.1 keep-alive: an idle one is closed after
+:data:`IDLE_TIMEOUT` seconds, a request whose body cannot be read closes
+its connection, and once shutdown starts every reply carries
+``Connection: close``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Callable, Dict, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api import serialize
@@ -54,6 +63,12 @@ from repro.server.workers import DEFAULT_JOB_TIMEOUT, WorkerPool
 
 #: Default TCP port (0 = pick an ephemeral port; see ``AnalysisServer.url``).
 DEFAULT_PORT = 8472
+#: Seconds a kept-alive connection may sit idle (or stall mid-request)
+#: before the server closes it.
+IDLE_TIMEOUT = 15.0
+#: Cap on a long-poll's ``?wait=S``: how long one request may hold its
+#: handler thread.
+MAX_LONG_POLL = 30.0
 
 _M_HTTP = obs_metrics.REGISTRY.counter(
     "repro_http_requests_total",
@@ -85,6 +100,11 @@ class _HTTPServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Each reply is two writes (headers, then body): with Nagle on, the body
+    # waits for the client's delayed ACK of the headers (~40 ms per reply).
+    disable_nagle_algorithm = True
+    #: Socket timeout: closes an idle kept-alive connection.
+    timeout = IDLE_TIMEOUT
     server: _HTTPServer
 
     # ------------------------------------------------------------------ #
@@ -94,45 +114,36 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.analysis.verbose:
             BaseHTTPRequestHandler.log_message(self, format, *args)
 
-    def _count_request(self, status: int, **fields) -> None:
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str = "application/json",
+        headers: Optional[dict] = None,
+        log_fields: Optional[dict] = None,
+    ) -> None:
         _M_HTTP.inc(method=self.command, status=str(status))
         obs_logs.get().log(
             "http_request",
             method=self.command,
             path=self.path.split("?", 1)[0],
             status=status,
-            **fields,
+            **(log_fields or {}),
         )
-
-    def _reply(
-        self,
-        status: int,
-        payload: dict,
-        *,
-        close: bool = False,
-        headers: Optional[dict] = None,
-        log_fields: Optional[dict] = None,
-    ) -> None:
-        body = json.dumps(payload).encode()
-        self._count_request(status, **(log_fields or {}))
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        if close:
+        if self.close_connection or self.server.analysis.closing:
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _reply_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode()
-        self._count_request(status)
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _reply(
+        self, status: int, payload: dict, *, log_fields: Optional[dict] = None
+    ) -> None:
+        self._send(status, json.dumps(payload).encode(), log_fields=log_fields)
 
     def _error(
         self,
@@ -147,39 +158,56 @@ class _Handler(BaseHTTPRequestHandler):
             # Retry-After must be integral per RFC 9110; round up so the
             # client never comes back *before* the hinted drain time.
             headers = {"Retry-After": str(max(1, int(retry_after + 0.999)))}
-        self._reply(
-            status,
-            serialize.to_json(
-                ServerError(
-                    error=error,
-                    message=message,
-                    job_id=job_id,
-                    retry_after=retry_after,
-                )
-            ),
-            headers=headers,
+        body = serialize.to_json(
+            ServerError(
+                error=error, message=message, job_id=job_id, retry_after=retry_after
+            )
         )
+        self._send(status, json.dumps(body).encode(), headers=headers)
 
     #: Upper bound on accepted request bodies; a Content-Length beyond this
     #: is rejected before any read (an absurd length must not stall the
     #: handler thread on a slow-trickle body).
     MAX_BODY_BYTES = 16 * 1024 * 1024
 
-    def _read_body(self) -> dict:
+    def _read_body(self) -> bytes:
+        """Read the request's declared body, whatever the route.
+
+        On a kept-alive connection an unread body would be parsed as the
+        next request, so a body that cannot be read in full — a bad,
+        negative or oversized Content-Length, a chunked body, or fewer bytes
+        than declared — raises :class:`WireError` and closes the connection.
+        """
         header = self.headers.get("Content-Length", "0")
         try:
             length = int(header)
-        except (TypeError, ValueError):
-            raise WireError(
-                f"Content-Length is not an integer: {header!r}"
-            ) from None
-        if length < 0:
-            raise WireError(f"Content-Length is negative: {length}")
-        if length > self.MAX_BODY_BYTES:
-            raise WireError(
-                f"request body too large ({length} bytes > {self.MAX_BODY_BYTES})"
+        except ValueError:
+            length = None
+        if length is None:
+            problem = f"Content-Length is not an integer: {header!r}"
+        elif length < 0:
+            problem = f"Content-Length is negative: {length}"
+        elif length > self.MAX_BODY_BYTES:
+            problem = f"request body too large ({length} bytes > {self.MAX_BODY_BYTES})"
+        elif "Transfer-Encoding" in self.headers:
+            problem = "chunked request bodies are not supported"
+        else:
+            try:
+                raw = self.rfile.read(length) if length else b""
+            except TimeoutError:
+                raw = None
+            if raw is not None and len(raw) == length:
+                return raw
+            problem = (
+                f"timed out reading the {length}-byte request body"
+                if raw is None
+                else f"request body truncated ({len(raw)} of {length} bytes)"
             )
-        raw = self.rfile.read(length) if length else b""
+        self.close_connection = True
+        raise WireError(problem)
+
+    @staticmethod
+    def _parse_json(raw: bytes) -> dict:
         if not raw:
             raise WireError("request body is empty")
         try:
@@ -193,84 +221,99 @@ class _Handler(BaseHTTPRequestHandler):
             raise WireError("request body must be a JSON object")
         return data
 
-    def _route(self) -> Tuple[str, dict]:
-        split = urlsplit(self.path)
-        query = {
-            key: values[-1] for key, values in parse_qs(split.query).items()
-        }
-        return split.path.rstrip("/") or "/", query
-
     # ------------------------------------------------------------------ #
     # Dispatch
     # ------------------------------------------------------------------ #
-    def do_GET(self) -> None:  # noqa: N802
-        path, query = self._route()
+    def _handle(self, route: Callable[[str, Dict[str, str], bytes], None]) -> None:
+        """Read the body, then route; a handler bug is a 500 envelope."""
+        split = urlsplit(self.path)
+        path = split.path.rstrip("/") or "/"
+        query = {key: values[-1] for key, values in parse_qs(split.query).items()}
         try:
-            if path == "/healthz":
-                return self._healthz()
-            if path == "/metrics":
-                return self._metrics()
-            if path.startswith("/v1/jobs/"):
-                parts = path.split("/")
-                # /v1/jobs/<id>[/result|/events]
-                if len(parts) == 4:
-                    return self._status(parts[3])
-                if len(parts) == 5 and parts[4] == "result":
-                    return self._result(parts[3])
-                if len(parts) == 5 and parts[4] == "events":
-                    since_raw = query.get("since", "0")
-                    try:
-                        since = int(since_raw)
-                    except (TypeError, ValueError):
-                        return self._error(
-                            400, "BadQuery", f"since must be an integer: {since_raw!r}"
-                        )
-                    return self._events(parts[3], since)
-            self._error(404, "NotFound", f"no such endpoint: GET {path}")
-        except (BrokenPipeError, ConnectionResetError):  # client went away
+            try:
+                body = self._read_body()
+            except WireError as exc:
+                return self._error(400, "WireError", str(exc))
+            route(path, query, body)
+        except (ConnectionError, TimeoutError):  # client went away or stalled
             self.close_connection = True
         except Exception as exc:  # noqa: BLE001
             self._error(500, type(exc).__name__, str(exc))
 
+    def do_GET(self) -> None:  # noqa: N802
+        self._handle(self._get)
+
     def do_POST(self) -> None:  # noqa: N802
-        path, _ = self._route()
-        try:
-            if path == "/v1/jobs":
-                return self._submit()
-            if path == "/v1/shutdown":
-                return self._shutdown()
-            parts = path.split("/")
-            if len(parts) == 5 and parts[1] == "v1" and parts[2] == "jobs" and parts[4] == "cancel":
-                return self._cancel(parts[3])
-            self._error(404, "NotFound", f"no such endpoint: POST {path}")
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
-        except Exception as exc:  # noqa: BLE001
-            self._error(500, type(exc).__name__, str(exc))
+        self._handle(self._post)
 
     def _method_not_allowed(self) -> None:
         """Unsupported verbs answer with the error envelope, not the base
         handler's HTML 501 page (every error reply is machine-readable)."""
-        try:
-            self._error(
+        self._handle(
+            lambda path, query, body: self._error(
                 405,
                 "MethodNotAllowed",
                 f"{self.command} is not supported; use GET or POST",
             )
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
+        )
 
     do_DELETE = _method_not_allowed  # noqa: N815
     do_PUT = _method_not_allowed  # noqa: N815
     do_PATCH = _method_not_allowed  # noqa: N815
 
+    def _get(self, path: str, query: Dict[str, str], body: bytes) -> None:
+        if path == "/healthz":
+            return self._healthz()
+        if path == "/metrics":
+            return self._metrics()
+        parts = path.split("/")
+        # /v1/jobs/<id>[/result|/events]
+        if parts[:3] == ["", "v1", "jobs"] and len(parts) in (4, 5):
+            tail = parts[4] if len(parts) == 5 else ""
+            if tail == "events":
+                since_raw = query.get("since", "0")
+                try:
+                    since = int(since_raw)
+                except ValueError:
+                    return self._error(
+                        400, "BadQuery", f"since must be an integer: {since_raw!r}"
+                    )
+                return self._events(parts[3], since)
+            if tail in ("", "result"):
+                wait_raw = query.get("wait", "0")
+                try:
+                    wait = float(wait_raw)
+                except ValueError:
+                    wait = math.nan
+                if not (math.isfinite(wait) and wait >= 0):
+                    return self._error(
+                        400,
+                        "BadQuery",
+                        f"wait must be a number of seconds >= 0: {wait_raw!r}",
+                    )
+                job = self._job_or_404(parts[3])
+                if job is None:
+                    return
+                self._hold(job, min(wait, MAX_LONG_POLL))
+                return self._result(job) if tail else self._status(job)
+        self._error(404, "NotFound", f"no such endpoint: GET {path}")
+
+    def _post(self, path: str, query: Dict[str, str], body: bytes) -> None:
+        if path == "/v1/jobs":
+            return self._submit(body)
+        if path == "/v1/shutdown":
+            return self._shutdown()
+        parts = path.split("/")
+        if len(parts) == 5 and parts[1] == "v1" and parts[2] == "jobs" and parts[4] == "cancel":
+            return self._cancel(parts[3])
+        self._error(404, "NotFound", f"no such endpoint: POST {path}")
+
     # ------------------------------------------------------------------ #
     # Endpoints
     # ------------------------------------------------------------------ #
-    def _submit(self) -> None:
+    def _submit(self, body: bytes) -> None:
         try:
-            body = self._read_body()
-            submit = serialize.from_json(body, ServerSubmit)
+            submit = serialize.from_json(self._parse_json(body), ServerSubmit)
             submit.validate()
         except (WireError, serialize.SchemaError) as exc:
             return self._error(400, type(exc).__name__, str(exc))
@@ -318,35 +361,41 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, "UnknownJob", f"no such job: {job_id}", job_id=job_id)
         return job
 
-    def _status(self, job_id: str) -> None:
-        job = self._job_or_404(job_id)
-        if job is not None:
-            self._reply(
-                200, serialize.to_json(self.server.analysis.scheduler.status(job))
-            )
+    def _hold(self, job, seconds: float) -> None:
+        """Long-poll: return once ``job`` is terminal, ``seconds`` have
+        passed, or the server is closing."""
+        analysis = self.server.analysis
+        events = analysis.scheduler.events
+        deadline = time.monotonic() + seconds
+        with events:
+            while job.state not in TERMINAL_STATES and not analysis.closing:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return
+                events.wait(remaining)
 
-    def _result(self, job_id: str) -> None:
-        job = self._job_or_404(job_id)
-        if job is None:
-            return
+    def _status(self, job) -> None:
+        self._reply(200, serialize.to_json(self.server.analysis.scheduler.status(job)))
+
+    def _result(self, job) -> None:
         state = job.state
         if state == "done":
             self._reply(200, serialize.to_json(job.result))
         elif state == "cancelled":
-            self._error(410, "JobCancelled", f"job {job_id} was cancelled", job_id)
+            self._error(410, "JobCancelled", f"job {job.id} was cancelled", job.id)
         elif state == "failed":
             error = job.error
             self._reply(
                 500,
                 serialize.to_json(
                     ServerError(
-                        error=error.error, message=error.message, job_id=job_id
+                        error=error.error, message=error.message, job_id=job.id
                     )
                 ),
             )
         else:
             self._error(
-                409, "ResultNotReady", f"job {job_id} is {state}", job_id
+                409, "ResultNotReady", f"job {job.id} is {state}", job.id
             )
 
     def _cancel(self, job_id: str) -> None:
@@ -410,14 +459,15 @@ class _Handler(BaseHTTPRequestHandler):
         _M_EXEC_EMA.set(analysis.scheduler.exec_ema())
         _M_UPTIME.set(time.time() - analysis.scheduler.started_at)
         _M_WORKERS.set(float(analysis.pool.jobs))
-        self._reply_text(
+        self._send(
             200,
-            obs_metrics.REGISTRY.render(),
+            obs_metrics.REGISTRY.render().encode(),
             "text/plain; version=0.0.4; charset=utf-8",
         )
 
     def _shutdown(self) -> None:
-        self._reply(200, {"schema": 1, "kind": "ServerShutdown"}, close=True)
+        self.close_connection = True
+        self._reply(200, {"schema": 1, "kind": "ServerShutdown"})
         self.wfile.flush()
         threading.Thread(
             target=self.server.analysis.shutdown, daemon=True
@@ -449,7 +499,8 @@ class AnalysisServer:
             self.scheduler, jobs=jobs, cache_dir=cache_dir, job_timeout=job_timeout
         )
         self.verbose = verbose
-        self.closing = False
+        self._closing = threading.Event()
+        self._shutdown_lock = threading.Lock()
         self.trace_dir = trace_dir
         self._installed_tracer: Optional[obs_trace.Tracer] = None
         if trace_dir is not None:
@@ -515,37 +566,54 @@ class AnalysisServer:
         self.pool.start()
         self._httpd.serve_forever()
 
+    @property
+    def closing(self) -> bool:
+        """True once a shutdown has started."""
+        return self._closing.is_set()
+
+    def wait_closing(self, timeout: Optional[float] = None) -> bool:
+        """Block until a shutdown starts, from whatever thread or request
+        (False if ``timeout`` passes first)."""
+        return self._closing.wait(timeout)
+
     def shutdown(self) -> None:
-        """Graceful: stop intake, drain workers, stop the listener."""
-        if self.closing:
-            return
-        self.closing = True
-        self.scheduler.close()
-        self.pool.shutdown(wait=True)
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=10)
-        if self.trace_dir is not None:
-            # Spans not claimed by any per-trace file (server-side roots,
-            # traces cut short by shutdown) still get exported.
-            tracer = obs_trace.active()
-            if tracer is not None:
-                leftovers = tracer.drain()
-                if leftovers:
-                    try:
-                        obs_trace.write_chrome_trace(
-                            os.path.join(self.trace_dir, "trace-server.json"),
-                            leftovers,
-                            merge=True,
-                        )
-                    except OSError:
-                        pass
-            if self._installed_tracer is not None and (
-                obs_trace.active() is self._installed_tracer
-            ):
-                obs_trace.install(None)
-                self._installed_tracer = None
+        """Graceful: stop intake, drain workers, stop the listener.
+
+        Safe from any thread; a call made while another shutdown runs
+        returns when that one has finished."""
+        with self._shutdown_lock:
+            if self.closing:
+                return
+            self._closing.set()
+            self.scheduler.close()
+            self.pool.shutdown(wait=True)
+            self._httpd.shutdown()
+            self._httpd.server_close()
+            if self._serve_thread is not None:
+                self._serve_thread.join(timeout=10)
+            if self.trace_dir is not None:
+                self._export_leftover_spans()
+
+    def _export_leftover_spans(self) -> None:
+        # Spans not claimed by any per-trace file (server-side roots, traces
+        # cut short by shutdown) still get exported.
+        tracer = obs_trace.active()
+        if tracer is not None:
+            leftovers = tracer.drain()
+            if leftovers:
+                try:
+                    obs_trace.write_chrome_trace(
+                        os.path.join(self.trace_dir, "trace-server.json"),
+                        leftovers,
+                        merge=True,
+                    )
+                except OSError:
+                    pass
+        if self._installed_tracer is not None and (
+            obs_trace.active() is self._installed_tracer
+        ):
+            obs_trace.install(None)
+            self._installed_tracer = None
 
     def __enter__(self) -> "AnalysisServer":
         return self.start()

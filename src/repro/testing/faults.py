@@ -175,13 +175,16 @@ class FlakyProxy:
     """Seeded TCP proxy that drops or truncates upstream responses.
 
     Sits between a :class:`~repro.server.client.ServerClient` and the
-    server.  Each accepted connection draws one deterministic verdict —
-    ``pass``, ``drop`` (connection closes before any response bytes) or
-    ``truncate`` (response cut after a bounded prefix).  ``urllib`` opens a
-    fresh connection per request, so per-connection faults are per-request
-    faults.  Requests always reach the server intact: the chaos sweep needs
-    the *server* state to advance (job accepted) while the *client* observes
-    a network failure — the retry/idempotency path under test.
+    server.  Each HTTP exchange draws one deterministic verdict — ``pass``,
+    ``drop`` (connection closes before any response bytes) or ``truncate``
+    (response cut after a bounded prefix) — when the first byte of its
+    request arrives, so a kept-alive connection carrying many exchanges
+    draws one verdict for each of them.  A new request starts with the first
+    client byte after the previous response began, which holds for any
+    client that does not pipeline.  Requests always reach the server intact:
+    the chaos sweep needs the *server* state to advance (job accepted) while
+    the *client* observes a network failure — the retry/idempotency path
+    under test.
     """
 
     #: Bytes of response forwarded before a ``truncate`` verdict cuts it.
@@ -203,7 +206,8 @@ class FlakyProxy:
         self._accept_thread: Optional[threading.Thread] = None
         self._closing = False
         self._lock = threading.Lock()
-        #: Verdict log, in accept order ("pass"/"drop"/"truncate").
+        #: Verdict log, one per exchange in request order
+        #: ("pass"/"drop"/"truncate").
         self.verdicts: List[str] = []
 
     # ------------------------------------------------------------------ #
@@ -259,62 +263,68 @@ class FlakyProxy:
                 client, _addr = self._listener.accept()
             except OSError:
                 return
-            # The verdict is drawn here, in the single accept thread, so the
-            # sequence is a deterministic function of (seed, accept order).
-            draw = self._rng.random()
-            if draw < self.drop_rate:
-                verdict = "drop"
-            elif draw < self.drop_rate + self.truncate_rate:
-                verdict = "truncate"
-            else:
-                verdict = "pass"
-            with self._lock:
-                self.verdicts.append(verdict)
             threading.Thread(
                 target=self._handle,
-                args=(client, verdict),
+                args=(client,),
                 name="flaky-proxy-conn",
                 daemon=True,
             ).start()
 
-    def _handle(self, client: socket.socket, verdict: str) -> None:
+    def _draw(self) -> str:
+        """One exchange's verdict; the caller holds the lock, so the log is
+        a deterministic function of (seed, request order)."""
+        draw = self._rng.random()
+        if draw < self.drop_rate:
+            verdict = "drop"
+        elif draw < self.drop_rate + self.truncate_rate:
+            verdict = "truncate"
+        else:
+            verdict = "pass"
+        self.verdicts.append(verdict)
+        return verdict
+
+    def _handle(self, client: socket.socket) -> None:
         try:
             upstream = socket.create_connection(self.upstream, timeout=30)
         except OSError:
             client.close()
             return
+        # The connection's current exchange: [verdict, response begun?].
+        exchange = [None, False]
         # Client -> upstream is always forwarded intact (see class docstring).
         pump = threading.Thread(
-            target=self._pump_request, args=(client, upstream), daemon=True
+            target=self._pump_requests, args=(client, upstream, exchange), daemon=True
         )
         pump.start()
-        budget = None if verdict == "pass" else (
-            0 if verdict == "drop" else self.TRUNCATE_AFTER
-        )
+        budget = None
         try:
             while True:
-                if budget == 0:
-                    break
                 chunk = upstream.recv(65536)
                 if not chunk:
                     break
-                if budget is not None and len(chunk) > budget:
-                    chunk = chunk[:budget]
-                try:
-                    client.sendall(chunk)
-                except OSError:
-                    break
+                with self._lock:
+                    if not exchange[1]:
+                        exchange[1] = True
+                        budget = {"drop": 0, "truncate": self.TRUNCATE_AFTER}.get(
+                            exchange[0]
+                        )
                 if budget is not None:
+                    chunk = chunk[:budget]
                     budget -= len(chunk)
+                if chunk:
+                    client.sendall(chunk)
+                if budget == 0:
+                    break
         except OSError:
             pass
         finally:
             # A hard close (not a graceful FIN after a full response) is what
-            # makes urllib surface the fault as a dead connection.  shutdown()
-            # first: the request-pump thread may still be blocked in recv() on
-            # these sockets, which keeps the file description alive past
-            # close() — without the shutdown no FIN is ever sent and the
-            # client would sit out its whole timeout instead of failing fast.
+            # makes the client surface the fault as a dead connection.
+            # shutdown() first: the request-pump thread may still be blocked
+            # in recv() on these sockets, which keeps the file description
+            # alive past close() — without the shutdown no FIN is ever sent
+            # and the client would sit out its whole timeout instead of
+            # failing fast.
             for sock in (client, upstream):
                 try:
                     sock.shutdown(socket.SHUT_RDWR)
@@ -325,13 +335,18 @@ class FlakyProxy:
                 except OSError:
                     pass
 
-    @staticmethod
-    def _pump_request(client: socket.socket, upstream: socket.socket) -> None:
+    def _pump_requests(
+        self, client: socket.socket, upstream: socket.socket, exchange: list
+    ) -> None:
         try:
             while True:
                 chunk = client.recv(65536)
                 if not chunk:
                     break
+                with self._lock:
+                    if exchange[0] is None or exchange[1]:
+                        # First byte of a new request: draw its verdict.
+                        exchange[:] = [self._draw(), False]
                 upstream.sendall(chunk)
         except OSError:
             pass

@@ -44,7 +44,7 @@ from repro.api.service import AnalysisRequest, AnalysisService
 from repro.cache import SummaryStore
 from repro.server.client import ClientError, JobFailed, RemoteError, ServerClient
 from repro.server.http import AnalysisServer
-from repro.server.wire import ProjectSpec, ServerError, ServerSubmit
+from repro.server.wire import ProjectSpec, ServerError, ServerStats, ServerSubmit
 from repro.testing import faults as fault_injection
 from repro.testing.corpus import annotations_to_text, save_case
 from repro.testing.generator import FeatureMix, generate_case, render_case
@@ -460,10 +460,15 @@ class _WireRequest:
     raw_headers: Optional[List[Tuple[str, str]]] = None
 
 
+#: ServerSubmit keys the loader defaults when absent (older clients omit
+#: them): without one the envelope is still valid, so they are never dropped.
+_OPTIONAL_SUBMIT_KEYS = {"timeout", "trace"}
+
+
 def _mutate_drop_key(rng: random.Random) -> _WireRequest:
     payload = _valid_submit()
     node = rng.choice([payload, payload["project"], payload["request"]])
-    del node[rng.choice(sorted(node))]
+    del node[rng.choice(sorted(set(node) - _OPTIONAL_SUBMIT_KEYS))]
     return _WireRequest(body=json.dumps(payload).encode())
 
 
@@ -562,6 +567,12 @@ def _mutate_bad_since(rng: random.Random) -> _WireRequest:
     return _WireRequest(method="GET", path=f"/v1/jobs/nope/events?since={since}")
 
 
+def _mutate_bad_wait(rng: random.Random) -> _WireRequest:
+    wait = rng.choice(["abc", "nan", "-1", "inf", "1e999"])
+    suffix = rng.choice(["", "/result"])
+    return _WireRequest(method="GET", path=f"/v1/jobs/nope{suffix}?wait={wait}")
+
+
 def _mutate_unknown_job(rng: random.Random) -> _WireRequest:
     job_id = rng.choice(["missing", "..", "a%00b", "-", "%2e%2e"])
     suffix, method = rng.choice(
@@ -612,11 +623,27 @@ _STRATEGIES: List[Tuple[str, Callable[[random.Random], _WireRequest]]] = [
     ("unknown-path", _mutate_unknown_path),
     ("bad-method", _mutate_bad_method),
     ("bad-content-length", _mutate_bad_content_length),
+    ("bad-wait", _mutate_bad_wait),
 ]
 
 
+class _KeepAliveBroken(Exception):
+    """A malformed exchange left its kept-alive connection unusable."""
+
+    def __init__(self, status: int, detail: str):
+        super().__init__(detail)
+        self.status = status
+
+
 def _exchange(host: str, port: int, request: _WireRequest, timeout: float):
-    """Perform one raw HTTP exchange; returns (status, body_bytes)."""
+    """Perform one raw HTTP exchange; returns (status, body_bytes).
+
+    When the reply keeps the connection open, a ``GET /healthz`` follows on
+    the same connection and must come back 200 with a
+    :class:`~repro.server.wire.ServerStats` body — the malformed request must
+    not have left bytes behind that the server would parse as the next
+    request.  Anything else raises :class:`_KeepAliveBroken`.
+    """
     connection = http.client.HTTPConnection(host, port, timeout=timeout)
     try:
         if request.raw_headers is not None:
@@ -638,9 +665,33 @@ def _exchange(host: str, port: int, request: _WireRequest, timeout: float):
                 request.method, request.path, body=request.body, headers=headers
             )
         response = connection.getresponse()
-        return response.status, response.read()
+        status, body = response.status, response.read()
+        if not response.will_close:
+            _probe_keep_alive(connection, status)
+        return status, body
     finally:
         connection.close()
+
+
+def _probe_keep_alive(connection: http.client.HTTPConnection, status: int) -> None:
+    raw = b""
+    try:
+        connection.request("GET", "/healthz")
+        probe = connection.getresponse()
+        raw = probe.read()
+        if probe.status == 200:
+            serialize.from_json(json.loads(raw), ServerStats)
+            return
+        problem = f"got {probe.status}"
+    except (OSError, http.client.HTTPException) as exc:
+        problem = f"failed ({type(exc).__name__}: {exc})"
+    except Exception as exc:  # noqa: BLE001 - any parse failure counts
+        problem = f"body is not ServerStats: {exc}"
+    raise _KeepAliveBroken(
+        status,
+        f"follow-up GET /healthz on the kept-alive connection {problem} "
+        f"(body: {raw[:200]!r})",
+    )
 
 
 def run_wire_fuzz(
@@ -649,9 +700,10 @@ def run_wire_fuzz(
     """Throw ``iterations`` malformed requests at the server at ``url``.
 
     Every response must be a 4xx with a parseable
-    :class:`~repro.server.wire.ServerError` envelope; anything else — a 5xx,
-    a non-envelope body, a hang (socket timeout) — is recorded as a
-    :class:`WireViolation`.
+    :class:`~repro.server.wire.ServerError` envelope, and a connection the
+    reply keeps open must still serve ``GET /healthz``; anything else — a
+    5xx, a non-envelope body, a hang (socket timeout), a poisoned
+    kept-alive connection — is recorded as a :class:`WireViolation`.
     """
     split = urlsplit(url)
     host, port = split.hostname, split.port
@@ -664,6 +716,15 @@ def run_wire_fuzz(
         request = build(rng)
         try:
             status, body = _exchange(host, port, request, timeout)
+        except _KeepAliveBroken as exc:
+            summary.violations.append(
+                WireViolation(
+                    strategy=name,
+                    status=exc.status,
+                    detail=f"{request.method} {request.path}: {exc}",
+                )
+            )
+            continue
         except (TimeoutError, OSError) as exc:
             summary.violations.append(
                 WireViolation(

@@ -218,3 +218,40 @@ class TestFlakyProxy:
                     break
                 time.sleep(0.05)
             assert proxy.verdicts == expected
+
+    # A kept-alive client sends many exchanges down one connection; the
+    # proxy must still judge each of them.
+    @pytest.fixture()
+    def analysis_server(self):
+        from repro.server import AnalysisServer
+
+        with AnalysisServer(port=0, jobs=1) as server:
+            yield server
+
+    def test_keep_alive_client_draws_one_verdict_per_exchange(self, analysis_server):
+        from repro.server import ServerClient
+
+        with faults.FlakyProxy(
+            analysis_server.host, analysis_server.port
+        ) as proxy:
+            client = ServerClient(proxy.url, timeout=10)
+            client.healthz()
+            sock = client._local.connection.sock
+            client.healthz()
+            client.healthz()
+            assert client._local.connection.sock is sock, "one connection"
+            assert proxy.verdicts == ["pass"] * 3
+
+    def test_drop_fails_every_exchange_of_a_keep_alive_client(self, analysis_server):
+        from repro.server import ServerClient
+        from repro.server.client import ClientError
+
+        with faults.FlakyProxy(
+            analysis_server.host, analysis_server.port, drop_rate=1.0
+        ) as proxy:
+            client = ServerClient(proxy.url, timeout=10)
+            for _ in range(3):
+                with pytest.raises(ClientError):
+                    client.healthz()
+            assert proxy.verdicts == ["drop"] * 3
+            assert proxy.faults == 3

@@ -253,42 +253,44 @@ class _Status:
 
 class TestClientFixes:
     def test_call_passes_explicit_zero_timeout(self, monkeypatch):
-        seen = {}
+        seen = []
 
         class _Response:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
+            status = 200
+            headers = {}
 
             def read(self):
                 return b"{}"
 
-        def fake_urlopen(request, timeout=None):
-            seen["timeout"] = timeout
-            return _Response()
+        class _Connection:
+            sock = None
 
-        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+            def __init__(self, host, port, timeout=None):
+                self.timeout = timeout
+
+            def request(self, method, url, body=None, headers=None):
+                seen.append(self.timeout)
+
+            def getresponse(self):
+                return _Response()
+
+        monkeypatch.setattr("http.client.HTTPConnection", _Connection)
         client = ServerClient("http://127.0.0.1:1", timeout=30.0)
         client._call("GET", "/healthz", timeout=0.0)
-        assert seen["timeout"] == 0.0, "timeout=0 must not fall back to default"
+        assert seen == [0.0], "timeout=0 must not fall back to default"
         client._call("GET", "/healthz")
-        assert seen["timeout"] == 30.0
+        assert seen == [0.0, 30.0]
 
     def test_wait_raises_after_consecutive_stream_failures(self, monkeypatch):
         pauses = []
         monkeypatch.setattr("time.sleep", pauses.append)
 
         class _FlakyClient(ServerClient):
-            def status(self, job_id):
-                return _Status("running")
-
-            def events(self, job_id, since=0):
-                raise ClientError("stream torn")
+            def status(self, job_id, wait=None):
+                raise ClientError("poll torn")
 
         client = _FlakyClient("http://127.0.0.1:1")
-        with pytest.raises(ClientError, match="stream torn"):
+        with pytest.raises(ClientError, match="poll torn"):
             client.wait("job-1")
         # MAX_WAIT_FAILURES-1 retries sleep with doubling capped backoff,
         # jittered into [0.5x, 1.0x) to decorrelate synchronized clients.
@@ -303,7 +305,7 @@ class TestClientFixes:
         calls = []
 
         class _CountingClient(ServerClient):
-            def status(self, job_id):
+            def status(self, job_id, wait=None):
                 calls.append(job_id)
                 return _Status("running")
 
@@ -314,13 +316,46 @@ class TestClientFixes:
 
     def test_wait_returns_terminal_status_without_streaming(self):
         class _DoneClient(ServerClient):
-            def status(self, job_id):
+            def status(self, job_id, wait=None):
                 return _Status("done")
 
             def events(self, job_id, since=0):  # pragma: no cover - must not run
                 raise AssertionError("no stream needed for a terminal job")
 
         assert _DoneClient("http://127.0.0.1:1").wait("job-1").state == "done"
+
+    def test_wait_long_polls_and_paces_early_answers(self, monkeypatch):
+        """Each poll asks the server to hold its reply; a "not yet" that
+        comes back at once (a server that ignores ``wait``) is paced by the
+        backoff instead of spinning."""
+        pauses, holds = [], []
+        monkeypatch.setattr("time.sleep", pauses.append)
+
+        class _ImpatientClient(ServerClient):
+            def status(self, job_id, wait=None):
+                holds.append(wait)
+                return _Status("done" if len(holds) == 4 else "running")
+
+        assert _ImpatientClient("http://127.0.0.1:1").wait("job-1").state == "done"
+        assert holds == [ServerClient.POLL_WAIT] * 4
+        assert len(pauses) == 3
+        assert ServerClient.WAIT_BACKOFF_MIN <= pauses[1] < ServerClient.WAIT_BACKOFF_MIN * 2
+
+    def test_wait_raises_a_client_error_reply_at_once(self, monkeypatch):
+        """A 4xx other than 429 (say, an unknown job) cannot heal: no retry."""
+        from repro.server.wire import ServerError
+
+        pauses = []
+        monkeypatch.setattr("time.sleep", pauses.append)
+
+        class _GoneClient(ServerClient):
+            def status(self, job_id, wait=None):
+                raise RemoteError(404, ServerError(error="UnknownJob", message=job_id))
+
+        with pytest.raises(RemoteError) as info:
+            _GoneClient("http://127.0.0.1:1").wait("job-1")
+        assert info.value.status == 404
+        assert pauses == []
 
 
 # --------------------------------------------------------------------------- #
@@ -356,10 +391,16 @@ class TestWireFuzz:
                 raw_headers=[("Content-Type", "application/json"),
                              ("Content-Length", "-7")],
             ),
+            # Kept-alive replies whose request body used to be left unread
+            # (``_exchange`` probes the connection afterwards).
+            _WireRequest(method="POST", path="/v1/nope", body=b"{}"),
+            _WireRequest(method="POST", path="/v1/jobs/missing/cancel", body=b"{}"),
+            _WireRequest(method="GET", path="/v1/jobs/missing?wait=abc"),
         ],
         ids=[
             "bad-since", "invalid-utf8", "empty-body", "non-object",
             "bad-method", "content-length-nan", "content-length-negative",
+            "unknown-post-path", "cancel-unknown-job", "bad-wait",
         ],
     )
     def test_known_regressions_return_4xx_envelopes(self, live_server, request_):

@@ -6,9 +6,14 @@ for field (wall-clock phase timings excluded — they are measurements, not
 results), including the pinned flight-control per-mode bounds.
 """
 
+import http.client
 import json
 import os
+import re
 import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -42,7 +47,9 @@ from repro.server import (
     WorkerPool,
     request_digest,
 )
-from repro.server.client import JobCancelled
+from repro.obs import metrics as obs_metrics
+from repro.server import http as server_http
+from repro.server.client import ClientError, JobCancelled
 from repro.testing import faults as fault_injection
 from repro.wcet.analyzer import AnalysisOptions
 
@@ -777,6 +784,283 @@ class TestShutdown:
 
         with pytest.raises((ClientError, RemoteError)):
             client.healthz()
+
+    def test_serve_process_exits_after_http_shutdown(self):
+        """``repro serve`` must exit 0 when a client asks it to shut down,
+        not only on a signal."""
+        env = dict(os.environ)
+        src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src_dir] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        try:
+            line = process.stdout.readline()
+            match = re.search(r"listening on (\S+)", line)
+            assert match, line
+            ServerClient(match.group(1), timeout=30).shutdown()
+            assert process.wait(timeout=30) == 0
+            assert "done" in process.stdout.read()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+
+
+# --------------------------------------------------------------------------- #
+# Connections: one kept-alive connection per client thread
+# --------------------------------------------------------------------------- #
+def _http_requests() -> float:
+    return sum(
+        value
+        for series, value in obs_metrics.REGISTRY.flat_counters().items()
+        if series.startswith("repro_http_requests_total")
+    )
+
+
+@pytest.fixture()
+def counted_server(monkeypatch):
+    """A fresh server that records every TCP connection it accepts."""
+    accepted = []
+    setup = server_http._Handler.setup
+
+    def counting_setup(handler):
+        accepted.append(handler.client_address)
+        setup(handler)
+
+    monkeypatch.setattr(server_http._Handler, "setup", counting_setup)
+    with AnalysisServer(port=0, jobs=1) as server:
+        server.accepted = accepted
+        yield server
+
+
+class TestKeepAlive:
+    def test_analyze_calls_share_one_connection_two_requests_each(self, counted_server):
+        client = ServerClient(counted_server.url, timeout=60)
+        spec = ProjectSpec(source=MINI_C, name="t.c")
+        client.analyze(spec, AnalysisRequest(label="cold"), timeout=60)
+        before = _http_requests()
+        for index in range(5):
+            result = client.analyze(spec, AnalysisRequest(label=f"warm-{index}"), timeout=60)
+            assert result.label == f"warm-{index}"
+        assert _http_requests() - before == 2 * 5
+        assert len(counted_server.accepted) == 1
+
+    def test_idle_closed_connection_is_reopened_transparently(
+        self, monkeypatch, counted_server
+    ):
+        monkeypatch.setattr(server_http._Handler, "timeout", 0.2)
+        client = ServerClient(counted_server.url, timeout=10)
+        client.healthz()  # this connection's handler now idles out at 0.2 s
+        time.sleep(0.6)
+        assert isinstance(client.healthz(), ServerStats)
+        assert len(counted_server.accepted) == 2
+
+    def test_close_drops_the_calling_threads_connection(self, counted_server):
+        client = ServerClient(counted_server.url, timeout=10)
+        client.healthz()
+        client.close()
+        assert client._local.connection.sock is None
+        client.healthz()
+        assert len(counted_server.accepted) == 2
+
+    def test_reused_connection_failure_is_resent_once(self):
+        """A request lost on a reused connection is resent on a fresh one,
+        but a fresh connection that fails too is an error, not a loop."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        accepted = []
+
+        def read_request(conn):
+            data = b""
+            while b"\r\n\r\n" not in data:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    return False
+                data += chunk
+            return True
+
+        def serve():
+            while True:
+                try:
+                    conn, _ = listener.accept()
+                except OSError:
+                    return
+                accepted.append(conn)
+                with conn:
+                    # The first connection answers one request, then closes
+                    # on the next; every later one closes without answering.
+                    if len(accepted) == 1 and read_request(conn):
+                        conn.sendall(
+                            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                            b"Content-Length: 2\r\n\r\n{}"
+                        )
+                    read_request(conn)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            client = ServerClient(
+                f"http://127.0.0.1:{listener.getsockname()[1]}", timeout=10
+            )
+            assert client._call("GET", "/x") == {}
+            with pytest.raises(ClientError):
+                client._call("GET", "/x")
+            assert len(accepted) == 2
+        finally:
+            listener.close()
+
+    @pytest.mark.parametrize(
+        "header, body, half_close, message",
+        [
+            (("Content-Length", "100"), b"{}", True, "truncated"),
+            (("Content-Length", "100"), b"{}", False, "timed out"),
+            (("Transfer-Encoding", "chunked"), b"2\r\n{}\r\n0\r\n\r\n", False, "chunked"),
+        ],
+        ids=["short-body", "stalled-body", "chunked-body"],
+    )
+    def test_unreadable_body_closes_the_connection(
+        self, monkeypatch, counted_server, header, body, half_close, message
+    ):
+        monkeypatch.setattr(server_http._Handler, "timeout", 0.3)
+        connection = http.client.HTTPConnection(
+            counted_server.host, counted_server.port, timeout=10
+        )
+        try:
+            connection.putrequest("POST", "/v1/jobs")
+            connection.putheader(*header)
+            connection.endheaders()
+            connection.send(body)
+            if half_close:
+                connection.sock.shutdown(socket.SHUT_WR)
+            response = connection.getresponse()
+            reply = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert response.getheader("Connection") == "close"
+        assert message in reply["message"]
+
+    def test_threads_sharing_a_client_get_their_own_results(self, client):
+        """More threads than cores share one client under a short switch
+        interval: a socket shared between threads would hand one thread's
+        reply to another."""
+        sources = {
+            f"t{index}": f"int main(void) {{ int x = {index}; "
+            f"for (int i = 0; i < {index + 2}; i++) {{ x = x + i; }} return x; }}"
+            for index in range(8)
+        }
+        direct = {
+            name: AnalysisService(
+                ProjectSpec(source=text, name=f"{name}.c").to_project(cache="off")
+            ).analyze(AnalysisRequest(label=name)).wcet_cycles
+            for name, text in sources.items()
+        }
+        results, connections, errors = {}, [], []
+
+        def work(names):
+            try:
+                for name in names:
+                    result = client.analyze(
+                        ProjectSpec(source=sources[name], name=f"{name}.c"),
+                        AnalysisRequest(label=name),
+                        timeout=120,
+                    )
+                    results[name] = (result.label, result.wcet_cycles)
+                connections.append(client._local.connection)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=work, args=(names,))
+            for names in (["t0", "t1"], ["t2", "t3"], ["t4", "t5"], ["t6", "t7"])
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert results == {name: (name, direct[name]) for name in sources}
+        assert len({id(connection) for connection in connections}) == len(threads)
+
+
+# --------------------------------------------------------------------------- #
+# Long-poll: ?wait= on job status and result
+# --------------------------------------------------------------------------- #
+class TestLongPoll:
+    @pytest.fixture()
+    def idle_server(self):
+        server = AnalysisServer(port=0, jobs=1)
+        # Listener only: jobs stay queued until the test ends them.
+        thread = threading.Thread(target=server._httpd.serve_forever, daemon=True)
+        thread.start()
+        yield server
+        server.shutdown()
+
+    def _queued(self, server):
+        client = ServerClient(server.url, timeout=10)
+        job = client.submit(ProjectSpec(workload="message-handler"), AnalysisRequest())
+        return client, job
+
+    def test_wait_returns_as_soon_as_the_job_is_terminal(self, idle_server):
+        client, job = self._queued(idle_server)
+        timer = threading.Timer(0.3, idle_server.scheduler.cancel, args=(job.id,))
+        timer.start()
+        started = time.monotonic()
+        status = client.status(job.id, wait=20)
+        assert status.state == "cancelled"
+        assert time.monotonic() - started < 10
+        started = time.monotonic()
+        with pytest.raises(JobCancelled):
+            client.result(job.id, wait=20)
+        assert time.monotonic() - started < 1
+
+    def test_wait_holds_a_running_job_for_the_given_time(self, idle_server):
+        client, job = self._queued(idle_server)
+        started = time.monotonic()
+        assert client.status(job.id, wait=0.3).state == "queued"
+        with pytest.raises(ResultNotReady):
+            client.result(job.id, wait=0.3)
+        assert time.monotonic() - started >= 0.6
+
+    def test_wait_ends_when_the_server_closes(self, idle_server):
+        _, job = self._queued(idle_server)
+        threading.Timer(0.3, idle_server.shutdown).start()
+        connection = http.client.HTTPConnection(
+            idle_server.host, idle_server.port, timeout=30
+        )
+        started = time.monotonic()
+        try:
+            connection.request("GET", f"/v1/jobs/{job.id}?wait=20")
+            response = connection.getresponse()
+            status = from_json(json.loads(response.read()))
+        finally:
+            connection.close()
+        assert time.monotonic() - started < 10
+        assert status.state == "queued"
+        # Once shutdown starts, replies end their connection.
+        assert response.getheader("Connection") == "close"
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf"])
+    def test_bad_wait_is_a_400(self, idle_server, value):
+        client, job = self._queued(idle_server)
+        for path in (f"/v1/jobs/{job.id}", f"/v1/jobs/{job.id}/result"):
+            with pytest.raises(RemoteError) as excinfo:
+                client._call("GET", f"{path}?wait={value}")
+            assert excinfo.value.status == 400
+            assert excinfo.value.error.error == "BadQuery"
 
 
 # --------------------------------------------------------------------------- #
