@@ -20,18 +20,28 @@ retyping or removing one is).  Loaders reject unknown versions and unknown
 kinds with :class:`SchemaError` instead of guessing.  Nested objects carry
 their own envelope so any subtree can be stored and reloaded on its own.
 
-Dispatching loaders/dumpers live here rather than as methods so the report
-dataclasses stay plain data; the classes expose thin ``to_json``/``from_json``
-conveniences that delegate to this module.
+Each kind is a dataclass handed to :func:`register`.  Its payload is its
+fields in declaration order, and its dumper and loader are generated from the
+type hints on first use (docs/api.md lists the supported types).  Every loaded
+field is type-checked: a wrong type, a malformed value or a missing field
+(unless the kind declares it optional) raises :class:`SchemaError`.  The codec
+lives here rather than in methods so the report dataclasses stay plain data;
+the classes expose thin ``to_json``/``from_json`` conveniences that delegate
+to this module.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Type
+import dataclasses
+import enum
+import operator
+import types
+import typing
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Type
 
 from repro.errors import ReproError
 from repro.guidelines.checker import GuidelineReport
-from repro.guidelines.finding import ChallengeTier, Finding, Severity
+from repro.guidelines.finding import Finding
 from repro.hardware.pipeline import BlockTimeBounds
 from repro.wcet.report import (
     ChallengeReport,
@@ -47,15 +57,6 @@ SCHEMA_VERSION = 1
 
 class SchemaError(ReproError):
     """Unknown schema version or kind, or a malformed payload."""
-
-
-# --------------------------------------------------------------------------- #
-# Envelope helpers
-# --------------------------------------------------------------------------- #
-def _envelope(kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-    data: Dict[str, Any] = {"schema": SCHEMA_VERSION, "kind": kind}
-    data.update(payload)
-    return data
 
 
 def _check_envelope(data: Any, kind: Optional[str] = None) -> str:
@@ -75,364 +76,239 @@ def _check_envelope(data: Any, kind: Optional[str] = None) -> str:
     return found
 
 
-def _int_keyed(mapping: Dict[int, Any]) -> Dict[str, Any]:
-    """JSON object keys are strings; block ids / addresses are ints."""
-    return {str(key): value for key, value in mapping.items()}
+# --------------------------------------------------------------------------- #
+# Registered kinds
+# --------------------------------------------------------------------------- #
+@dataclasses.dataclass
+class _Kind:
+    cls: Type
+    optional: frozenset
+    #: Dict fields sent as a list of ``{key_name: key, value_name: value}``
+    #: entries (for keys JSON objects cannot hold, like ``None``).
+    entries: Dict[str, Tuple[str, str]]
+    #: Keys a loaded payload may carry; ``None`` ignores unknown keys.
+    known: Optional[frozenset]
+    dump: Optional[Callable[[Any], Dict[str, Any]]] = None
+    load: Optional[Callable[[Dict[str, Any]], Any]] = None
 
 
-def _from_int_keyed(mapping: Dict[str, Any]) -> Dict[int, Any]:
-    return {int(key): value for key, value in mapping.items()}
+_KINDS: Dict[str, _Kind] = {}
+_BY_CLASS: Dict[Type, _Kind] = {}
+
+
+def register(
+    cls: Type,
+    optional: Iterable[str] = (),
+    *,
+    entries: Optional[Dict[str, Tuple[str, str]]] = None,
+    reject_unknown: bool = False,
+    retired: Iterable[str] = (),
+) -> None:
+    """Make the dataclass ``cls`` a schema-1 kind named ``cls.__name__``.
+
+    ``optional`` names the fields a loaded payload may omit (they take their
+    dataclass default); every other field is required.  ``entries`` maps a
+    dict field to the ``(key_name, value_name)`` of the entry list it is sent
+    as.  ``reject_unknown`` makes an unknown key a :class:`SchemaError`,
+    except the keys of ``retired`` fields, which are dropped.  Registering
+    the same kind name for a different class raises :class:`SchemaError`.
+    """
+    kind = cls.__name__
+    existing = _KINDS.get(kind)
+    if existing is not None and existing.cls is not cls:
+        raise SchemaError(f"serialised kind {kind!r} is already registered")
+    names = {f.name for f in dataclasses.fields(cls)}
+    optional, entries = frozenset(optional), dict(entries or {})
+    unknown = (optional | set(entries)) - names
+    if unknown:
+        raise SchemaError(f"{kind} has no field {', '.join(sorted(unknown))}")
+    known = None
+    if reject_unknown:
+        known = frozenset(names | set(retired) | {"schema", "kind"})
+    _KINDS[kind] = _BY_CLASS[cls] = _Kind(cls, optional, entries, known)
+
+
+def optional_fields(cls: Type) -> frozenset:
+    """The fields of a registered kind a loaded payload may omit."""
+    return _BY_CLASS[cls].optional
 
 
 # --------------------------------------------------------------------------- #
-# Per-type dumpers
+# The generated dumpers and loaders
 # --------------------------------------------------------------------------- #
-def _dump_block_time_bounds(bounds: BlockTimeBounds) -> Dict[str, Any]:
-    return _envelope(
-        "BlockTimeBounds",
-        {
-            "block_id": bounds.block_id,
-            "wcet_cycles": bounds.wcet_cycles,
-            "bcet_cycles": bounds.bcet_cycles,
-            "fetch_cycles": bounds.fetch_cycles,
-            "compute_cycles": bounds.compute_cycles,
-            "memory_cycles": bounds.memory_cycles,
-            "branch_cycles": bounds.branch_cycles,
-        },
+_MISSING = object()
+
+_PRIMITIVE_CHECKS = {
+    int: "{0}.__class__ is int",
+    float: "{0}.__class__ is float or {0}.__class__ is int",
+    str: "{0}.__class__ is str",
+    bool: "{0}.__class__ is bool",
+}
+
+
+def _bad(kind: str, name: str, value: Any, expected: str):
+    raise SchemaError(
+        f"serialised {kind} is malformed: {name} must be {expected}, "
+        f"got {type(value).__name__}"
     )
 
 
-def _load_block_time_bounds(data: Dict[str, Any]) -> BlockTimeBounds:
-    return BlockTimeBounds(
-        block_id=data["block_id"],
-        wcet_cycles=data["wcet_cycles"],
-        bcet_cycles=data["bcet_cycles"],
-        fetch_cycles=data["fetch_cycles"],
-        compute_cycles=data["compute_cycles"],
-        memory_cycles=data["memory_cycles"],
-        branch_cycles=data["branch_cycles"],
-    )
+def _type_name(tp: Any) -> str:
+    return tp.__name__ if isinstance(tp, type) else repr(tp).replace("typing.", "")
 
 
-def _dump_loop_report(loop: LoopReport) -> Dict[str, Any]:
-    return _envelope(
-        "LoopReport",
-        {
-            "function": loop.function,
-            "header": loop.header,
-            "bound": loop.bound,
-            "source": loop.source,
-            "irreducible": loop.irreducible,
-            "failure_reason": loop.failure_reason,
-            "detail": loop.detail,
-        },
-    )
+class _Codegen:
+    """Builds the source of one kind's ``dump(o)`` and ``load(d)``."""
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.namespace: Dict[str, Any] = {
+            "_check_envelope": _check_envelope,
+            "_bad": _bad,
+            "_MISSING": _MISSING,
+            "SchemaError": SchemaError,
+        }
+
+    def name(self, value: Any = _MISSING) -> str:
+        """A fresh identifier: a comprehension variable, or a name for
+        ``value`` in the generated functions' namespace."""
+        name = f"_n{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def codec(
+        self, tp: Any, dx: str, lx: str, field: str, entries: Tuple[str, ...] = ()
+    ) -> Tuple[str, str]:
+        """Expressions dumping the value ``dx`` and loading (type-checked)
+        the JSON value ``lx``, both of type ``tp``; ``entries`` sends a dict
+        as a list of ``{entries[0]: key, entries[1]: value}`` objects."""
+        inner, nullable = tp, False
+        if typing.get_origin(tp) in (typing.Union, types.UnionType):
+            # Optional[T] is the only union with a JSON form.
+            (inner,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
+            nullable = True
+        origin, args = typing.get_origin(inner), typing.get_args(inner)
+        expected = _type_name(tp)
+        if entries:
+            expected = f"a list of {entries[0]}/{entries[1]} entries"
+        bad = f"_bad({self.kind!r}, {field!r}, {lx}, {expected!r})"
+        check = _PRIMITIVE_CHECKS.get(inner)
+        if check is not None:
+            check = check.format(lx)
+            if nullable:
+                check = f"{lx} is None or {check}"
+            return dx, f"({lx} if {check} else {bad})"
+        if origin is list:
+            v = self.name()
+            dump, load = self.codec(args[0], v, v, field)
+            dump = f"list({dx})" if dump == v else f"[{dump} for {v} in {dx}]"
+            load = f"([{load} for {v} in {lx}] if {lx}.__class__ is list else {bad})"
+        elif origin is dict:
+            k, v = self.name(), self.name()
+            if args[0] is int:
+                key_dump, key_load = f"str({k})", f"int({k})"
+            else:
+                key_dump, key_load = self.codec(args[0], k, k, field)
+            dump, load = self.codec(args[1], v, v, field)
+            pairs, wire = f"{lx}.items()", "dict"
+            if entries:
+                dump = f"{{{entries[0]!r}: {key_dump}, {entries[1]!r}: {dump}}}"
+                dump = f"[{dump} for {k}, {v} in {dx}.items()]"
+                pairs = f"map({self.name(operator.itemgetter(*entries))}, {lx})"
+                wire = "list"
+            elif (key_dump, dump) == (k, v):
+                dump = f"dict({dx})"
+            else:
+                dump = f"{{{key_dump}: {dump} for {k}, {v} in {dx}.items()}}"
+            load = (
+                f"({{{key_load}: {load} for {k}, {v} in {pairs}}} "
+                f"if {lx}.__class__ is {wire} else {bad})"
+            )
+        elif isinstance(inner, type) and issubclass(inner, enum.Enum):
+            dump, load = f"{dx}.value", f"{self.name(inner)}({lx})"
+        elif inner in _BY_CLASS:
+            nested = _BY_CLASS[inner]
+            if nested.load is None:
+                _build(nested)
+            dump = f"{self.name(nested.dump)}({dx})"
+            load = f"{self.name(nested.load)}({lx})"
+        else:
+            raise SchemaError(f"{self.kind}: no JSON form for {_type_name(tp)}")
+        if nullable:
+            dump = f"(None if {dx} is None else {dump})"
+            load = f"(None if {lx} is None else {load})"
+        return dump, load
 
 
-def _load_loop_report(data: Dict[str, Any]) -> LoopReport:
-    return LoopReport(
-        function=data["function"],
-        header=data["header"],
-        bound=data["bound"],
-        source=data["source"],
-        irreducible=data["irreducible"],
-        failure_reason=data["failure_reason"],
-        detail=data["detail"],
-    )
-
-
-def _dump_phase_timing(timing: PhaseTiming) -> Dict[str, Any]:
-    return _envelope(
-        "PhaseTiming",
-        {
-            "phase": timing.phase,
-            "seconds": timing.seconds,
-            "detail": timing.detail,
-            "iterations": timing.iterations,
-        },
-    )
-
-
-def _load_phase_timing(data: Dict[str, Any]) -> PhaseTiming:
-    return PhaseTiming(
-        phase=data["phase"],
-        seconds=data["seconds"],
-        detail=data["detail"],
-        # Pre-counter payloads (older peers) lack the field; default to 0.
-        iterations=data.get("iterations", 0),
-    )
-
-
-def _dump_challenge_report(challenges: ChallengeReport) -> Dict[str, Any]:
-    return _envelope(
-        "ChallengeReport",
-        {
-            "tier_one": list(challenges.tier_one),
-            "tier_two": list(challenges.tier_two),
-        },
-    )
-
-
-def _load_challenge_report(data: Dict[str, Any]) -> ChallengeReport:
-    return ChallengeReport(
-        tier_one=list(data["tier_one"]), tier_two=list(data["tier_two"])
-    )
-
-
-def _dump_function_report(report: FunctionReport) -> Dict[str, Any]:
-    return _envelope(
-        "FunctionReport",
-        {
-            "name": report.name,
-            "wcet_cycles": report.wcet_cycles,
-            "bcet_cycles": report.bcet_cycles,
-            "loop_reports": [_dump_loop_report(l) for l in report.loop_reports],
-            "block_times": {
-                str(block_id): _dump_block_time_bounds(bounds)
-                for block_id, bounds in report.block_times.items()
-            },
-            "block_counts": _int_keyed(report.block_counts),
-            "icache_summary": dict(report.icache_summary),
-            "dcache_summary": dict(report.dcache_summary),
-            "unreachable_blocks": list(report.unreachable_blocks),
-            "imprecise_accesses": report.imprecise_accesses,
-            "unknown_accesses": report.unknown_accesses,
-            "callee_wcet": _int_keyed(report.callee_wcet),
-            "ilp_nodes": report.ilp_nodes,
-            "context": report.context,
-        },
-    )
-
-
-def _load_function_report(data: Dict[str, Any]) -> FunctionReport:
-    return FunctionReport(
-        name=data["name"],
-        wcet_cycles=data["wcet_cycles"],
-        bcet_cycles=data["bcet_cycles"],
-        loop_reports=[from_json(l, LoopReport) for l in data["loop_reports"]],
-        block_times={
-            int(block_id): from_json(bounds, BlockTimeBounds)
-            for block_id, bounds in data["block_times"].items()
-        },
-        block_counts=_from_int_keyed(data["block_counts"]),
-        icache_summary=dict(data["icache_summary"]),
-        dcache_summary=dict(data["dcache_summary"]),
-        unreachable_blocks=list(data["unreachable_blocks"]),
-        imprecise_accesses=data["imprecise_accesses"],
-        unknown_accesses=data["unknown_accesses"],
-        callee_wcet=_from_int_keyed(data["callee_wcet"]),
-        ilp_nodes=data["ilp_nodes"],
-        context=data["context"],
-    )
-
-
-def _dump_wcet_report(report: WCETReport) -> Dict[str, Any]:
-    return _envelope(
-        "WCETReport",
-        {
-            "entry": report.entry,
-            "processor": report.processor,
-            "wcet_cycles": report.wcet_cycles,
-            "bcet_cycles": report.bcet_cycles,
-            "functions": {
-                name: _dump_function_report(function_report)
-                for name, function_report in report.functions.items()
-            },
-            "phases": [_dump_phase_timing(t) for t in report.phases],
-            "challenges": _dump_challenge_report(report.challenges),
-            "mode": report.mode,
-            "error_scenario": report.error_scenario,
-            "annotation_summary": dict(report.annotation_summary),
-        },
-    )
-
-
-def _load_wcet_report(data: Dict[str, Any]) -> WCETReport:
-    return WCETReport(
-        entry=data["entry"],
-        processor=data["processor"],
-        wcet_cycles=data["wcet_cycles"],
-        bcet_cycles=data["bcet_cycles"],
-        functions={
-            name: from_json(payload, FunctionReport)
-            for name, payload in data["functions"].items()
-        },
-        phases=[from_json(t, PhaseTiming) for t in data["phases"]],
-        challenges=from_json(data["challenges"], ChallengeReport),
-        mode=data["mode"],
-        error_scenario=data["error_scenario"],
-        annotation_summary=dict(data["annotation_summary"]),
-    )
-
-
-def _dump_finding(finding: Finding) -> Dict[str, Any]:
-    return _envelope(
-        "Finding",
-        {
-            "rule": finding.rule,
-            "title": finding.title,
-            "severity": finding.severity.value,
-            "function": finding.function,
-            "line": finding.line,
-            "message": finding.message,
-            "challenge": finding.challenge.value,
-            "wcet_impact": finding.wcet_impact,
-        },
-    )
-
-
-def _load_finding(data: Dict[str, Any]) -> Finding:
-    try:
-        severity = Severity(data["severity"])
-        challenge = ChallengeTier(data["challenge"])
-    except ValueError as exc:
-        raise SchemaError(f"serialised Finding has an unknown enum value: {exc}")
-    return Finding(
-        rule=data["rule"],
-        title=data["title"],
-        severity=severity,
-        function=data["function"],
-        line=data["line"],
-        message=data["message"],
-        challenge=challenge,
-        wcet_impact=data["wcet_impact"],
-    )
-
-
-def _dump_guideline_report(report: GuidelineReport) -> Dict[str, Any]:
-    return _envelope(
-        "GuidelineReport",
-        {
-            "findings": [_dump_finding(f) for f in report.findings],
-            "rules_checked": list(report.rules_checked),
-        },
-    )
-
-
-def _load_guideline_report(data: Dict[str, Any]) -> GuidelineReport:
-    return GuidelineReport(
-        findings=[from_json(f, Finding) for f in data["findings"]],
-        rules_checked=list(data["rules_checked"]),
-    )
-
-
-def _dump_analysis_result(result) -> Dict[str, Any]:
-    # Mode keys may be None (the mode-unaware analysis), which JSON object
-    # keys cannot express — serialise the dict as an ordered list of entries.
-    return _envelope(
-        "AnalysisResult",
-        {
-            "label": result.label,
-            "entry": result.entry,
-            "processor": result.processor,
-            "reports": [
-                {"mode": mode, "report": _dump_wcet_report(report)}
-                for mode, report in result.reports.items()
-            ],
-            "guidelines": (
-                _dump_guideline_report(result.guidelines)
-                if result.guidelines is not None
-                else None
-            ),
-            "cache_stats": dict(result.cache_stats),
-            "seconds": result.seconds,
-        },
-    )
-
-
-def _load_analysis_result(data: Dict[str, Any]):
-    from repro.api.service import AnalysisResult
-
-    return AnalysisResult(
-        label=data["label"],
-        entry=data["entry"],
-        processor=data["processor"],
-        reports={
-            item["mode"]: from_json(item["report"], WCETReport)
-            for item in data["reports"]
-        },
-        guidelines=(
-            from_json(data["guidelines"], GuidelineReport)
-            if data["guidelines"] is not None
-            else None
-        ),
-        cache_stats=dict(data["cache_stats"]),
-        seconds=data["seconds"],
-    )
+def _build(kind: _Kind) -> _Kind:
+    """Generate, compile and attach ``kind``'s dump and load functions."""
+    name = kind.cls.__name__
+    gen = _Codegen(name)
+    hints = typing.get_type_hints(kind.cls)
+    items, required, lookups, arguments = [], [], [], []
+    for index, f in enumerate(dataclasses.fields(kind.cls)):
+        lx = f"_a{index}"
+        dump, load = gen.codec(
+            hints[f.name], f"o.{f.name}", lx, f.name, kind.entries.get(f.name, ())
+        )
+        items.append(f"{f.name!r}: {dump}")
+        if f.name in kind.optional:
+            lookups.append(f"    {lx} = d.get({f.name!r}, _MISSING)")
+            if f.default_factory is not dataclasses.MISSING:
+                default = f"{gen.name(f.default_factory)}()"
+            else:
+                default = gen.name(f.default)
+            load = f"({default} if {lx} is _MISSING else {load})"
+        else:
+            required.append(f"        {lx} = d[{f.name!r}]")
+        arguments.append(f"        {load},")
+    lines = [
+        "def dump(o):",
+        f"    return {{'schema': {SCHEMA_VERSION}, 'kind': {name!r}, "
+        f"{', '.join(items)}}}",
+        "def load(d):",
+        f"    if d.__class__ is not dict or d.get('schema') != {SCHEMA_VERSION} "
+        f"or d.get('kind') != {name!r}:",
+        f"        _check_envelope(d, {name!r})",
+    ]
+    if kind.known is not None:
+        lines += [
+            f"    for key in d.keys() - {gen.name(kind.known)}:",
+            f"        raise SchemaError(f'serialised {name} is malformed: "
+            "unknown field {key!r}')",
+        ]
+    if required:
+        lines += ["    try:", *required, "    except KeyError as exc:"]
+        lines.append(
+            f"        raise SchemaError(f'serialised {name} is missing field "
+            "{exc}') from None"
+        )
+    lines += [*lookups, f"    return {gen.name(kind.cls)}(", *arguments, "    )"]
+    exec(compile("\n".join(lines), f"<schema codec {name}>", "exec"), gen.namespace)
+    kind.dump, kind.load = gen.namespace["dump"], gen.namespace["load"]
+    return kind
 
 
 # --------------------------------------------------------------------------- #
 # Public dispatchers
 # --------------------------------------------------------------------------- #
-_DUMPERS: List = [
-    (BlockTimeBounds, _dump_block_time_bounds),
-    (LoopReport, _dump_loop_report),
-    (PhaseTiming, _dump_phase_timing),
-    (ChallengeReport, _dump_challenge_report),
-    (FunctionReport, _dump_function_report),
-    (WCETReport, _dump_wcet_report),
-    (Finding, _dump_finding),
-    (GuidelineReport, _dump_guideline_report),
-]
+def _lookup(table: Dict[Any, _Kind], key: Any) -> Optional[_Kind]:
+    kind = table.get(key)
+    if kind is None:
+        # Kinds registered by other packages (the server wire messages) are
+        # only present once their module is imported; give them one chance.
+        import repro.server.wire  # noqa: F401
 
-_LOADERS: Dict[str, Callable[[Dict[str, Any]], Any]] = {
-    "BlockTimeBounds": _load_block_time_bounds,
-    "LoopReport": _load_loop_report,
-    "PhaseTiming": _load_phase_timing,
-    "ChallengeReport": _load_challenge_report,
-    "FunctionReport": _load_function_report,
-    "WCETReport": _load_wcet_report,
-    "Finding": _load_finding,
-    "GuidelineReport": _load_guideline_report,
-    "AnalysisResult": _load_analysis_result,
-}
-
-
-def register(
-    cls: Type,
-    kind: str,
-    dumper: Callable[[Any], Dict[str, Any]],
-    loader: Callable[[Dict[str, Any]], Any],
-) -> None:
-    """Extension hook: other packages add their own schema-1 kinds.
-
-    :mod:`repro.server.wire` registers the server's wire messages here so
-    they travel through the same versioned envelope machinery as the report
-    types.  ``kind`` must equal ``cls.__name__`` (``from_json(expected=cls)``
-    asserts the kind by class name).  Registering the same kind twice with a
-    different class is a programming error and raises :class:`SchemaError`.
-    """
-    if kind != cls.__name__:
-        raise SchemaError(f"kind {kind!r} must match the class name {cls.__name__!r}")
-    existing = _LOADERS.get(kind)
-    if existing is not None and existing is not loader:
-        raise SchemaError(f"serialised kind {kind!r} is already registered")
-    _DUMPERS.append((cls, dumper))
-    _LOADERS[kind] = loader
-
-
-def _load_extension_kinds() -> None:
-    """Import the packages that register additional kinds (idempotent)."""
-    try:
-        import repro.server.wire  # noqa: F401  (registers the server kinds)
-    except ImportError:  # pragma: no cover - server package always ships
-        pass
+        kind = table.get(key)
+    return kind
 
 
 def to_json(obj: Any) -> Dict[str, Any]:
     """Serialise any supported report object to a JSON-compatible dict."""
-    # AnalysisResult lives in repro.api.service (which imports this module);
-    # recognise it by duck type to avoid the circular import.
-    if type(obj).__name__ == "AnalysisResult" and hasattr(obj, "reports"):
-        return _dump_analysis_result(obj)
-    for cls, dumper in _DUMPERS:
-        if isinstance(obj, cls):
-            return dumper(obj)
-    _load_extension_kinds()
-    for cls, dumper in _DUMPERS:
-        if isinstance(obj, cls):
-            return dumper(obj)
-    raise SchemaError(f"no JSON schema for objects of type {type(obj).__name__}")
+    kind = _lookup(_BY_CLASS, type(obj))
+    if kind is None:
+        raise SchemaError(f"no JSON schema for objects of type {type(obj).__name__}")
+    return (kind.dump or _build(kind).dump)(obj)
 
 
 def from_json(data: Dict[str, Any], expected: Optional[Type] = None) -> Any:
@@ -441,25 +317,35 @@ def from_json(data: Dict[str, Any], expected: Optional[Type] = None) -> Any:
     ``expected`` (a class) additionally asserts the deserialised kind.
     Raises :class:`SchemaError` on version/kind mismatches.
     """
-    expected_kind = expected.__name__ if expected is not None else None
-    kind = _check_envelope(data, expected_kind)
-    loader = _LOADERS.get(kind)
-    if loader is None:
-        # Kinds registered by other packages (the server wire messages) are
-        # only present once their module is imported; give them one chance.
-        _load_extension_kinds()
-        loader = _LOADERS.get(kind)
-    if loader is None:
-        raise SchemaError(f"unknown serialised kind {kind!r}")
+    name = _check_envelope(data, expected.__name__ if expected is not None else None)
+    kind = _lookup(_KINDS, name)
+    if kind is None:
+        raise SchemaError(f"unknown serialised kind {name!r}")
+    load = kind.load or _build(kind).load
     try:
-        return loader(data)
+        return load(data)
     except SchemaError:
         raise
     except KeyError as exc:
-        raise SchemaError(f"serialised {kind} is missing field {exc}") from None
+        raise SchemaError(f"serialised {name} is missing field {exc}") from None
     except (TypeError, ValueError, AttributeError) as exc:
-        # A field of the wrong JSON shape (a string where an object belongs,
-        # an int where a list belongs, ...) must surface as a schema problem,
-        # not leak the loader's internal exception to the caller — the HTTP
-        # front end turns SchemaError into 400, anything else into 500.
-        raise SchemaError(f"serialised {kind} is malformed: {exc}") from None
+        # A value the type checks let through but the constructor refuses
+        # (an unknown enum value, a block whose BCET exceeds its WCET, ...)
+        # is a schema problem too: the HTTP front end turns SchemaError into
+        # 400, anything else into 500.
+        raise SchemaError(f"serialised {name} is malformed: {exc}") from None
+
+
+for _cls in (
+    BlockTimeBounds,
+    LoopReport,
+    ChallengeReport,
+    FunctionReport,
+    WCETReport,
+    Finding,
+    GuidelineReport,
+):
+    register(_cls)
+# Counter-less payloads (older peers) lack the field.
+register(PhaseTiming, optional=("iterations",))
+del _cls

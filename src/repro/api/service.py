@@ -128,6 +128,11 @@ class AnalysisResult:
         )
 
 
+# Mode keys may be None (the mode-unaware analysis), which JSON object keys
+# cannot express: the reports travel as an ordered list of entries.
+serialize.register(AnalysisResult, entries={"reports": ("mode", "report")})
+
+
 class AnalysisService:
     """Runs typed analysis requests against one project.
 

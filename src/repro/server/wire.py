@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import asdict, dataclass, field, fields
+from typing import Dict, Optional
 
 from repro.api import serialize
 from repro.api.project import PROCESSORS, Project, ProjectError
-from repro.api.serialize import SchemaError, _envelope  # envelope helper
 from repro.api.service import AnalysisRequest
 from repro.errors import ReproError
 from repro.wcet.analyzer import AnalysisOptions
@@ -47,40 +46,6 @@ TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
 class WireError(ReproError):
     """A malformed or inconsistent wire message."""
-
-
-def _require_str(value: Any, name: str, optional: bool = False) -> None:
-    """Reject non-string field values at the wire boundary.
-
-    The schema loaders only check envelope structure; without a type check a
-    submission like ``{"workload": 123}`` would pass validation, crash in a
-    worker and surface as a failed job (HTTP 500 on the result route) instead
-    of the 400 the client deserves.
-    """
-    if value is None and optional:
-        return
-    if not isinstance(value, str):
-        raise WireError(
-            f"{name} must be a string{' or null' if optional else ''}, "
-            f"got {type(value).__name__}"
-        )
-
-
-def _require_bool(value: Any, name: str) -> None:
-    if not isinstance(value, bool):
-        raise WireError(f"{name} must be a boolean, got {type(value).__name__}")
-
-
-def _require_positive_number(value: Any, name: str) -> None:
-    """Reject non-numeric / non-positive deadline values (``None`` allowed)."""
-    if value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise WireError(
-            f"{name} must be a number or null, got {type(value).__name__}"
-        )
-    if not value > 0:
-        raise WireError(f"{name} must be positive, got {value!r}")
 
 
 # --------------------------------------------------------------------------- #
@@ -105,13 +70,7 @@ class ProjectSpec:
     name: str = ""
 
     def validate(self) -> None:
-        _require_str(self.workload, "ProjectSpec.workload", optional=True)
-        _require_str(self.source, "ProjectSpec.source", optional=True)
-        _require_str(self.assembly, "ProjectSpec.assembly", optional=True)
-        _require_str(self.entry, "ProjectSpec.entry", optional=True)
-        _require_str(self.annotations, "ProjectSpec.annotations", optional=True)
-        _require_str(self.processor, "ProjectSpec.processor")
-        _require_str(self.name, "ProjectSpec.name")
+        """Value checks; field types are checked when the spec is loaded."""
         supplied = [s for s in (self.workload, self.source, self.assembly) if s]
         if len(supplied) != 1:
             raise WireError(
@@ -165,102 +124,18 @@ class ProjectSpec:
         )
 
 
-def _dump_project_spec(spec: ProjectSpec) -> Dict[str, Any]:
-    return _envelope("ProjectSpec", asdict(spec))
-
-
-def _load_project_spec(data: Dict[str, Any]) -> ProjectSpec:
-    return ProjectSpec(
-        workload=data["workload"],
-        source=data["source"],
-        assembly=data["assembly"],
-        entry=data["entry"],
-        annotations=data["annotations"],
-        processor=data["processor"],
-        name=data["name"],
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Wire forms of the facade's AnalysisOptions / AnalysisRequest
-# --------------------------------------------------------------------------- #
-def _dump_analysis_options(options: AnalysisOptions) -> Dict[str, Any]:
-    return _envelope("AnalysisOptions", dict(vars(options)))
-
-
-def _load_analysis_options(data: Dict[str, Any]) -> AnalysisOptions:
-    # "engine" was a knob of older clients; the analyzer has one execution
-    # path now, so the field is dropped rather than rejected.
-    payload = {
-        k: v for k, v in data.items() if k not in ("schema", "kind", "engine")
-    }
-    try:
-        return AnalysisOptions(**payload)
-    except TypeError as exc:
-        raise SchemaError(f"serialised AnalysisOptions is malformed: {exc}") from None
-
-
-def _dump_analysis_request(request: AnalysisRequest) -> Dict[str, Any]:
-    return _envelope(
-        "AnalysisRequest",
-        {
-            "entry": request.entry,
-            "mode": request.mode,
-            "all_modes": request.all_modes,
-            "error_scenario": request.error_scenario,
-            "options": (
-                _dump_analysis_options(request.options)
-                if request.options is not None
-                else None
-            ),
-            "check_guidelines": request.check_guidelines,
-            "label": request.label,
-        },
-    )
-
-
-def _load_analysis_request(data: Dict[str, Any]) -> AnalysisRequest:
-    options = data["options"]
-    return AnalysisRequest(
-        entry=data["entry"],
-        mode=data["mode"],
-        all_modes=data["all_modes"],
-        error_scenario=data["error_scenario"],
-        options=(
-            serialize.from_json(options, AnalysisOptions)
-            if options is not None
-            else None
-        ),
-        check_guidelines=data["check_guidelines"],
-        label=data["label"],
-    )
-
-
 def request_digest(spec: ProjectSpec, request: AnalysisRequest) -> str:
-    """Dedup key of one (project, request) pair.
+    """Dedup key of one (project, request) pair: the spec digest plus the
+    request's envelope, so every request field is part of the identity.
 
     The ``label`` is deliberately excluded: two requests that differ only in
     their label are the same computation — they share one execution and each
     receives a result stamped with its own label.
     """
-    payload = json.dumps(
-        {
-            "project": spec.digest(),
-            "entry": request.entry,
-            "mode": request.mode,
-            "all_modes": request.all_modes,
-            "error_scenario": request.error_scenario,
-            "options": (
-                sorted(vars(request.options).items())
-                if request.options is not None
-                else None
-            ),
-            "check_guidelines": request.check_guidelines,
-        },
-        sort_keys=True,
-        default=str,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:32]
+    payload = serialize.to_json(request)
+    del payload["label"]
+    text = json.dumps({"project": spec.digest(), "request": payload}, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:32]
 
 
 # --------------------------------------------------------------------------- #
@@ -284,58 +159,14 @@ class ServerSubmit:
     trace: Optional[Dict[str, Optional[str]]] = None
 
     def validate(self) -> None:
-        if not isinstance(self.project, ProjectSpec):
-            raise WireError("ServerSubmit.project must be a ProjectSpec envelope")
-        if not isinstance(self.request, AnalysisRequest):
-            raise WireError("ServerSubmit.request must be an AnalysisRequest envelope")
+        """Value checks; field types are checked when the message is loaded."""
         self.project.validate()
-        request = self.request
-        _require_str(request.entry, "AnalysisRequest.entry", optional=True)
-        _require_str(request.mode, "AnalysisRequest.mode", optional=True)
-        _require_str(
-            request.error_scenario, "AnalysisRequest.error_scenario", optional=True
-        )
-        _require_str(request.label, "AnalysisRequest.label")
-        _require_bool(request.all_modes, "AnalysisRequest.all_modes")
-        _require_bool(request.check_guidelines, "AnalysisRequest.check_guidelines")
-        _require_positive_number(self.timeout, "ServerSubmit.timeout")
-        if self.trace is not None:
-            if not isinstance(self.trace, dict):
-                raise WireError(
-                    "ServerSubmit.trace must be an object or null, got "
-                    f"{type(self.trace).__name__}"
-                )
-            for key, value in self.trace.items():
-                _require_str(key, "ServerSubmit.trace key")
-                _require_str(value, f"ServerSubmit.trace[{key!r}]", optional=True)
+        if self.timeout is not None and not self.timeout > 0:
+            raise WireError(
+                f"ServerSubmit.timeout must be positive, got {self.timeout!r}"
+            )
         if self.lane not in LANES:
             raise WireError(f"unknown lane {self.lane!r}; available: {LANES}")
-
-
-def _dump_server_submit(submit: ServerSubmit) -> Dict[str, Any]:
-    return _envelope(
-        "ServerSubmit",
-        {
-            "project": _dump_project_spec(submit.project),
-            "request": _dump_analysis_request(submit.request),
-            "lane": submit.lane,
-            "timeout": submit.timeout,
-            "trace": dict(submit.trace) if submit.trace is not None else None,
-        },
-    )
-
-
-def _load_server_submit(data: Dict[str, Any]) -> ServerSubmit:
-    trace = data.get("trace")
-    return ServerSubmit(
-        project=serialize.from_json(data["project"], ProjectSpec),
-        request=serialize.from_json(data["request"], AnalysisRequest),
-        lane=data["lane"],
-        # Absent in pre-fault-tolerance envelopes: default, don't reject.
-        timeout=data.get("timeout"),
-        # Absent pre-observability; dict-ness is enforced in validate().
-        trace=dict(trace) if isinstance(trace, dict) else trace,
-    )
 
 
 @dataclass
@@ -352,20 +183,6 @@ class ServerSubmitReply:
     position: int = -1
 
 
-def _dump_server_submit_reply(reply: ServerSubmitReply) -> Dict[str, Any]:
-    return _envelope("ServerSubmitReply", asdict(reply))
-
-
-def _load_server_submit_reply(data: Dict[str, Any]) -> ServerSubmitReply:
-    return ServerSubmitReply(
-        job_id=data["job_id"],
-        state=data["state"],
-        lane=data["lane"],
-        deduped=data["deduped"],
-        position=data["position"],
-    )
-
-
 # --------------------------------------------------------------------------- #
 # Status / error / events / stats
 # --------------------------------------------------------------------------- #
@@ -379,20 +196,6 @@ class ServerError:
     #: Backpressure hint in seconds (mirrors the ``Retry-After`` header on
     #: 429 replies); ``None`` everywhere else.
     retry_after: Optional[float] = None
-
-
-def _dump_server_error(error: ServerError) -> Dict[str, Any]:
-    return _envelope("ServerError", asdict(error))
-
-
-def _load_server_error(data: Dict[str, Any]) -> ServerError:
-    return ServerError(
-        error=data["error"],
-        message=data["message"],
-        job_id=data["job_id"],
-        # Absent in pre-fault-tolerance envelopes: default, don't reject.
-        retry_after=data.get("retry_after"),
-    )
 
 
 @dataclass
@@ -415,46 +218,6 @@ class ServerJobStatus:
     error: Optional[ServerError] = None
 
 
-def _dump_server_job_status(status: ServerJobStatus) -> Dict[str, Any]:
-    return _envelope(
-        "ServerJobStatus",
-        {
-            "job_id": status.job_id,
-            "state": status.state,
-            "lane": status.lane,
-            "label": status.label,
-            "deduped": status.deduped,
-            "submitted": status.submitted,
-            "started": status.started,
-            "finished": status.finished,
-            "seconds": status.seconds,
-            "position": status.position,
-            "error": (
-                _dump_server_error(status.error)
-                if status.error is not None
-                else None
-            ),
-        },
-    )
-
-
-def _load_server_job_status(data: Dict[str, Any]) -> ServerJobStatus:
-    error = data["error"]
-    return ServerJobStatus(
-        job_id=data["job_id"],
-        state=data["state"],
-        lane=data["lane"],
-        label=data["label"],
-        deduped=data["deduped"],
-        submitted=data["submitted"],
-        started=data["started"],
-        finished=data["finished"],
-        seconds=data["seconds"],
-        position=data["position"],
-        error=serialize.from_json(error, ServerError) if error is not None else None,
-    )
-
-
 @dataclass
 class ServerEvent:
     """One line on the ``GET /v1/jobs/<id>/events`` stream."""
@@ -468,21 +231,6 @@ class ServerEvent:
     detail: str = ""
     #: Server clock, seconds since the epoch.
     ts: float = 0.0
-
-
-def _dump_server_event(event: ServerEvent) -> Dict[str, Any]:
-    return _envelope("ServerEvent", asdict(event))
-
-
-def _load_server_event(data: Dict[str, Any]) -> ServerEvent:
-    return ServerEvent(
-        job_id=data["job_id"],
-        seq=data["seq"],
-        event=data["event"],
-        state=data["state"],
-        detail=data["detail"],
-        ts=data["ts"],
-    )
 
 
 @dataclass
@@ -518,65 +266,28 @@ class ServerStats:
     metrics: Dict[str, float] = field(default_factory=dict)
 
 
-def _dump_server_stats(stats: ServerStats) -> Dict[str, Any]:
-    return _envelope(
-        "ServerStats",
-        {
-            "uptime_seconds": stats.uptime_seconds,
-            "workers": stats.workers,
-            "jobs": dict(stats.jobs),
-            "queue_depth": dict(stats.queue_depth),
-            "dedup_hits": stats.dedup_hits,
-            "submitted": stats.submitted,
-            "executed": stats.executed,
-            "cache": dict(stats.cache),
-            "phase_seconds": dict(stats.phase_seconds),
-            "faults": dict(stats.faults),
-            "queue_limit": stats.queue_limit,
-            "exec_ema_seconds": stats.exec_ema_seconds,
-            "metrics": dict(stats.metrics),
-        },
-    )
-
-
-def _load_server_stats(data: Dict[str, Any]) -> ServerStats:
-    return ServerStats(
-        uptime_seconds=data["uptime_seconds"],
-        workers=data["workers"],
-        jobs=dict(data["jobs"]),
-        queue_depth=dict(data["queue_depth"]),
-        dedup_hits=data["dedup_hits"],
-        submitted=data["submitted"],
-        executed=data["executed"],
-        cache=dict(data["cache"]),
-        phase_seconds=dict(data["phase_seconds"]),
-        # Absent in pre-fault-tolerance envelopes: default, don't reject.
-        faults=dict(data.get("faults", {})),
-        queue_limit=data.get("queue_limit"),
-        # Absent pre-observability: default, don't reject.
-        exec_ema_seconds=data.get("exec_ema_seconds", 0.0),
-        metrics=dict(data.get("metrics", {})),
-    )
-
-
 # --------------------------------------------------------------------------- #
-# Registration with the schema dispatcher
+# Registration with the schema codec.  The optional fields are the ones older
+# peers omit: they load with their defaults.
 # --------------------------------------------------------------------------- #
-_WIRE_KINDS: List = [
-    (ProjectSpec, _dump_project_spec, _load_project_spec),
-    (AnalysisOptions, _dump_analysis_options, _load_analysis_options),
-    (AnalysisRequest, _dump_analysis_request, _load_analysis_request),
-    (ServerSubmit, _dump_server_submit, _load_server_submit),
-    (ServerSubmitReply, _dump_server_submit_reply, _load_server_submit_reply),
-    (ServerError, _dump_server_error, _load_server_error),
-    (ServerJobStatus, _dump_server_job_status, _load_server_job_status),
-    (ServerEvent, _dump_server_event, _load_server_event),
-    (ServerStats, _dump_server_stats, _load_server_stats),
-]
-
-for _cls, _dumper, _loader in _WIRE_KINDS:
-    serialize.register(_cls, _cls.__name__, _dumper, _loader)
-del _cls, _dumper, _loader
+serialize.register(ProjectSpec)
+serialize.register(AnalysisRequest)
+serialize.register(ServerSubmitReply)
+serialize.register(ServerJobStatus)
+serialize.register(ServerEvent)
+# Every knob may be omitted; an unknown knob is an error, except "engine",
+# a knob of older clients that the single execution path no longer has.
+serialize.register(
+    AnalysisOptions,
+    optional=[f.name for f in fields(AnalysisOptions)],
+    reject_unknown=True,
+    retired=("engine",),
+)
+serialize.register(ServerSubmit, optional=("timeout", "trace"))
+serialize.register(ServerError, optional=("retry_after",))
+serialize.register(
+    ServerStats, optional=("faults", "queue_limit", "exec_ema_seconds", "metrics")
+)
 
 
 __all__ = [

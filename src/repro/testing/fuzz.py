@@ -460,15 +460,14 @@ class _WireRequest:
     raw_headers: Optional[List[Tuple[str, str]]] = None
 
 
-#: ServerSubmit keys the loader defaults when absent (older clients omit
-#: them): without one the envelope is still valid, so they are never dropped.
-_OPTIONAL_SUBMIT_KEYS = {"timeout", "trace"}
-
-
 def _mutate_drop_key(rng: random.Random) -> _WireRequest:
     payload = _valid_submit()
     node = rng.choice([payload, payload["project"], payload["request"]])
-    del node[rng.choice(sorted(set(node) - _OPTIONAL_SUBMIT_KEYS))]
+    # The loader defaults ServerSubmit's optional fields when absent (older
+    # clients omit them): without one the envelope is still valid, so they
+    # are never dropped.
+    optional = serialize.optional_fields(ServerSubmit)
+    del node[rng.choice(sorted(set(node) - optional))]
     return _WireRequest(body=json.dumps(payload).encode())
 
 
@@ -503,6 +502,15 @@ _BAD_FIELDS: List[Tuple[Tuple[str, ...], object]] = [
     (("request", "options"), {"schema": 1, "kind": "AnalysisOptions", "warp": 9}),
     (("request", "options"), {"schema": 1, "kind": "ServerError",
                               "error": "x", "message": "y", "job_id": None}),
+    # Partial options envelopes (every knob is optional) with a wrong type.
+    (("request", "options"), {"schema": 1, "kind": "AnalysisOptions",
+                              "use_data_cache": "false"}),
+    (("request", "options"), {"schema": 1, "kind": "AnalysisOptions",
+                              "compute_bcet": 0}),
+    (("request", "options"), {"schema": 1, "kind": "AnalysisOptions",
+                              "ilp_backend": 5}),
+    (("request", "options"), {"schema": 1, "kind": "AnalysisOptions",
+                              "max_contexts_per_function": "x"}),
 ]
 
 

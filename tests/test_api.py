@@ -42,6 +42,17 @@ from repro.wcet.report import (
     WCETReport,
 )
 from repro.workloads import flight_control
+from repro.workloads.catalog import catalog
+
+
+#: The 96 paper requests: every catalog workload but ``dispatch`` (a
+#: deliberate tier-one refusal) on each processor model.
+PAPER_REQUESTS = [
+    (workload, processor)
+    for workload in sorted(catalog())
+    if workload != "dispatch"
+    for processor in ("simple", "leon2", "mpc5554", "hcs12x")
+]
 
 
 def roundtrip(obj):
@@ -202,6 +213,32 @@ class TestJsonRoundTrip:
         assert again == result
         # And the serialised forms are identical too (stable text output).
         assert json.dumps(to_json(again)) == json.dumps(to_json(result))
+
+    @pytest.mark.parametrize(
+        "workload, processor",
+        PAPER_REQUESTS,
+        ids=[f"{workload}-{processor}" for workload, processor in PAPER_REQUESTS],
+    )
+    def test_paper_result_roundtrips_exactly(self, workload, processor):
+        """Every paper workload's real result passes the type-checked loader
+        and survives JSON bit for bit, all modes where it declares modes."""
+        project = Project.from_workload(workload, processor=processor, cache="off")
+        request = AnalysisRequest(all_modes=bool(project.annotations.mode_names()))
+        result = AnalysisService(project).analyze(request)
+        text = json.dumps(to_json(result))
+        again = from_json(json.loads(text))
+        assert again == result
+        assert json.dumps(to_json(again)) == text
+
+    def test_guideline_checked_result_roundtrips_exactly(self):
+        project = Project.from_source(GOTO_SOURCE, cache="off")
+        request = AnalysisRequest(check_guidelines=True)
+        result = AnalysisService(project).analyze(request)
+        assert result.guidelines is not None and result.guidelines.findings
+        text = json.dumps(to_json(result))
+        again = from_json(json.loads(text))
+        assert again == result
+        assert json.dumps(to_json(again)) == text
 
     def test_slim_report_roundtrips(self):
         project = Project.from_workload("flight-control", cache="off")

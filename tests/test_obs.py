@@ -19,13 +19,20 @@ import os
 
 import pytest
 
-from repro.api import AnalysisRequest, AnalysisService, Project, from_json, to_json
+from repro.api import (
+    AnalysisRequest,
+    AnalysisService,
+    Project,
+    SchemaError,
+    from_json,
+    to_json,
+)
 from repro.api.cli import main as cli_main
 from repro.obs import logs as obs_logs
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.server import AnalysisServer, ProjectSpec, Scheduler, ServerClient
-from repro.server.wire import ServerStats, ServerSubmit, WireError
+from repro.server.wire import ServerStats, ServerSubmit
 
 MINI_C = "int main(void) { int x = 3; return x + 4; }"
 
@@ -266,14 +273,16 @@ class TestWireFields:
         assert from_json(data, ServerSubmit).trace is None
 
     def test_submit_trace_validation_rejects_junk(self):
-        for junk in ("not-a-dict", {"trace_id": 7}, {3: "x"}):
-            submit = ServerSubmit(
-                project=ProjectSpec(source=MINI_C, name="t.c"),
-                request=AnalysisRequest(),
-                trace=junk,
+        for junk in ("not-a-dict", {"trace_id": 7}):
+            data = to_json(
+                ServerSubmit(
+                    project=ProjectSpec(source=MINI_C, name="t.c"),
+                    request=AnalysisRequest(),
+                )
             )
-            with pytest.raises(WireError):
-                submit.validate()
+            data["trace"] = junk
+            with pytest.raises(SchemaError, match="trace"):
+                from_json(data, ServerSubmit)
 
     def test_stats_new_fields_round_trip_and_default(self):
         stats = ServerStats(

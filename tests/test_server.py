@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import fields, replace
 
 import pytest
 
@@ -188,6 +189,32 @@ class TestRequestDigest:
         )
         other = ProjectSpec(workload="message-handler")
         assert request_digest(other, AnalysisRequest()) != base
+
+
+    def test_every_request_and_options_field_is_identity(self):
+        """The key covers every AnalysisRequest field but the label, and
+        every AnalysisOptions knob, including ones added later."""
+        changed = {
+            "entry": "task",
+            "mode": "air",
+            "all_modes": True,
+            "error_scenario": "single_fault",
+            "options": AnalysisOptions(),
+            "check_guidelines": True,
+        }
+        assert set(changed) == {f.name for f in fields(AnalysisRequest)} - {"label"}
+        base = request_digest(self.SPEC, AnalysisRequest())
+        for name, value in changed.items():
+            request = replace(AnalysisRequest(), **{name: value})
+            assert request_digest(self.SPEC, request) != base, name
+        base = request_digest(self.SPEC, AnalysisRequest(options=AnalysisOptions()))
+        flip = {bool: lambda v: not v, int: lambda v: v + 1, str: lambda v: v + "-x"}
+        for knob in fields(AnalysisOptions):
+            options = replace(
+                AnalysisOptions(), **{knob.name: flip[type(knob.default)](knob.default)}
+            )
+            request = AnalysisRequest(options=options)
+            assert request_digest(self.SPEC, request) != base, knob.name
 
 
 # --------------------------------------------------------------------------- #
@@ -607,6 +634,31 @@ class TestHTTPEndToEnd:
         with pytest.raises(RemoteError) as excinfo:
             client._call("POST", "/v1/jobs", {"schema": 1, "kind": "ServerSubmit"})
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("use_data_cache", "false"),
+            ("compute_bcet", 0),
+            ("ilp_backend", 5),
+            ("max_contexts_per_function", "x"),
+        ],
+    )
+    def test_wrong_typed_option_is_400(self, client, knob, value):
+        """A partial options envelope is valid (every knob is optional), but
+        a knob of the wrong type is refused, never analysed: the string
+        "false" would otherwise switch the data cache *on*."""
+        payload = to_json(ServerSubmit(project=ProjectSpec(workload="message-handler")))
+        payload["request"]["options"] = {
+            "schema": 1,
+            "kind": "AnalysisOptions",
+            knob: value,
+        }
+        with pytest.raises(RemoteError) as excinfo:
+            client._call("POST", "/v1/jobs", payload)
+        assert excinfo.value.status == 400
+        assert excinfo.value.error.error == "SchemaError"
+        assert knob in excinfo.value.error.message
 
     def test_submit_rejects_unknown_lane_and_processor(self, client):
         with pytest.raises(RemoteError, match="lane"):
