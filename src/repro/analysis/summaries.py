@@ -43,6 +43,9 @@ _M_CACHE = obs_metrics.REGISTRY.counter(
     "Summary-cache lookups by tier (1 = in-process, 2 = disk) and result.",
     labelnames=("tier", "result"),
 )
+_M_PUTS = obs_metrics.REGISTRY.counter(
+    "repro_summary_cache_puts_total", "Function summaries added to the cache."
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.annotations.registry import AnnotationSet
@@ -216,6 +219,7 @@ class SummaryCache:
 
     def put(self, bucket: str, item: str, summary: FunctionSummary) -> None:
         self.puts += 1
+        _M_PUTS.inc()
         self._memory[(bucket, item)] = summary
         if self.store is not None:
             self.store.put(bucket, item, summary)
@@ -234,8 +238,8 @@ class SummaryCache:
             "puts": self.puts,
         }
         if self.store is not None and getattr(self.store, "corruptions", 0):
-            # Quarantined bucket files — flows through the per-job stat
-            # deltas into the server's /healthz cache block.
+            # Quarantined bucket files, so a result's ``cache_stats`` shows
+            # the corruption its own lookups ran into.
             stats["store_corruptions"] = self.store.corruptions
         return stats
 

@@ -45,6 +45,10 @@ from repro.obs import metrics as obs_metrics
 _M_QUARANTINES = obs_metrics.REGISTRY.counter(
     "repro_store_quarantines_total", "Corrupt bucket files moved aside."
 )
+_M_FLUSH_ERRORS = obs_metrics.REGISTRY.counter(
+    "repro_store_flush_errors_total",
+    "Bucket writes that failed with an OS error (kept staged for retry).",
+)
 
 
 class SummaryStore:
@@ -171,38 +175,50 @@ class SummaryStore:
         bucket's advisory file lock: between our merge re-read and our
         :func:`os.replace`, no other process can slip in a write we would
         clobber, so concurrent flushes from many workers are lossless.
+
+        A bucket whose write fails with an :class:`OSError` (a full disk, a
+        read-only directory) is counted and stays staged for the next flush:
+        a store failure costs cache warmth, never the analysis.
         """
+        failed: Dict[str, Dict[str, object]] = {}
         for bucket, staged in self._dirty.items():
-            page = self._pages.get(bucket) or {}
-            with self._bucket_lock(bucket):
-                if self._file_sig(bucket) == self._sigs.get(bucket):
-                    # Nobody else wrote the file since we last read/wrote it:
-                    # our page (which already contains the staged entries) is
-                    # the complete truth — no merge re-read needed.
-                    merged = dict(page)
-                    merged.update(staged)
-                else:
-                    # Concurrent writer: overlay our page on their state.
-                    # Keys are content digests, so colliding entries are
-                    # equivalent.
-                    merged = self._read_file(bucket)
-                    merged.update(page)
-                    merged.update(staged)
-                fd, tmp_path = tempfile.mkstemp(dir=self.path, suffix=".tmp")
+            try:
+                self._flush_bucket(bucket, staged)
+            except OSError:
+                _M_FLUSH_ERRORS.inc()
+                failed[bucket] = staged
+        self._dirty = failed
+
+    def _flush_bucket(self, bucket: str, staged: Dict[str, object]) -> None:
+        page = self._pages.get(bucket) or {}
+        with self._bucket_lock(bucket):
+            if self._file_sig(bucket) == self._sigs.get(bucket):
+                # Nobody else wrote the file since we last read/wrote it:
+                # our page (which already contains the staged entries) is
+                # the complete truth — no merge re-read needed.
+                merged = dict(page)
+                merged.update(staged)
+            else:
+                # Concurrent writer: overlay our page on their state.
+                # Keys are content digests, so colliding entries are
+                # equivalent.
+                merged = self._read_file(bucket)
+                merged.update(page)
+                merged.update(staged)
+            fd, tmp_path = tempfile.mkstemp(dir=self.path, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as handle:
+                    pickle.dump(merged, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                os.replace(tmp_path, self._bucket_path(bucket))
+                self.file_writes += 1
+            except BaseException:
                 try:
-                    with os.fdopen(fd, "wb") as handle:
-                        pickle.dump(merged, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                    os.replace(tmp_path, self._bucket_path(bucket))
-                    self.file_writes += 1
-                except BaseException:
-                    try:
-                        os.unlink(tmp_path)
-                    except OSError:
-                        pass
-                    raise
-                self._pages[bucket] = merged
-                self._sigs[bucket] = self._file_sig(bucket)
-        self._dirty.clear()
+                    os.unlink(tmp_path)
+                except OSError:
+                    pass
+                raise
+            self._pages[bucket] = merged
+            self._sigs[bucket] = self._file_sig(bucket)
 
     # ------------------------------------------------------------------ #
     def drop_page_cache(self) -> None:

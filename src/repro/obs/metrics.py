@@ -1,13 +1,20 @@
-"""Process-wide metrics: counters, gauges, log-scale histograms (stdlib only).
+"""Metrics: counters, gauges, log-scale histograms (stdlib only).
 
 Metrics are always on — an increment is one dict update under a per-metric
 lock, the same order of cost as the plain integer counters the engine
-already kept — and are registered at import time by the module that owns
-them, so the registry looks identical in the server process and in every
-worker process.  That symmetry is what makes worker shipping trivial: a
-worker snapshots the registry (:meth:`MetricsRegistry.dump`) around a job,
-ships the elementwise :func:`diff`, and the server :meth:`~MetricsRegistry.
-merge`\\ s the delta into its own registry by metric name.
+already kept.  Every series has exactly one owner, and so one scope:
+
+* **process** — the analysis families live on :data:`REGISTRY`, registered
+  at import time by the module that owns them, so the registry looks
+  identical in the server process and in every worker process.  That
+  symmetry is what makes worker shipping trivial: a worker snapshots the
+  registry (:meth:`MetricsRegistry.dump`) around a job, ships the
+  elementwise :func:`diff`, and the server :meth:`~MetricsRegistry.merge`\\ s
+  the delta into its own registry by metric name;
+* **server** — each :class:`~repro.server.queue.Scheduler` owns a
+  :class:`MetricsRegistry` of its own for the job-flow, fault, phase and
+  HTTP families and the point-in-time gauges, so two servers in one process
+  never count into each other.
 
 Rendering follows the Prometheus text exposition format 0.0.4 (``# HELP`` /
 ``# TYPE`` headers, ``_bucket{le=...}``/``_sum``/``_count`` histogram
@@ -99,6 +106,11 @@ class _Metric:
         for raw_key, value in samples.items():
             key = tuple(json.loads(raw_key))
             self._merge_sample(key, value)
+
+    def series(self) -> Dict[tuple, float]:
+        """Every counter or gauge sample as ``{label values: value}``."""
+        with self._lock:
+            return {key: float(value) for key, value in self._values.items()}
 
     # -- rendering ------------------------------------------------------ #
     def render(self) -> List[str]:
@@ -256,6 +268,11 @@ class MetricsRegistry:
         with self._lock:
             return self._metrics.get(name)
 
+    def value(self, name: str, **labels) -> float:
+        """One counter or gauge series (0 for an absent family or series)."""
+        metric = self.get(name)
+        return metric.value(**labels) if metric is not None else 0.0
+
     # ------------------------------------------------------------------ #
     def render(self) -> str:
         """The full Prometheus text exposition (0.0.4)."""
@@ -275,11 +292,8 @@ class MetricsRegistry:
         for metric in metrics:
             if metric.kind not in ("counter", "gauge"):
                 continue
-            with metric._lock:
-                items = sorted(metric._values.items())
-            for key, value in items:
-                series = metric.name + _render_labels(metric.labelnames, key)
-                flat[series] = float(value)
+            for key, value in sorted(metric.series().items()):
+                flat[metric.name + _render_labels(metric.labelnames, key)] = value
         return flat
 
     # -- cross-process shipping ---------------------------------------- #
@@ -327,7 +341,8 @@ def diff(
     return delta
 
 
-#: The process-wide registry every instrumented module registers into.
+#: The process-wide registry every instrumented analysis module registers
+#: into; server-scoped families live on each Scheduler's own registry.
 REGISTRY = MetricsRegistry()
 
 

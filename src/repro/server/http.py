@@ -70,26 +70,16 @@ IDLE_TIMEOUT = 15.0
 #: handler thread.
 MAX_LONG_POLL = 30.0
 
-_M_HTTP = obs_metrics.REGISTRY.counter(
-    "repro_http_requests_total",
-    "HTTP requests served, by method and status code.",
-    labelnames=("method", "status"),
-)
-_M_QUEUE_DEPTH = obs_metrics.REGISTRY.gauge(
-    "repro_queue_depth",
-    "Executions waiting per lane (sampled at scrape time).",
-    labelnames=("lane",),
-)
-_M_EXEC_EMA = obs_metrics.REGISTRY.gauge(
-    "repro_exec_ema_seconds",
-    "Exponential moving average of execution wall time (seconds).",
-)
-_M_UPTIME = obs_metrics.REGISTRY.gauge(
-    "repro_uptime_seconds", "Seconds since the scheduler started."
-)
-_M_WORKERS = obs_metrics.REGISTRY.gauge(
-    "repro_workers", "Configured worker slots."
-)
+#: ``/healthz`` ``cache`` keys and the process-wide series behind each.
+CACHE_SERIES = {
+    "tier1_hits": ("repro_summary_cache_requests_total", {"tier": "1", "result": "hit"}),
+    "tier1_misses": ("repro_summary_cache_requests_total", {"tier": "1", "result": "miss"}),
+    "tier2_hits": ("repro_summary_cache_requests_total", {"tier": "2", "result": "hit"}),
+    "tier2_misses": ("repro_summary_cache_requests_total", {"tier": "2", "result": "miss"}),
+    "puts": ("repro_summary_cache_puts_total", {}),
+    "store_corruptions": ("repro_store_quarantines_total", {}),
+    "flush_errors": ("repro_store_flush_errors_total", {}),
+}
 
 
 class _HTTPServer(ThreadingHTTPServer):
@@ -122,7 +112,7 @@ class _Handler(BaseHTTPRequestHandler):
         headers: Optional[dict] = None,
         log_fields: Optional[dict] = None,
     ) -> None:
-        _M_HTTP.inc(method=self.command, status=str(status))
+        self.server.analysis._m_http.inc(method=self.command, status=str(status))
         obs_logs.get().log(
             "http_request",
             method=self.command,
@@ -448,22 +438,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(200, serialize.to_json(self.server.analysis.stats()))
 
     def _metrics(self) -> None:
-        """Prometheus text exposition of the process registry.
-
-        Point-in-time gauges (queue depth, EMA, uptime) are sampled here at
-        scrape time; everything else accumulates at the event sites."""
+        """Prometheus text exposition: this server's registry, then the
+        process registry."""
         analysis = self.server.analysis
-        depth = analysis.scheduler.queue_depth()
-        for lane in LANES:
-            _M_QUEUE_DEPTH.set(float(depth.get(lane, 0)), lane=lane)
-        _M_EXEC_EMA.set(analysis.scheduler.exec_ema())
-        _M_UPTIME.set(time.time() - analysis.scheduler.started_at)
-        _M_WORKERS.set(float(analysis.pool.jobs))
-        self._send(
-            200,
-            obs_metrics.REGISTRY.render().encode(),
-            "text/plain; version=0.0.4; charset=utf-8",
-        )
+        analysis.sample_gauges()
+        text = analysis.scheduler.metrics.render() + obs_metrics.REGISTRY.render()
+        self._send(200, text.encode(), "text/plain; version=0.0.4; charset=utf-8")
 
     def _shutdown(self) -> None:
         self.close_connection = True
@@ -495,6 +475,25 @@ class AnalysisServer:
         log_stream=None,
     ):
         self.scheduler = Scheduler(max_queue=max_queue)
+        metrics = self.scheduler.metrics
+        self._m_http = metrics.counter(
+            "repro_http_requests_total",
+            "HTTP requests served, by method and status code.",
+            labelnames=("method", "status"),
+        )
+        self._m_queue_depth = metrics.gauge(
+            "repro_queue_depth",
+            "Executions waiting per lane (sampled when read).",
+            labelnames=("lane",),
+        )
+        self._m_exec_ema = metrics.gauge(
+            "repro_exec_ema_seconds",
+            "Exponential moving average of execution wall time (seconds).",
+        )
+        self._m_uptime = metrics.gauge(
+            "repro_uptime_seconds", "Seconds since the scheduler started."
+        )
+        self._m_workers = metrics.gauge("repro_workers", "Configured worker slots.")
         self.pool = WorkerPool(
             self.scheduler, jobs=jobs, cache_dir=cache_dir, job_timeout=job_timeout
         )
@@ -622,23 +621,49 @@ class AnalysisServer:
         self.shutdown()
 
     # ------------------------------------------------------------------ #
+    def sample_gauges(self) -> None:
+        """Set the point-in-time gauges; both endpoints sample them right
+        before reading, so a reply's fields and its series agree."""
+        depth = self.scheduler.queue_depth()
+        for lane in LANES:
+            self._m_queue_depth.set(depth[lane], lane=lane)
+        self._m_exec_ema.set(self.scheduler.exec_ema())
+        self._m_uptime.set(time.time() - self.scheduler.started_at)
+        self._m_workers.set(self.pool.jobs)
+
     def stats(self) -> ServerStats:
-        scheduler = self.scheduler
+        """``/healthz``: every count is a read of the series ``/metrics``
+        renders — per server from the scheduler's registry, ``cache`` from
+        the process registry."""
+        self.sample_gauges()
+        server = self.scheduler.metrics
+        process = obs_metrics.REGISTRY
+
+        def by_label(name: str) -> Dict[str, float]:
+            return {key[0]: value for key, value in server.get(name).series().items()}
+
         return ServerStats(
-            uptime_seconds=time.time() - scheduler.started_at,
-            workers=self.pool.jobs,
-            jobs=scheduler.job_counts(),
-            queue_depth=scheduler.queue_depth(),
-            dedup_hits=scheduler.dedup_hits,
-            submitted=scheduler.submitted,
-            executed=scheduler.executed,
-            cache=dict(scheduler.cache_stats),
+            uptime_seconds=server.value("repro_uptime_seconds"),
+            workers=int(server.value("repro_workers")),
+            jobs=self.scheduler.job_counts(),
+            queue_depth={
+                lane: int(depth) for lane, depth in by_label("repro_queue_depth").items()
+            },
+            dedup_hits=int(server.value("repro_dedup_joins_total")),
+            submitted=int(sum(by_label("repro_jobs_submitted_total").values())),
+            executed=int(server.value("repro_jobs_executed_total")),
+            cache={
+                key: int(process.value(name, **labels))
+                for key, (name, labels) in CACHE_SERIES.items()
+            },
             phase_seconds={
                 phase: round(seconds, 6)
-                for phase, seconds in scheduler.phase_seconds.items()
+                for phase, seconds in by_label("repro_phase_seconds_total").items()
             },
-            faults=dict(scheduler.faults),
-            queue_limit=scheduler.max_queue,
-            exec_ema_seconds=round(scheduler.exec_ema(), 6),
-            metrics=obs_metrics.REGISTRY.flat_counters(),
+            faults={
+                kind: int(count) for kind, count in by_label("repro_faults_total").items()
+            },
+            queue_limit=self.scheduler.max_queue,
+            exec_ema_seconds=round(server.value("repro_exec_ema_seconds"), 6),
+            metrics={**server.flat_counters(), **process.flat_counters()},
         )

@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.analysis.summaries import merge_stats
 from repro.api.service import AnalysisRequest, AnalysisResult
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -38,38 +37,6 @@ from repro.server.wire import (
     ServerJobStatus,
     request_digest,
 )
-
-_M_SUBMITTED = obs_metrics.REGISTRY.counter(
-    "repro_jobs_submitted_total", "Job submissions accepted, per lane.",
-    labelnames=("lane",),
-)
-_M_EXECUTED = obs_metrics.REGISTRY.counter(
-    "repro_jobs_executed_total", "Executions completed (done or failed)."
-)
-_M_DEDUP = obs_metrics.REGISTRY.counter(
-    "repro_dedup_joins_total",
-    "Submissions that joined an existing identical execution.",
-)
-_M_FAULTS = obs_metrics.REGISTRY.counter(
-    "repro_faults_total",
-    "Infrastructure faults by kind (worker_restarts, job_timeouts, "
-    "job_retries, rejections).",
-    labelnames=("kind",),
-)
-_M_QUEUE_WAIT = obs_metrics.REGISTRY.histogram(
-    "repro_queue_wait_seconds", "Enqueue-to-dispatch wait, per lane.",
-    labelnames=("lane",),
-)
-_M_EXEC_SECONDS = obs_metrics.REGISTRY.histogram(
-    "repro_exec_seconds", "Execution wall-clock seconds (successful attempts)."
-)
-# Pre-seed the fault and lane label sets so every series is present on a
-# scrape from the first request on (CI asserts on their presence).
-for _kind in ("worker_restarts", "job_timeouts", "job_retries", "rejections"):
-    _M_FAULTS.inc(0, kind=_kind)
-for _lane in LANES:
-    _M_SUBMITTED.inc(0, lane=_lane)
-del _kind, _lane
 
 
 @dataclass
@@ -111,12 +78,10 @@ class Execution:
     seq: int
     state: str = "queued"
     jobs: List[Job] = field(default_factory=list)
-    result: Optional[AnalysisResult] = None
     error: Optional[ServerError] = None
     started: float = 0.0
     finished: float = 0.0
     seconds: float = 0.0
-    cache_stats: Dict[str, int] = field(default_factory=dict)
     #: Per-attempt wall-clock deadline in seconds (``None`` = the worker
     #: pool's default).  Dedup joins can only *tighten* this.
     timeout: Optional[float] = None
@@ -230,15 +195,45 @@ class Scheduler:
         self.max_queue = max_queue
         #: Set by the worker pool; sizes the Retry-After backpressure hint.
         self.workers = 1
-        # Lifetime counters / aggregates (reported by /healthz).
-        self.submitted = 0
-        self.dedup_hits = 0
-        self.executed = 0
-        self.cache_stats: Dict[str, int] = {}
-        self.phase_seconds: Dict[str, float] = {}
-        #: Infrastructure-fault counters (worker_restarts, job_timeouts,
-        #: job_retries, rejections) — surfaced via /healthz.
-        self.faults: Dict[str, int] = {}
+        #: This server's own series, the one source /healthz and /metrics
+        #: read (the analysis counters stay on the process registry).
+        self.metrics = obs_metrics.MetricsRegistry()
+        self._m_submitted = self.metrics.counter(
+            "repro_jobs_submitted_total", "Job submissions accepted, per lane.",
+            labelnames=("lane",),
+        )
+        self._m_executed = self.metrics.counter(
+            "repro_jobs_executed_total", "Executions completed (done or failed)."
+        )
+        self._m_dedup = self.metrics.counter(
+            "repro_dedup_joins_total",
+            "Submissions that joined an existing identical execution.",
+        )
+        self._m_faults = self.metrics.counter(
+            "repro_faults_total",
+            "Infrastructure faults by kind (worker_restarts, job_timeouts, "
+            "job_retries, rejections).",
+            labelnames=("kind",),
+        )
+        self._m_phase_seconds = self.metrics.counter(
+            "repro_phase_seconds_total",
+            "Analysis-phase wall-clock seconds over finished executions.",
+            labelnames=("phase",),
+        )
+        self._m_queue_wait = self.metrics.histogram(
+            "repro_queue_wait_seconds", "Enqueue-to-dispatch wait, per lane.",
+            labelnames=("lane",),
+        )
+        self._m_exec_seconds = self.metrics.histogram(
+            "repro_exec_seconds",
+            "Execution wall-clock seconds (successful attempts).",
+        )
+        # Pre-seed the fault and lane label sets so every series is present
+        # on a scrape from the first request on (CI asserts on their presence).
+        for kind in ("worker_restarts", "job_timeouts", "job_retries", "rejections"):
+            self._m_faults.inc(0, kind=kind)
+        for lane in LANES:
+            self._m_submitted.inc(0, lane=lane)
         # Exponential moving average of execution wall-clock seconds; feeds
         # the Retry-After hint on 429 rejections (and /healthz
         # ``exec_ema_seconds``).
@@ -275,11 +270,9 @@ class Scheduler:
                 # would add latency without shedding any load.
                 depth = self._queue.depth().get(lane, 0)
                 if depth >= self.max_queue:
-                    self.faults["rejections"] = self.faults.get("rejections", 0) + 1
-                    _M_FAULTS.inc(kind="rejections")
+                    self._m_faults.inc(kind="rejections")
                     raise QueueFull(lane, depth, self.max_queue, self._retry_after_hint(depth))
-            self.submitted += 1
-            _M_SUBMITTED.inc(lane=lane)
+            self._m_submitted.inc(lane=lane)
             if execution is None:
                 if trace is None and obs_trace.active() is not None:
                     # Server-side tracing (``serve --trace-dir``) covers
@@ -299,8 +292,7 @@ class Scheduler:
                 self._queue.push(execution)
                 self._work.notify()
             else:
-                self.dedup_hits += 1
-                _M_DEDUP.inc()
+                self._m_dedup.inc()
                 if trace is not None:
                     # The joiner's trace shows an instant child span pointing
                     # at the shared execution (and its primary trace), so a
@@ -361,7 +353,7 @@ class Scheduler:
                     execution.started = time.time()
                     now = time.monotonic()
                     waited = max(now - execution.enqueued_mono, 0.0)
-                    _M_QUEUE_WAIT.observe(waited, lane=execution.lane)
+                    self._m_queue_wait.observe(waited, lane=execution.lane)
                     if execution.trace is not None:
                         # The lane wait, reconstructed at dispatch: it could
                         # not be an open span (no thread owns a queued
@@ -392,7 +384,6 @@ class Scheduler:
         execution: Execution,
         result: Optional[AnalysisResult] = None,
         error: Optional[ServerError] = None,
-        cache_stats: Optional[Dict[str, int]] = None,
         seconds: float = 0.0,
     ) -> None:
         """Record the outcome and fan it out to every subscribed job."""
@@ -404,26 +395,19 @@ class Scheduler:
                 return
             execution.finished = time.time()
             execution.seconds = seconds
-            execution.cache_stats = dict(cache_stats or {})
-            self.executed += 1
-            _M_EXECUTED.inc()
+            self._m_executed.inc()
             if seconds > 0:
-                _M_EXEC_SECONDS.observe(seconds)
-            if seconds > 0:
+                self._m_exec_seconds.observe(seconds)
                 self._ema_seconds = (
                     seconds
                     if self._ema_seconds == 0.0
                     else 0.3 * seconds + 0.7 * self._ema_seconds
                 )
-            merge_stats(self.cache_stats, execution.cache_stats)
             if result is not None:
                 execution.state = "done"
-                execution.result = result
                 for report in result.reports.values():
                     for phase, secs in report.phase_seconds().items():
-                        self.phase_seconds[phase] = (
-                            self.phase_seconds.get(phase, 0.0) + secs
-                        )
+                        self._m_phase_seconds.inc(secs, phase=phase)
                 for job in execution.jobs:
                     if not job.cancelled:
                         # Each subscriber gets the shared result under its
@@ -455,9 +439,7 @@ class Scheduler:
     # ------------------------------------------------------------------ #
     def count_fault(self, name: str, n: int = 1) -> None:
         """Bump an infrastructure-fault counter (shows up in /healthz)."""
-        _M_FAULTS.inc(n, kind=name)
-        with self._lock:
-            self.faults[name] = self.faults.get(name, 0) + n
+        self._m_faults.inc(n, kind=name)
 
     def exec_ema(self) -> float:
         """The execution-seconds EMA behind the Retry-After hint."""

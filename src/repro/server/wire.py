@@ -247,7 +247,8 @@ class ServerStats:
     dedup_hits: int = 0
     submitted: int = 0
     executed: int = 0
-    #: Summary-cache counters aggregated over every finished execution.
+    #: Summary-cache and store counters of the whole process (every
+    #: worker's deltas included); the other counts are per server.
     cache: Dict[str, int] = field(default_factory=dict)
     #: Analysis-phase wall-clock totals aggregated over finished executions.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
@@ -260,9 +261,9 @@ class ServerStats:
     #: Exponential moving average of execution wall-clock seconds — the
     #: signal behind the 429 Retry-After hint, now exposed directly.
     exec_ema_seconds: float = 0.0
-    #: Flat counter/gauge snapshot from the process metrics registry
-    #: (series name, Prometheus label syntax → value); the full exposition
-    #: lives on ``GET /metrics``.
+    #: Flat counter/gauge snapshot of the server's and the process metrics
+    #: registries (series name, Prometheus label syntax → value); the full
+    #: exposition lives on ``GET /metrics``.
     metrics: Dict[str, float] = field(default_factory=dict)
 
 

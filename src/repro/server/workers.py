@@ -75,17 +75,13 @@ class _WarmServices:
         self.cache = cache
         self.limit = limit
         self._services: "OrderedDict[str, AnalysisService]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def service(self, spec: ProjectSpec) -> AnalysisService:
         key = spec.digest()
         service = self._services.get(key)
         if service is not None:
-            self.hits += 1
             self._services.move_to_end(key)
             return service
-        self.misses += 1
         # The worker's cache owns the persistent store; the project itself
         # must not resolve a second one (or fall back to ambient defaults).
         project = spec.to_project(cache="off")
@@ -115,10 +111,10 @@ def _maybe_inject_fault(payload: Tuple[dict, dict, int]) -> None:
 def _serve(warm: _WarmServices, payload: tuple, ship_obs: bool = False) -> tuple:
     """Execute one wire-encoded (spec, request, attempt[, trace]) job.
 
-    Never raises.  Returns ``(result_json, error, delta, seconds, obs)``;
-    with ``ship_obs`` (worker-process mode), ``obs`` carries the job's
-    serialised spans and the registry's metric delta back over the pipe —
-    the supervisor merges both into the server process.  Inline mode records
+    Never raises.  Returns ``(result_json, error, seconds, obs)``; with
+    ``ship_obs`` (worker-process mode), ``obs`` carries the job's serialised
+    spans and the process registry's metric delta back over the pipe — the
+    supervisor merges both into the server process.  Inline mode records
     straight into the server's own tracer/registry and ships ``None``.
     """
     spec_json, request_json, _attempt = payload[0], payload[1], payload[2]
@@ -136,7 +132,6 @@ def _serve(warm: _WarmServices, payload: tuple, ship_obs: bool = False) -> tuple
     )
     if exec_span is not None:
         exec_span.set("attempt", _attempt)
-    before = warm.cache.stats()
     started = time.perf_counter()
     try:
         _maybe_inject_fault(payload)
@@ -152,16 +147,14 @@ def _serve(warm: _WarmServices, payload: tuple, ship_obs: bool = False) -> tuple
         result_json = None
         error = (type(exc).__name__, f"{exc}\n{traceback.format_exc(limit=5)}")
     seconds = time.perf_counter() - started
-    after = warm.cache.stats()
-    delta = {key: after[key] - before.get(key, 0) for key in after}
     flush_span = None if exec_span is None else obs_trace.begin("cache-flush")
     try:
+        # Persists what a failed analysis staged (a finished one has flushed
+        # already).  The store counts and survives its own I/O errors, so
+        # anything raised here repeats the failure the job already reports.
         warm.cache.flush()
-    except Exception as exc:  # noqa: BLE001 - flush failure must not kill the job
-        # The result is already computed; a store hiccup (disk full, a
-        # quarantined bucket) only costs cache warmth, never the answer.
-        if error is None:
-            delta["flush_errors"] = delta.get("flush_errors", 0) + 1
+    except Exception:  # noqa: BLE001 - flush failure must not kill the job
+        pass
     obs_trace.end(flush_span)
     obs_trace.end(exec_span)
     obs = None
@@ -176,7 +169,7 @@ def _serve(warm: _WarmServices, payload: tuple, ship_obs: bool = False) -> tuple
             ),
             "metrics": obs_metrics.diff(metrics_before, obs_metrics.REGISTRY.dump()),
         }
-    return result_json, error, delta, seconds, obs
+    return result_json, error, seconds, obs
 
 
 # --------------------------------------------------------------------------- #
@@ -415,14 +408,12 @@ class WorkerPool:
             )
             status, detail = self._attempt(payload, worker, timeout)
             if status == "ok":
-                result_json, error, delta, seconds, obs = detail
+                result_json, error, seconds, obs = detail
                 self._merge_obs(obs)
                 finish_dispatch(attempt + 1)
                 if result_json is not None:
                     result: Optional[AnalysisResult] = serialize.from_json(result_json)
-                    self.scheduler.complete(
-                        execution, result=result, cache_stats=delta, seconds=seconds
-                    )
+                    self.scheduler.complete(execution, result=result, seconds=seconds)
                     logger.log(
                         "job_done",
                         execution_key=execution.key,
@@ -438,7 +429,6 @@ class WorkerPool:
                     self.scheduler.complete(
                         execution,
                         error=ServerError(error=kind, message=message),
-                        cache_stats=delta,
                         seconds=seconds,
                     )
                     logger.log(

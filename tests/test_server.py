@@ -6,6 +6,7 @@ for field (wall-clock phase timings excluded — they are measurements, not
 results), including the pinned flight-control per-mode bounds.
 """
 
+import errno
 import http.client
 import json
 import os
@@ -16,7 +17,9 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.request
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,6 +51,7 @@ from repro.server import (
     WorkerPool,
     request_digest,
 )
+from repro.cache import store as store_module
 from repro.obs import metrics as obs_metrics
 from repro.server import http as server_http
 from repro.server.client import ClientError, JobCancelled
@@ -232,7 +236,7 @@ class TestScheduler:
         second = scheduler.submit(spec, AnalysisRequest(label="second"))
         assert not first.deduped and second.deduped
         assert first.execution is second.execution
-        assert scheduler.dedup_hits == 1
+        assert scheduler.metrics.value("repro_dedup_joins_total") == 1
 
         execution = scheduler.pop(timeout=1)
         assert execution is first.execution
@@ -326,7 +330,7 @@ class TestScheduler:
             scheduler.submit(spec, AnalysisRequest(mode="air"))
         assert excinfo.value.retry_after >= 1.0
         assert excinfo.value.limit == 1
-        assert scheduler.faults["rejections"] == 1
+        assert scheduler.metrics.value("repro_faults_total", kind="rejections") == 1
         # A dedup join adds no work, so it bypasses admission control...
         joiner = scheduler.submit(spec, AnalysisRequest(label="join"))
         assert joiner.deduped
@@ -359,10 +363,10 @@ class TestScheduler:
             execution, error=ServerError(error="JobTimeout", message="deadline")
         )
         assert job.state == "failed"
-        executed = scheduler.executed
+        executed = scheduler.metrics.value("repro_jobs_executed_total")
         scheduler.complete(execution, result=_fake_result())  # straggler
         assert job.state == "failed" and job.result is None
-        assert scheduler.executed == executed
+        assert scheduler.metrics.value("repro_jobs_executed_total") == executed
 
 
 # --------------------------------------------------------------------------- #
@@ -485,8 +489,8 @@ class TestSupervisedPool:
                 AnalysisRequest(label="survivor")
             )
             assert result_identity(job.result) == result_identity(direct)
-            assert scheduler.faults.get("worker_restarts", 0) >= 1
-            assert scheduler.faults.get("job_retries", 0) >= 1
+            assert scheduler.metrics.value("repro_faults_total", kind="worker_restarts") >= 1
+            assert scheduler.metrics.value("repro_faults_total", kind="job_retries") >= 1
             assert any(
                 event.event == "retrying" for event in job.events
             ), [event.event for event in job.events]
@@ -522,7 +526,7 @@ class TestSupervisedPool:
             assert job.error.error == "JobTimeout"
             assert "deadline" in job.error.message
             assert "attempt(s)" in job.error.message
-            assert scheduler.faults.get("job_timeouts", 0) >= 1
+            assert scheduler.metrics.value("repro_faults_total", kind="job_timeouts") >= 1
         finally:
             fault_injection.clear()
             scheduler.close()
@@ -540,7 +544,7 @@ class TestSupervisedPool:
             self._wait([job], seconds=60)
             assert job.state == "failed"
             assert "no-such-workload" in job.error.message
-            assert scheduler.faults.get("job_retries", 0) == 0
+            assert scheduler.metrics.value("repro_faults_total", kind="job_retries") == 0
             assert job.execution.attempts == 0
         finally:
             scheduler.close()
@@ -598,7 +602,15 @@ class TestHTTPEndToEnd:
         assert stats.submitted >= 2
         assert stats.executed >= 1
         assert stats.jobs.get("done", 0) >= 2
-        assert stats.cache.get("puts", 0) >= 0  # counters merged in
+        # A program no other test analyses is a cold run: it misses tier 1
+        # and puts its summary.
+        client.analyze(
+            ProjectSpec(source="int main(void) { int y = 6; return y * 7; }", name="cold.c"),
+            AnalysisRequest(label="cold"),
+        )
+        after = client.healthz()
+        assert after.cache["puts"] >= stats.cache["puts"] + 1
+        assert after.cache["tier1_misses"] >= stats.cache["tier1_misses"] + 1
 
     def test_events_stream_ends_with_terminal_event(self, client):
         job = client.submit(
@@ -815,6 +827,130 @@ class TestAdmissionControlHTTP:
 
 
 # --------------------------------------------------------------------------- #
+# Counters: /healthz and /metrics read one source
+# --------------------------------------------------------------------------- #
+def _scrape(server) -> dict:
+    with urllib.request.urlopen(server.url + "/metrics", timeout=30) as reply:
+        return obs_metrics.parse_exposition(reply.read().decode())
+
+
+def _series_total(series: dict, family: str) -> float:
+    return sum(value for name, value in series.items() if name.startswith(family + "{"))
+
+
+class TestOneCounterSource:
+    def test_healthz_counts_equal_their_metrics_series(self):
+        server = AnalysisServer(port=0, jobs=1, max_queue=1)
+        # Listener only at first: with no worker the queue holds, so the
+        # dedup join and the 429 are deterministic; the pool starts after.
+        threading.Thread(target=server._httpd.serve_forever, daemon=True).start()
+        try:
+            client = ServerClient(server.url, timeout=60)
+            spec = ProjectSpec(source=MINI_C, name="t.c")
+            first = client.submit(spec, AnalysisRequest(label="first"))
+            assert client.submit(spec, AnalysisRequest(label="join"), retries=0).deduped
+            with pytest.raises(RemoteError) as excinfo:
+                client.submit(
+                    ProjectSpec(workload="message-handler"), AnalysisRequest(), retries=0
+                )
+            assert excinfo.value.status == 429
+            server.pool.start()
+            first.result(timeout=60)
+            failing = client.submit(ProjectSpec(workload="no-such-workload"), AnalysisRequest())
+            with pytest.raises(JobFailed):
+                failing.result(timeout=60)
+            stats = client.healthz()
+            client.close()
+            series = _scrape(server)
+        finally:
+            server.shutdown()
+        assert (stats.submitted, stats.dedup_hits, stats.executed) == (3, 1, 2)
+        assert stats.submitted == _series_total(series, "repro_jobs_submitted_total")
+        assert stats.dedup_hits == series["repro_dedup_joins_total"]
+        assert stats.executed == series["repro_jobs_executed_total"]
+        assert stats.faults["rejections"] == 1
+        assert set(stats.faults) == {
+            "worker_restarts", "job_timeouts", "job_retries", "rejections"
+        }
+        for kind, count in stats.faults.items():
+            assert series[f'repro_faults_total{{kind="{kind}"}}'] == count, kind
+        for lane, depth in stats.queue_depth.items():
+            assert series[f'repro_queue_depth{{lane="{lane}"}}'] == depth, lane
+        assert stats.workers == series["repro_workers"]
+        assert stats.phase_seconds and all(
+            seconds == pytest.approx(
+                series[f'repro_phase_seconds_total{{phase="{phase}"}}'], abs=1e-6
+            )
+            for phase, seconds in stats.phase_seconds.items()
+        )
+        assert set(stats.cache) == set(server_http.CACHE_SERIES)
+        for key, (family, labels) in server_http.CACHE_SERIES.items():
+            name = family + (
+                "{" + ",".join(f'{k}="{v}"' for k, v in labels.items()) + "}"
+                if labels
+                else ""
+            )
+            assert stats.cache[key] == series.get(name, 0.0), key
+
+    def test_two_servers_in_one_process_keep_separate_series(self):
+        with AnalysisServer(port=0, jobs=1) as first, AnalysisServer(port=0, jobs=1) as second:
+            client = ServerClient(first.url, timeout=60)
+            for index in range(3):
+                client.analyze(
+                    ProjectSpec(source=MINI_C, name="t.c"),
+                    AnalysisRequest(label=f"a{index}"),
+                )
+            client.close()
+            first_series = _scrape(first)
+            second_series = _scrape(second)
+            client = ServerClient(second.url, timeout=60)
+            stats = client.healthz()
+            client.close()
+        assert first_series['repro_jobs_submitted_total{lane="interactive"}'] == 3
+        assert first_series["repro_jobs_executed_total"] == 3
+        assert second_series['repro_jobs_submitted_total{lane="interactive"}'] == 0
+        assert second_series["repro_jobs_executed_total"] == 0
+        assert stats.submitted == _series_total(stats.metrics, "repro_jobs_submitted_total") == 0
+        assert stats.workers == stats.metrics["repro_workers"]
+        assert stats.uptime_seconds == stats.metrics["repro_uptime_seconds"]
+
+
+class TestFullDisk:
+    def test_failed_store_writes_cost_warmth_not_the_bound(self, tmp_path, monkeypatch):
+        """With every store write failing (ENOSPC), the facade and a served
+        job still return the bound; the failure is counted, and the staged
+        bucket is written by the first flush that succeeds."""
+        spec = ProjectSpec(workload="message-handler")
+        expected = result_identity(
+            AnalysisService(spec.to_project(cache="off")).analyze(AnalysisRequest())
+        )
+
+        def no_space(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(store_module, "tempfile", SimpleNamespace(mkstemp=no_space))
+        facade_dir = tmp_path / "facade"
+        service = AnalysisService(spec.to_project(cache=str(facade_dir)))
+        assert result_identity(service.analyze(AnalysisRequest())) == expected
+        with AnalysisServer(port=0, jobs=1, cache_dir=str(tmp_path / "served")) as server:
+            client = ServerClient(server.url, timeout=60)
+            assert result_identity(client.analyze(spec, AnalysisRequest())) == expected
+            stats = client.healthz()
+            client.close()
+        assert stats.cache["flush_errors"] >= 1
+        assert not list(facade_dir.glob("*.pkl"))
+
+        monkeypatch.undo()
+        service.summary_cache.flush()
+        assert len(list(facade_dir.glob("*.pkl"))) == 1
+        reread = AnalysisService(spec.to_project(cache=str(facade_dir))).analyze(
+            AnalysisRequest()
+        )
+        assert reread.cache_stats["tier2_hits"] > 0
+        assert reread.cache_stats["puts"] == 0
+
+
+# --------------------------------------------------------------------------- #
 # Graceful shutdown via the protocol
 # --------------------------------------------------------------------------- #
 class TestShutdown:
@@ -869,10 +1005,10 @@ class TestShutdown:
 # --------------------------------------------------------------------------- #
 # Connections: one kept-alive connection per client thread
 # --------------------------------------------------------------------------- #
-def _http_requests() -> float:
+def _http_requests(server) -> float:
     return sum(
         value
-        for series, value in obs_metrics.REGISTRY.flat_counters().items()
+        for series, value in server.scheduler.metrics.flat_counters().items()
         if series.startswith("repro_http_requests_total")
     )
 
@@ -898,11 +1034,11 @@ class TestKeepAlive:
         client = ServerClient(counted_server.url, timeout=60)
         spec = ProjectSpec(source=MINI_C, name="t.c")
         client.analyze(spec, AnalysisRequest(label="cold"), timeout=60)
-        before = _http_requests()
+        before = _http_requests(counted_server)
         for index in range(5):
             result = client.analyze(spec, AnalysisRequest(label=f"warm-{index}"), timeout=60)
             assert result.label == f"warm-{index}"
-        assert _http_requests() - before == 2 * 5
+        assert _http_requests(counted_server) - before == 2 * 5
         assert len(counted_server.accepted) == 1
 
     def test_idle_closed_connection_is_reopened_transparently(
