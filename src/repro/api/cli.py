@@ -6,10 +6,8 @@ Subcommands (each supports machine-readable ``--json`` output on stdout; with
 * ``analyze`` — WCET/BCET analysis of a workload, a mini-C file or an
   assembly file, optionally per operating mode / error scenario;
 * ``check`` — the MISRA-C predictability checker over a mini-C file;
-* ``sweep`` — the differential soundness sweep over generated programs
-  (replaces ``python -m repro.testing``, which now delegates here);
-* ``bench`` — the tracked macro perf workload (replaces
-  ``python -m repro.benchmarks``, which now delegates here);
+* ``sweep`` — the differential soundness sweep over generated programs;
+* ``bench`` — the tracked macro perf workload;
 * ``report`` — pretty-print (or re-emit) a previously saved ``--json`` file;
 * ``serve`` — run the persistent analysis server (:mod:`repro.server`);
   ``analyze --remote URL`` sends the same request to such a server instead
@@ -270,9 +268,13 @@ def cmd_sweep(args) -> int:
         f"processor {args.processor!r}, {args.inputs} input vectors each, "
         f"{jobs} worker(s)",
     )
-    sweep = run_sweep(
-        range(args.base_seed, args.base_seed + args.count), config, jobs=jobs
-    )
+    try:
+        sweep = run_sweep(
+            range(args.base_seed, args.base_seed + args.count), config, jobs=jobs
+        )
+    except ReproError as exc:  # a worker pool out of retries (WorkerCrashed, ...)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     failures = []
     for result in sweep.results:
         if args.verbose or not result.ok:
@@ -604,7 +606,7 @@ def cmd_serve(args) -> int:
     import threading
 
     from repro.server.http import AnalysisServer
-    from repro.server.workers import DEFAULT_JOB_TIMEOUT
+    from repro.pool import DEFAULT_JOB_TIMEOUT
 
     log_stream = None
     if args.log_json == "-":

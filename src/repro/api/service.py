@@ -17,12 +17,11 @@ Every front end is a thin consumer of this layer: the ``python -m repro``
 CLI, the analysis server's workers, the differential oracle and the
 benchmarks.  :meth:`AnalysisService.analyze_many` (and its streaming twin
 :meth:`AnalysisService.analyze_iter`) serves many requests, serially or over
-a process pool.
+a :class:`repro.pool.SupervisedPool`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -30,10 +29,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.analysis.summaries import SummaryCache
 from repro.api.project import Project
 from repro.api import serialize
+from repro.cache import SummaryStore
 from repro.errors import ReproError
 from repro.guidelines.checker import GuidelineChecker, GuidelineReport
 from repro.obs import trace as obs_trace
-from repro.wcet import batch
+from repro.pool import SupervisedPool, resolve_jobs
 from repro.wcet.analyzer import AnalysisOptions, WCETAnalyzer
 from repro.wcet.report import WCETReport
 
@@ -219,29 +219,31 @@ class AnalysisService:
 
         Yields ``(index, AnalysisResult)`` in completion order (request order
         when serial); each result equals what :meth:`analyze` returns for
-        that request.  ``jobs``: ``None``/1 serial, ``0`` all cores, else
-        that many worker processes.  Serial runs share this service's
-        in-process cache; each pool worker keeps one of its own, backed by
-        this service's persistent store (if any).
+        that request.  ``jobs``: ``None``/1 serial, ``0`` every CPU this
+        process may use, else that many worker processes of a
+        :class:`~repro.pool.SupervisedPool`.  Serial runs share this
+        service's in-process cache; each pool worker keeps one of its own,
+        backed by this service's persistent store (if any).  A worker that
+        dies or hangs costs its request a retry; once the retries are spent
+        the call raises :class:`~repro.pool.WorkerCrashed` or
+        :class:`~repro.pool.JobTimeout`.
         """
         requests = list(requests)
-        jobs = batch.resolve_jobs(jobs)
+        jobs = resolve_jobs(jobs)
         if jobs <= 1 or len(requests) <= 1:
             for index, request in enumerate(requests):
                 yield index, self.analyze(request)
             return
-        # Build once here, so the pickled project carries the program (and a
-        # mini-C project's AST, for guideline checks) instead of every task
-        # recompiling it.
+        # Build once here, so every forked worker inherits the program (and a
+        # mini-C project's AST, for guideline checks) instead of compiling it.
         self.project.build()
         store = self.summary_cache.store
-        tasks = [(self.project, index, request) for index, request in enumerate(requests)]
-        with multiprocessing.Pool(
-            processes=min(jobs, len(requests)),
-            initializer=batch._init_batch_worker,
-            initargs=(store.path if store is not None else None,),
-        ) as pool:
-            yield from pool.imap_unordered(_analyze_in_worker, tasks)
+        pool = SupervisedPool(
+            _worker_analyze,
+            min(jobs, len(requests)),
+            setup_args=(self.project, store.path if store is not None else None),
+        )
+        yield from pool.imap_unordered(requests)
 
     def analyze_many(
         self,
@@ -270,10 +272,10 @@ class AnalysisService:
         return GuidelineChecker().check_unit(self.project.compilation_unit())
 
 
-def _analyze_in_worker(
-    task: Tuple[Project, int, AnalysisRequest],
-) -> Tuple[int, AnalysisResult]:
-    """Pool-worker side of :meth:`AnalysisService.analyze_iter`."""
-    project, index, request = task
-    service = AnalysisService(project, summary_cache=batch._WORKER_CACHE)
-    return index, service.analyze(request)
+def _worker_analyze(
+    project: Project, store_path: Optional[str]
+) -> Callable[[AnalysisRequest], AnalysisResult]:
+    """Pool-worker setup of :meth:`AnalysisService.analyze_iter`: a service of
+    the worker's own, over a cache backed by the caller's store."""
+    store = SummaryStore(store_path) if store_path else None
+    return AnalysisService(project, summary_cache=SummaryCache(store=store)).analyze

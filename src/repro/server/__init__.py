@@ -52,7 +52,8 @@ from repro.server.wire import (
     WireError,
     request_digest,
 )
-from repro.server.workers import DEFAULT_JOB_TIMEOUT, WorkerPool
+from repro.pool import DEFAULT_JOB_TIMEOUT
+from repro.server.workers import WorkerPool
 
 __all__ = [
     "AnalysisServer",

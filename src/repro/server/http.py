@@ -59,7 +59,8 @@ from repro.server.wire import (
     ServerSubmitReply,
     WireError,
 )
-from repro.server.workers import DEFAULT_JOB_TIMEOUT, WorkerPool
+from repro.pool import DEFAULT_JOB_TIMEOUT
+from repro.server.workers import WorkerPool
 
 #: Default TCP port (0 = pick an ephemeral port; see ``AnalysisServer.url``).
 DEFAULT_PORT = 8472

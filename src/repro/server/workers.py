@@ -8,18 +8,18 @@ Two execution modes behind one interface:
   Deadlines are advisory here (there is no process boundary to kill across)
   and crash supervision does not apply — production deployments that need
   fault isolation should run ``jobs >= 2``;
-* ``jobs > 1`` — *supervised pool*: each dispatcher thread owns one worker
-  *process* connected by a pipe.  The dispatcher enforces a per-job
-  wall-clock deadline (``Execution.timeout``, defaulting to the server's
-  ``--job-timeout``), detects worker death (EOF on the pipe) and hung jobs
-  (deadline expiry), kills and respawns the worker, and classifies the
-  failure: deterministic :class:`~repro.errors.ReproError`\\ s fail the job
-  immediately, infrastructure faults get a bounded retry with exponential
-  backoff before surfacing a typed ``ServerError`` (``WorkerCrashed`` /
-  ``JobTimeout``).  Every worker keeps its own warm-service table and
-  in-process cache tier; all share the server's on-disk
-  :class:`~repro.cache.store.SummaryStore` (safe under the store's advisory
-  file locking).
+* ``jobs > 1`` — *supervised pool*: ``jobs`` dispatcher threads run their
+  executions on a :class:`repro.pool.SupervisedPool` of as many worker
+  processes.  The pool enforces the per-job wall-clock deadline
+  (``Execution.timeout``, defaulting to the server's ``--job-timeout``),
+  detects worker death (EOF on the pipe) and hung jobs (deadline expiry),
+  kills and respawns the worker, and retries infrastructure faults a bounded
+  number of times before the dispatcher fails the job with a typed
+  ``ServerError`` (``WorkerCrashed`` / ``JobTimeout``).  Deterministic
+  :class:`~repro.errors.ReproError`\\ s fail the job at once.  Every worker
+  keeps its own warm-service table and in-process cache tier; all share the
+  server's on-disk :class:`~repro.cache.store.SummaryStore` (safe under the
+  store's advisory file locking).
 
 Work and results cross the process boundary as wire JSON
 (:mod:`repro.server.wire` / :mod:`repro.api.serialize`), which round-trips
@@ -28,14 +28,13 @@ exactly — a served result is bit-identical to a direct facade call.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
-import os
+import functools
 import threading
 import time
 import traceback
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional
 
 from repro.analysis.summaries import SummaryCache
 from repro.api import serialize
@@ -45,34 +44,27 @@ from repro.errors import ReproError
 from repro.obs import logs as obs_logs
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.pool import (
+    CRASH_RETRIES,
+    DEFAULT_JOB_TIMEOUT,
+    TIMEOUT_RETRIES,
+    JobTimeout,
+    SupervisedPool,
+    WorkerCrashed,
+    resolve_jobs,
+)
 from repro.server.queue import Execution, Scheduler
 from repro.server.wire import ProjectSpec, ServerError
-from repro.wcet import batch
 
 #: Warm AnalysisService instances kept per worker (LRU-evicted beyond this).
 WARM_SERVICES_PER_WORKER = 8
-
-#: Server-default per-job wall-clock deadline (seconds); ``--job-timeout``.
-DEFAULT_JOB_TIMEOUT = 300.0
-
-#: Bounded-retry policy for infrastructure faults: a crashed worker is worth
-#: more attempts than a deadline hit (a crash is usually environmental — OOM
-#: kill, segfault — while a timeout often means the job itself is too slow).
-CRASH_RETRIES = 2
-TIMEOUT_RETRIES = 1
-
-#: Base of the exponential backoff between retry attempts (seconds).
-RETRY_BACKOFF = 0.1
-
-#: How long a graceful worker stop waits before escalating to SIGKILL.
-WORKER_STOP_GRACE = 5.0
 
 
 class _WarmServices:
     """Per-process table of warm services keyed by project-spec digest."""
 
-    def __init__(self, cache: SummaryCache, limit: int = WARM_SERVICES_PER_WORKER):
-        self.cache = cache
+    def __init__(self, cache_dir: Optional[str], limit: int = WARM_SERVICES_PER_WORKER):
+        self.cache = SummaryCache(store=SummaryStore(cache_dir) if cache_dir else None)
         self.limit = limit
         self._services: "OrderedDict[str, AnalysisService]" = OrderedDict()
 
@@ -93,23 +85,18 @@ class _WarmServices:
         return service
 
 
-def _maybe_inject_fault(payload: Tuple[dict, dict, int]) -> None:
-    """Chaos hook: fire an injected fault for this job, if a plan is armed.
+@dataclass(frozen=True)
+class _Job:
+    """One wire-encoded job as the pool ships it to a worker."""
 
-    The plan travels in the ``REPRO_FAULTS`` environment variable so forked
-    worker processes inherit it; the import is lazy so production servers
-    (no plan) never touch :mod:`repro.testing` and pay one ``os.environ``
-    lookup per job.
-    """
-    if not os.environ.get("REPRO_FAULTS"):
-        return
-    from repro.testing import faults
-
-    faults.on_job(payload)
+    spec: dict
+    request: dict
+    #: Kept out of the repr, which seeded fault draws are keyed on.
+    trace: Optional[Dict[str, Optional[str]]] = field(default=None, repr=False)
 
 
-def _serve(warm: _WarmServices, payload: tuple, ship_obs: bool = False) -> tuple:
-    """Execute one wire-encoded (spec, request, attempt[, trace]) job.
+def _serve(warm: _WarmServices, job: _Job, ship_obs: bool = False) -> tuple:
+    """Execute one job.
 
     Never raises.  Returns ``(result_json, error, seconds, obs)``; with
     ``ship_obs`` (worker-process mode), ``obs`` carries the job's serialised
@@ -117,26 +104,21 @@ def _serve(warm: _WarmServices, payload: tuple, ship_obs: bool = False) -> tuple
     supervisor merges both into the server process.  Inline mode records
     straight into the server's own tracer/registry and ships ``None``.
     """
-    spec_json, request_json, _attempt = payload[0], payload[1], payload[2]
-    trace_ctx = payload[3] if len(payload) > 3 else None
     metrics_before = obs_metrics.REGISTRY.dump() if ship_obs else None
     local_tracer = None
-    if trace_ctx is not None and obs_trace.active() is None:
+    if job.trace is not None and obs_trace.active() is None:
         # Worker process: a per-job tracer continues the propagated trace.
-        local_tracer = obs_trace.Tracer(trace_id=trace_ctx.get("trace_id"))
+        local_tracer = obs_trace.Tracer(trace_id=job.trace.get("trace_id"))
         obs_trace.install(local_tracer)
     exec_span = (
-        obs_trace.begin("worker-execute", parent=trace_ctx)
-        if trace_ctx is not None
+        obs_trace.begin("worker-execute", parent=job.trace)
+        if job.trace is not None
         else None
     )
-    if exec_span is not None:
-        exec_span.set("attempt", _attempt)
     started = time.perf_counter()
     try:
-        _maybe_inject_fault(payload)
-        spec = serialize.from_json(spec_json, ProjectSpec)
-        request = serialize.from_json(request_json, AnalysisRequest)
+        spec = serialize.from_json(job.spec, ProjectSpec)
+        request = serialize.from_json(job.request, AnalysisRequest)
         result = warm.service(spec).analyze(request)
         result_json = result.to_json()
         error = None
@@ -172,143 +154,10 @@ def _serve(warm: _WarmServices, payload: tuple, ship_obs: bool = False) -> tuple
     return result_json, error, seconds, obs
 
 
-# --------------------------------------------------------------------------- #
-# Worker-process side
-# --------------------------------------------------------------------------- #
-def _worker_main(
-    conn: "multiprocessing.connection.Connection", cache_dir: Optional[str]
-) -> None:
-    """Supervised worker main loop: recv payload -> serve -> send outcome.
-
-    A ``None`` payload is the graceful-stop sentinel.  Anything that escapes
-    here (it should not — ``_serve`` never raises) ends the process, which
-    the supervisor observes as a crash and handles.
-    """
-    if os.environ.get("REPRO_FAULTS"):
-        # Mark this process as a supervised worker so seeded kill/hang
-        # injectors fire here and never in the server (or a client) process.
-        from repro.testing import faults
-
-        faults.mark_worker()
-    # A forked worker inherits the server's installed tracer; spans recorded
-    # into that copy would silently vanish.  Drop it so _serve installs its
-    # own per-job tracer and ships spans back over the pipe instead.
-    obs_trace.install(None)
-    # Reuse the pool initialiser of AnalysisService.analyze_many so worker
-    # cache wiring has exactly one implementation, then layer the
-    # warm-service table on top of it.
-    batch._init_batch_worker(cache_dir)
-    warm = _WarmServices(batch._WORKER_CACHE)
-    while True:
-        try:
-            payload = conn.recv()
-        except (EOFError, OSError):
-            return  # supervisor went away
-        if payload is None:
-            return
-        try:
-            conn.send(_serve(warm, payload, ship_obs=True))
-        except (BrokenPipeError, OSError):
-            return
-
-
-class _SupervisedWorker:
-    """One worker process plus the pipe its dispatcher supervises it over.
-
-    The supervisor side never blocks without a deadline: ``run`` polls the
-    pipe with the job's remaining budget, treats EOF as worker death, and
-    kills/respawns on deadline expiry.  Respawn happens lazily in
-    :meth:`ensure` so a dying worker costs the *next* job a warm-up, not an
-    unbounded stall for the current one.
-    """
-
-    def __init__(self, index: int, cache_dir: Optional[str]):
-        self.index = index
-        self.cache_dir = cache_dir
-        self._process: Optional[multiprocessing.Process] = None
-        self._conn: Optional[multiprocessing.connection.Connection] = None
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self._process.pid if self._process is not None else None
-
-    def ensure(self) -> None:
-        """Start (or restart) the worker process if it is not alive."""
-        if self._process is not None and self._process.is_alive():
-            return
-        self._discard()
-        parent_conn, child_conn = multiprocessing.Pipe()
-        process = multiprocessing.Process(
-            target=_worker_main,
-            args=(child_conn, self.cache_dir),
-            name=f"repro-server-worker-{self.index}",
-            daemon=True,
-        )
-        process.start()
-        # Close our copy of the child end: EOF on ``parent_conn`` then means
-        # the worker process is gone, which is exactly the signal we poll for.
-        child_conn.close()
-        self._process = process
-        self._conn = parent_conn
-        obs_logs.get().log("worker_spawn", worker=self.index, worker_pid=process.pid)
-
-    def run(self, payload: tuple, timeout: float) -> Tuple[str, object]:
-        """Run one job; returns ``(status, value)``.
-
-        * ``("ok", outcome)`` — the worker answered within the deadline;
-        * ``("crashed", detail)`` — the worker process died mid-job;
-        * ``("timeout", detail)`` — deadline expired; the worker was killed.
-        """
-        assert self._conn is not None
-        try:
-            self._conn.send(payload)
-        except (BrokenPipeError, OSError) as exc:
-            self.kill()
-            return ("crashed", f"worker pipe closed on send: {exc}")
-        try:
-            if not self._conn.poll(timeout):
-                self.kill()
-                return (
-                    "timeout",
-                    f"job exceeded its {timeout:.1f}s deadline; worker killed",
-                )
-            outcome = self._conn.recv()
-        except (EOFError, OSError):
-            exitcode = self._process.exitcode if self._process is not None else None
-            self.kill()
-            return ("crashed", f"worker process died mid-job (exitcode={exitcode})")
-        return ("ok", outcome)
-
-    def kill(self) -> None:
-        """SIGKILL the worker and drop the pipe (respawn happens in ensure)."""
-        if self._process is not None and self._process.is_alive():
-            obs_logs.get().log(
-                "worker_kill", worker=self.index, worker_pid=self._process.pid
-            )
-            self._process.kill()
-            self._process.join(timeout=WORKER_STOP_GRACE)
-        self._discard()
-
-    def stop(self) -> None:
-        """Graceful stop: send the sentinel, then escalate to SIGKILL."""
-        if self._process is None:
-            return
-        try:
-            if self._conn is not None:
-                self._conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self._process.join(timeout=WORKER_STOP_GRACE)
-        self.kill()
-
-    def _discard(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-        self._conn = None
-        self._process = None
+def _worker_serve(cache_dir: Optional[str]) -> Callable[[_Job], tuple]:
+    """Pool-worker setup: a warm-service table of the worker's own, serving
+    jobs with their spans and metrics shipped back."""
+    return functools.partial(_serve, _WarmServices(cache_dir), ship_obs=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -325,16 +174,21 @@ class WorkerPool:
         timeout_retries: int = TIMEOUT_RETRIES,
     ):
         self.scheduler = scheduler
-        self.jobs = batch.resolve_jobs(jobs)
+        self.jobs = resolve_jobs(jobs)
         self.cache_dir = cache_dir
         self.job_timeout = job_timeout
-        self.crash_retries = crash_retries
-        self.timeout_retries = timeout_retries
-        self._workers: List[Optional[_SupervisedWorker]] = []
+        self._pool: Optional[SupervisedPool] = None
+        if self.jobs > 1:
+            self._pool = SupervisedPool(
+                _worker_serve,
+                self.jobs,
+                setup_args=(cache_dir,),
+                crash_retries=crash_retries,
+                timeout_retries=timeout_retries,
+            )
         self._threads: list = []
         self._inline_warm: Optional[_WarmServices] = None
         self._started = False
-        self._closing = False
         scheduler.workers = max(self.jobs, 1)
 
     # ------------------------------------------------------------------ #
@@ -342,37 +196,26 @@ class WorkerPool:
         if self._started:
             return
         self._started = True
-        if self.jobs > 1:
-            self._workers = [
-                _SupervisedWorker(index, self.cache_dir) for index in range(self.jobs)
-            ]
-        else:
-            store = SummaryStore(self.cache_dir) if self.cache_dir else None
-            self._inline_warm = _WarmServices(SummaryCache(store=store))
-            self._workers = [None]
-        for index, worker in enumerate(self._workers):
+        if self._pool is None:
+            self._inline_warm = _WarmServices(self.cache_dir)
+        for index in range(max(self.jobs, 1)):
             thread = threading.Thread(
                 target=self._dispatch_loop,
-                args=(worker,),
                 name=f"repro-worker-{index}",
                 daemon=True,
             )
             thread.start()
             self._threads.append(thread)
 
-    def _dispatch_loop(self, worker: Optional[_SupervisedWorker]) -> None:
+    def _dispatch_loop(self) -> None:
         while True:
             execution = self.scheduler.pop()
             if execution is None:
-                if worker is not None:
-                    worker.stop()
                 return
-            self._run(execution, worker)
+            self._run(execution)
 
     # ------------------------------------------------------------------ #
-    def _run(
-        self, execution: Execution, worker: Optional[_SupervisedWorker]
-    ) -> None:
+    def _run(self, execution: Execution) -> None:
         timeout = execution.timeout if execution.timeout is not None else self.job_timeout
         logger = obs_logs.get()
         trace_id = execution.trace.get("trace_id") if execution.trace else None
@@ -387,101 +230,71 @@ class WorkerPool:
             if execution.trace is not None
             else None
         )
-        trace_ctx = (
-            dispatch_span.context() if dispatch_span is not None else execution.trace
+        job = _Job(
+            serialize.to_json(execution.spec),
+            serialize.to_json(execution.request),
+            dispatch_span.context() if dispatch_span is not None else execution.trace,
         )
 
-        def finish_dispatch(attempts: int) -> None:
-            # The span must land in the tracer *before* complete() runs the
-            # trace-dir export hook, or it would miss its own trace's file.
-            if dispatch_span is not None:
-                dispatch_span.set("attempts", attempts)
-                obs_trace.end(dispatch_span)
-
-        attempt = 0
-        while True:
-            payload = (
-                serialize.to_json(execution.spec),
-                serialize.to_json(execution.request),
-                attempt,
-                trace_ctx,
-            )
-            status, detail = self._attempt(payload, worker, timeout)
-            if status == "ok":
-                result_json, error, seconds, obs = detail
-                self._merge_obs(obs)
-                finish_dispatch(attempt + 1)
-                if result_json is not None:
-                    result: Optional[AnalysisResult] = serialize.from_json(result_json)
-                    self.scheduler.complete(execution, result=result, seconds=seconds)
-                    logger.log(
-                        "job_done",
-                        execution_key=execution.key,
-                        trace_id=trace_id,
-                        seconds=round(seconds, 6),
-                        attempts=attempt + 1,
-                    )
-                else:
-                    # Deterministic failure (ReproError or a bug in the
-                    # analysis itself): retrying would reproduce it exactly,
-                    # so the job fails now with the original error type.
-                    kind, message = error
-                    self.scheduler.complete(
-                        execution,
-                        error=ServerError(error=kind, message=message),
-                        seconds=seconds,
-                    )
-                    logger.log(
-                        "job_failed",
-                        execution_key=execution.key,
-                        trace_id=trace_id,
-                        error=kind,
-                        attempts=attempt + 1,
-                    )
-                return
-            # Infrastructure fault: bounded retry with exponential backoff,
-            # unless the server is draining (shutdown must not be delayed by
-            # backoff sleeps for work that will be surfaced as failed anyway).
-            if status == "crashed":
-                self.scheduler.count_fault("worker_restarts")
-                budget = self.crash_retries
-                kind = "WorkerCrashed"
-            else:
-                self.scheduler.count_fault("job_timeouts")
-                budget = self.timeout_retries
-                kind = "JobTimeout"
+        def on_fault(fault: ReproError, attempt: int, retrying: bool) -> None:
+            crashed = isinstance(fault, WorkerCrashed)
+            self.scheduler.count_fault("worker_restarts" if crashed else "job_timeouts")
             logger.log(
                 "job_fault",
                 execution_key=execution.key,
                 trace_id=trace_id,
-                kind=kind,
+                kind=type(fault).__name__,
                 attempt=attempt + 1,
-                detail=str(detail),
+                detail=str(fault),
             )
-            if attempt < budget and not self._closing:
+            if retrying:
                 self.scheduler.count_fault("job_retries")
                 self.scheduler.note_retry(
-                    execution, detail=f"attempt {attempt + 1} failed: {detail}"
+                    execution, detail=f"attempt {attempt + 1} failed: {fault}"
                 )
-                time.sleep(RETRY_BACKOFF * (2 ** attempt))
-                attempt += 1
-                continue
-            finish_dispatch(attempt + 1)
-            self.scheduler.complete(
-                execution,
-                error=ServerError(
-                    error=kind,
-                    message=f"{detail} (after {attempt + 1} attempt(s))",
-                ),
-            )
+
+        try:
+            if self._pool is None:
+                # Inline mode: ``_serve`` never raises, so there is nothing
+                # to supervise; deadlines are advisory.
+                outcome = _serve(self._inline_warm, job)
+            else:
+                outcome = self._pool.run(job, timeout, on_fault)
+        except (WorkerCrashed, JobTimeout) as exc:
+            error = ServerError(error=type(exc).__name__, message=str(exc))
+            seconds = 0.0
+        else:
+            result_json, failure, seconds, obs = outcome
+            self._merge_obs(obs)
+            # A failure inside the analysis (ReproError or a bug) would
+            # repeat exactly on a retry, so it fails the job with its type.
+            error = None if failure is None else ServerError(*failure)
+        # Every retry bumped ``execution.attempts``; this was the last attempt.
+        attempts = execution.attempts + 1
+        # The span must land in the tracer *before* complete() runs the
+        # trace-dir export hook, or it would miss its own trace's file.
+        if dispatch_span is not None:
+            dispatch_span.set("attempts", attempts)
+            obs_trace.end(dispatch_span)
+        if error is None:
+            result: AnalysisResult = serialize.from_json(result_json)
+            self.scheduler.complete(execution, result=result, seconds=seconds)
             logger.log(
-                "job_failed",
+                "job_done",
                 execution_key=execution.key,
                 trace_id=trace_id,
-                error=kind,
-                attempts=attempt + 1,
+                seconds=round(seconds, 6),
+                attempts=attempts,
             )
             return
+        self.scheduler.complete(execution, error=error, seconds=seconds)
+        logger.log(
+            "job_failed",
+            execution_key=execution.key,
+            trace_id=trace_id,
+            error=error.error,
+            attempts=attempts,
+        )
 
     @staticmethod
     def _merge_obs(obs: Optional[dict]) -> None:
@@ -497,23 +310,6 @@ class WorkerPool:
         if delta:
             obs_metrics.REGISTRY.merge(delta)
 
-    def _attempt(
-        self,
-        payload: tuple,
-        worker: Optional[_SupervisedWorker],
-        timeout: float,
-    ) -> Tuple[str, object]:
-        if worker is None:
-            # Inline mode: the dispatcher thread executes the job itself.
-            # ``_serve`` never raises, so there is nothing to supervise —
-            # deadlines are advisory and crashes take the server with them.
-            return ("ok", _serve(self._inline_warm, payload))
-        try:
-            worker.ensure()
-        except Exception as exc:  # spawn failure (fd/memory exhaustion)
-            return ("crashed", f"worker respawn failed: {exc}")
-        return worker.run(payload, timeout)
-
     # ------------------------------------------------------------------ #
     # Introspection (chaos harness + /healthz)
     # ------------------------------------------------------------------ #
@@ -521,22 +317,21 @@ class WorkerPool:
         return sum(1 for thread in self._threads if thread.is_alive())
 
     def worker_pids(self) -> List[int]:
-        return [
-            worker.pid
-            for worker in self._workers
-            if worker is not None and worker.pid is not None
-        ]
+        return self._pool.pids() if self._pool is not None else []
 
     # ------------------------------------------------------------------ #
     def shutdown(self, wait: bool = True) -> None:
-        """Stop dispatching (the scheduler must already be closed)."""
-        self._closing = True
-        for thread in self._threads:
-            if wait:
+        """Stop dispatching (the scheduler must already be closed).
+
+        With ``wait``, each dispatcher gets up to 30 s to finish its job.
+        The pool then closes: a job still running has its worker killed and
+        fails with a typed ``WorkerCrashed`` error, never left ``running``.
+        """
+        if wait:
+            for thread in self._threads:
                 thread.join(timeout=30)
-        for worker in self._workers:
-            if worker is not None:
-                worker.stop()
+        if self._pool is not None:
+            self._pool.close()
         if self._inline_warm is not None:
             try:
                 self._inline_warm.cache.flush()

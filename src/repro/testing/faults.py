@@ -1,9 +1,10 @@
-"""Deterministic fault injection for the analysis server (chaos harness).
+"""Deterministic fault injection for the worker pool (chaos harness).
 
-Every injector is *seeded and deterministic*: whether a given job is killed
-or hung is a pure function of the plan's seed and the job's wire payload, so
-a red chaos run reproduces exactly from its printed seed — the same contract
-the program-generator fuzz fleet already honors.
+Every injector is *seeded and deterministic*: whether a task's attempt is
+killed or hung is a pure function of the plan's seed, the task's content and
+the attempt number (never of a trace id or a pid), so a red chaos run
+reproduces exactly from its printed seed — the same contract the
+program-generator fuzz fleet already honors.
 
 Four fault families, matching the failure modes a real analysis farm sees:
 
@@ -19,10 +20,11 @@ Four fault families, matching the failure modes a real analysis farm sees:
 The in-process injectors (kill/hang) arm themselves through the
 ``REPRO_FAULTS`` environment variable — a JSON :class:`FaultPlan` — so
 forked worker processes inherit the plan, and fire **only** inside processes
-marked by :func:`mark_worker` (the supervised-worker main).  The server
-process, inline dispatchers, and any locally-run comparison analysis are
-never touched, which is what lets the chaos sweep compare surviving results
-bit-for-bit against a direct facade call.
+marked by :func:`mark_worker`: the workers of :class:`repro.pool.SupervisedPool`,
+which serve the analysis server, ``analyze_many`` and ``run_sweep`` alike.
+The server process, inline dispatchers, serial batches and any locally-run
+comparison analysis are never touched, which is what lets the chaos sweep
+compare surviving results bit-for-bit against a direct facade call.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import socket
 import threading
 import time
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional
 
 #: Environment variable carrying the JSON-encoded :class:`FaultPlan`.
 ENV_VAR = "REPRO_FAULTS"
@@ -60,14 +62,14 @@ class FaultPlan:
     """Seeded in-process injection plan (kills and hangs)."""
 
     seed: int = 0
-    #: Probability that a job's first attempt kills its worker mid-job.
+    #: Probability that a task's first attempt kills its worker mid-task.
     kill_rate: float = 0.0
-    #: Probability that a job's first attempt sleeps ``hang_seconds``.
+    #: Probability that a task's first attempt sleeps ``hang_seconds``.
     hang_rate: float = 0.0
-    #: How long a hung job sleeps — set it past the job deadline to force a
+    #: How long a hung task sleeps — set it past the deadline to force a
     #: supervisor timeout.
     hang_seconds: float = 30.0
-    #: Inject only on attempt 0, so every faulted job deterministically
+    #: Inject only on attempt 0, so every faulted task deterministically
     #: succeeds on retry (the chaos sweep's "every job completes" invariant).
     first_attempt_only: bool = True
 
@@ -105,23 +107,22 @@ def decide(seed: int, kind: str, key: str) -> float:
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
-def on_job(payload: Tuple) -> None:
-    """Injection point called by the worker at the start of every job.
+def on_job(task: Any, attempt: int) -> None:
+    """Injection point the pool's worker loop calls before every task.
 
-    Fires at most one fault per call; a kill draw shadows a hang draw so the
-    two rates stay independently tunable.
+    The draws are keyed on ``repr(task)``, so a task type keeps out of its
+    repr whatever must not steer them (the server's trace context).  Fires
+    at most one fault per call; a kill draw shadows a hang draw so the two
+    rates stay independently tunable.
     """
     if not _IN_WORKER:
         return
     plan = active()
     if plan is None:
         return
-    # The payload grew a trailing trace-context slot; index rather than
-    # unpack so fault decisions stay keyed on (spec, request, attempt) only.
-    spec_json, request_json, attempt = payload[0], payload[1], payload[2]
     if plan.first_attempt_only and attempt > 0:
         return
-    key = json.dumps([spec_json, request_json], sort_keys=True)
+    key = repr(task)
     if plan.kill_rate and decide(plan.seed, "kill", key) < plan.kill_rate:
         # The closest honest simulation of an OOM kill: no cleanup, no
         # exception propagation, the pipe just goes EOF on the supervisor.

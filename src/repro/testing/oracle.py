@@ -195,7 +195,7 @@ class DifferentialOracle:
     def __init__(self, config: Optional[OracleConfig] = None):
         self.config = config or OracleConfig()
         # One store instance per oracle: workers of a sweep construct the
-        # oracle once (pool initializer), so bucket pages read from disk are
+        # oracle once (pool worker setup), so bucket pages read from disk are
         # shared across every case the worker checks.
         self._summary_store = (
             SummaryStore(self.config.cache_dir) if self.config.cache_dir else None

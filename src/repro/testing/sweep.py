@@ -2,12 +2,13 @@
 
 :func:`run_sweep` checks many generated programs (and/or explicit cases)
 through the differential oracle and aggregates the outcome.  With ``jobs > 1``
-the per-program checks are distributed over a :mod:`multiprocessing` worker
-pool (:func:`repro.wcet.batch.pool_map`, the repo's shared pool helper) — each
-program is an independent compile→analyze→replay pipeline, so the sweep
-scales with cores.  When the oracle configuration names a ``cache_dir``,
-every worker shares the same persistent function-summary store, so repeated
-sweeps over the same seeds skip the analysis work entirely.
+the per-program checks are distributed over a :class:`repro.pool.SupervisedPool`
+(the repo's one worker pool) — each program is an independent
+compile→analyze→replay pipeline, so the sweep scales with cores, and a
+worker that dies or hangs costs its program a retry rather than the sweep.
+When the oracle configuration names a ``cache_dir``, every worker shares the
+same persistent function-summary store, so repeated sweeps over the same
+seeds skip the analysis work entirely.
 
 The parallel and serial paths produce identical results (same seeds, same
 oracle configuration, same deterministic input enumeration); only wall-clock
@@ -23,12 +24,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.summaries import merge_stats
+from repro.pool import SupervisedPool, resolve_jobs
 from repro.testing.generator import generate_case
 from repro.testing.oracle import DifferentialOracle, OracleConfig, OracleResult
-from repro.wcet.batch import pool_map, resolve_jobs
 
 
 @dataclass
@@ -77,29 +78,21 @@ class SweepResult:
         }
 
 
-# --------------------------------------------------------------------------- #
-# Worker-pool plumbing.  The oracle is constructed once per worker process
-# (initializer) so repeated checks share nothing but also rebuild nothing —
-# except the persistent summary store, which is the whole point of sharing.
-# --------------------------------------------------------------------------- #
-_WORKER_ORACLE: Optional[DifferentialOracle] = None
-_WORKER_KEEP_REPORTS = False
+def _worker_check(
+    config: OracleConfig, keep_reports: bool
+) -> Callable[[int], OracleResult]:
+    """Pool-worker setup: one oracle per worker checks every seed it gets."""
+    oracle = DifferentialOracle(config)
 
+    def check(seed: int) -> OracleResult:
+        result = oracle.check(generate_case(seed))
+        if result.report is not None:
+            # Full reports are heavy; ship the slim form when the caller
+            # asked for reports at all, nothing otherwise.
+            result.report = result.report.slim() if keep_reports else None
+        return result
 
-def _init_worker(config: OracleConfig, keep_reports: bool = False) -> None:
-    global _WORKER_ORACLE, _WORKER_KEEP_REPORTS
-    _WORKER_ORACLE = DifferentialOracle(config)
-    _WORKER_KEEP_REPORTS = keep_reports
-
-
-def _check_seed(seed: int) -> OracleResult:
-    assert _WORKER_ORACLE is not None
-    result = _WORKER_ORACLE.check(generate_case(seed))
-    if result.report is not None:
-        # Full reports are heavy; ship the slim form when the caller asked
-        # for reports at all, nothing otherwise.
-        result.report = result.report.slim() if _WORKER_KEEP_REPORTS else None
-    return result
+    return check
 
 
 def run_sweep(
@@ -111,9 +104,11 @@ def run_sweep(
     """Differential-check the programs generated from ``seeds``.
 
     ``jobs`` selects the worker-pool width: ``None`` or ``1`` runs serially in
-    this process, ``0`` (or any non-positive value) uses all cores, and any
-    other value that many worker processes.  Results are returned in seed
-    order regardless of the completion order across workers.
+    this process, ``0`` (or any non-positive value) uses every CPU this
+    process may run on, and any other value that many worker processes.
+    Results are returned in seed order regardless of the completion order
+    across workers.  A pool raises :class:`~repro.pool.WorkerCrashed` or
+    :class:`~repro.pool.JobTimeout` once a program's retries are spent.
     """
     config = config or OracleConfig()
     jobs = resolve_jobs(jobs)
@@ -130,11 +125,8 @@ def run_sweep(
             results.append(result)
         return SweepResult(results, time.perf_counter() - started, jobs=1)
 
-    results = pool_map(
-        _check_seed,
-        seeds,
-        jobs,
-        initializer=_init_worker,
-        initargs=(config, keep_reports),
-    )
+    results = [None] * len(seeds)
+    pool = SupervisedPool(_worker_check, jobs, setup_args=(config, keep_reports))
+    for index, result in pool.imap_unordered(seeds):
+        results[index] = result
     return SweepResult(results, time.perf_counter() - started, jobs=jobs)

@@ -587,24 +587,3 @@ class TestCli:
         assert data["kind"] == "SweepSummary"
         assert data["programs"] == 2
         assert data["violating"] == 0
-
-
-class TestDeprecationShims:
-    """Satellite task: the old module CLIs keep working, with a warning."""
-
-    def test_testing_shim_delegates_to_sweep(self, capsys):
-        import repro.testing.__main__ as legacy
-
-        with pytest.warns(DeprecationWarning, match="python -m repro sweep"):
-            status = legacy.main(["--count", "1", "--base-seed", "3"])
-        assert status == 0
-        assert "differential sweep: 1 programs" in capsys.readouterr().out
-
-    def test_benchmarks_shim_delegates_to_bench(self, capsys):
-        import repro.benchmarks.__main__ as legacy
-
-        with pytest.warns(DeprecationWarning, match="python -m repro bench"):
-            with pytest.raises(SystemExit) as excinfo:
-                legacy.main(["--help"])
-        assert excinfo.value.code == 0
-        assert "usage: python -m repro bench" in capsys.readouterr().out

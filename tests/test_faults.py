@@ -67,26 +67,25 @@ class TestDecide:
 
 
 class TestOnJob:
-    PAYLOAD = ({"kind": "ProjectSpec"}, {"kind": "AnalysisRequest"}, 0)
+    TASK = ({"kind": "ProjectSpec"}, {"kind": "AnalysisRequest"})
 
     def test_never_fires_outside_a_marked_worker(self):
         """Armed plan + unmarked process: on_job must be a no-op (a
         kill_rate=1.0 draw would otherwise os._exit this test run)."""
         faults.install(faults.FaultPlan(seed=0, kill_rate=1.0, hang_rate=1.0))
-        faults.on_job(self.PAYLOAD)  # surviving IS the assertion
+        faults.on_job(self.TASK, 0)  # surviving IS the assertion
 
     def test_never_fires_without_a_plan(self):
         faults.mark_worker()
-        faults.on_job(self.PAYLOAD)
+        faults.on_job(self.TASK, 0)
 
     def test_first_attempt_only_skips_retries(self):
         faults.mark_worker()
         faults.install(
             faults.FaultPlan(seed=0, hang_rate=1.0, hang_seconds=30.0)
         )
-        retry = (self.PAYLOAD[0], self.PAYLOAD[1], 1)
         started = time.monotonic()
-        faults.on_job(retry)  # attempt 1: must return immediately
+        faults.on_job(self.TASK, 1)  # attempt 1: must return immediately
         assert time.monotonic() - started < 1.0
 
     def test_hang_sleeps_in_marked_worker(self):
@@ -95,8 +94,34 @@ class TestOnJob:
             faults.FaultPlan(seed=0, hang_rate=1.0, hang_seconds=0.2)
         )
         started = time.monotonic()
-        faults.on_job(self.PAYLOAD)
+        faults.on_job(self.TASK, 0)
         assert time.monotonic() - started >= 0.2
+
+    @pytest.mark.parametrize("above", [True, False])
+    def test_draw_is_keyed_on_the_task_repr(self, above):
+        """The hang fires exactly when the seeded draw for ``repr(task)``
+        falls under the rate, whatever the process or the call."""
+        draw = faults.decide(4, "hang", repr(self.TASK))
+        faults.mark_worker()
+        faults.install(
+            faults.FaultPlan(
+                seed=4,
+                hang_rate=draw + 1e-9 if above else draw,
+                hang_seconds=0.2,
+            )
+        )
+        started = time.monotonic()
+        faults.on_job(self.TASK, 0)
+        assert (time.monotonic() - started >= 0.2) is above
+
+    def test_server_jobs_draw_without_their_trace_context(self):
+        """A server job's trace id must not steer its fault draws."""
+        from repro.server.workers import _Job
+
+        spec, request = self.TASK
+        traced = _Job(spec, request, {"trace_id": "a" * 32, "parent_id": "b"})
+        retraced = _Job(spec, request, {"trace_id": "c" * 32, "parent_id": "d"})
+        assert repr(traced) == repr(retraced) == repr(_Job(spec, request))
 
 
 # --------------------------------------------------------------------------- #

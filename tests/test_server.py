@@ -532,6 +532,103 @@ class TestSupervisedPool:
             scheduler.close()
             pool.shutdown()
 
+    @staticmethod
+    def _wait_running(pool, jobs, workers):
+        deadline = time.monotonic() + 30
+        while any(job.state != "running" for job in jobs) or (
+            len(pool.worker_pids()) < workers
+        ):
+            assert time.monotonic() < deadline, "jobs never reached the workers"
+            time.sleep(0.02)
+        time.sleep(0.3)  # let the workers settle into the injected hangs
+
+    def test_kill_of_a_fresh_sibling_worker_reads_as_a_crash(self, tmp_path):
+        """Two first jobs spawn two workers at once.  Neither may inherit
+        the other's pipe end, or a kill of one would only surface as a
+        deadline hit.  Every kill must count as a crash long before the
+        deadline."""
+        fault_injection.install(
+            fault_injection.FaultPlan(seed=3, hang_rate=1.0, hang_seconds=60.0)
+        )
+        try:
+            for trial in range(5):
+                scheduler = Scheduler()
+                pool = WorkerPool(scheduler, jobs=2, cache_dir=str(tmp_path))
+                pool.start()
+                try:
+                    jobs = [
+                        scheduler.submit(
+                            ProjectSpec(source=MINI_C.replace("3", str(trial * 2 + i))),
+                            AnalysisRequest(),
+                            timeout=8.0,
+                        )
+                        for i in range(2)
+                    ]
+                    self._wait_running(pool, jobs, workers=2)
+                    os.kill(pool.worker_pids()[trial % 2], signal.SIGKILL)
+                    killed_at = time.monotonic()
+                    while not scheduler.metrics.value(
+                        "repro_faults_total", kind="worker_restarts"
+                    ):
+                        assert time.monotonic() - killed_at < 4.0, (
+                            f"trial {trial}: the kill was not seen as a crash"
+                        )
+                        time.sleep(0.01)
+                    assert not scheduler.metrics.value(
+                        "repro_faults_total", kind="job_timeouts"
+                    )
+                finally:
+                    scheduler.close()
+                    pool.shutdown(wait=False)
+        finally:
+            fault_injection.clear()
+
+    def test_shutdown_fails_a_running_job_instead_of_orphaning_it(self, tmp_path):
+        """Closing kills the busy worker; its dispatcher, not the closer,
+        fails the job with a typed error, retries nothing, and survives."""
+        fault_injection.install(
+            fault_injection.FaultPlan(seed=5, hang_rate=1.0, hang_seconds=60.0)
+        )
+        uncaught = []
+        previous_hook = threading.excepthook
+        threading.excepthook = uncaught.append
+        try:
+            for trial in range(3):
+                scheduler = Scheduler()
+                pool = WorkerPool(scheduler, jobs=2, cache_dir=str(tmp_path))
+                pool.start()
+                try:
+                    job = scheduler.submit(
+                        ProjectSpec(source=MINI_C.replace("3", str(trial))),
+                        AnalysisRequest(),
+                    )
+                    self._wait_running(pool, [job], workers=1)
+                    scheduler.close()
+                    closed_at = time.monotonic()
+                    pool.shutdown(wait=False)
+                    self._wait([job], seconds=15)
+                    # A busy worker is killed at once, not given a grace
+                    # period to stop a job it is still running.
+                    assert time.monotonic() - closed_at < 3.0
+                    assert job.state == "failed"
+                    assert job.error.error == "WorkerCrashed"
+                    assert "attempt(s)" in job.error.message
+                    deadline = time.monotonic() + 10
+                    while pool.alive_dispatchers():
+                        assert time.monotonic() < deadline, "a dispatcher never exited"
+                        time.sleep(0.02)
+                    assert uncaught == []
+                    assert not scheduler.metrics.value(
+                        "repro_faults_total", kind="job_retries"
+                    )
+                    assert pool.worker_pids() == []
+                finally:
+                    scheduler.close()
+                    pool.shutdown(wait=False)
+        finally:
+            threading.excepthook = previous_hook
+            fault_injection.clear()
+
     def test_deterministic_failure_is_not_retried(self, tmp_path):
         """A ReproError travels back typed and burns no retry budget."""
         scheduler = Scheduler()
