@@ -11,7 +11,8 @@ workload —
 — measures phase-level wall-clock time, and appends the result to
 ``BENCH_perf.json`` at the repo root.  Every performance-affecting PR appends
 one entry, so speedups and regressions stay visible across the repo's history,
-and CI replays the workload to catch >20% wall-clock regressions.
+and CI replays the workload to catch changed work counters and >20% wall-clock
+regressions.
 
 Each entry also records an *identity block* (entry WCET/BCET bounds and a
 checksum over every sweep program's bounds).  Two entries with equal identity
@@ -342,16 +343,30 @@ def append_server_record(path: str, record: Dict[str, object]) -> Dict[str, obje
     return history
 
 
+#: Deterministic work counts :func:`check_regression` compares exactly:
+#: ``(name, section of the entry, key)``.
+WORK_COUNTERS = (
+    ("analysis.fixpoint_iterations", "counters", "analysis.fixpoint_iterations"),
+    ("analysis.simplex_pivots", "counters", "analysis.simplex_pivots"),
+    ("cache.tier1_hits", "cache", "tier1_hits"),
+)
+
+
 def check_regression(
     path: str, record: BenchmarkRecord, max_regression: float = 0.20
 ) -> Optional[str]:
     """Compare ``record`` against the committed trajectory.
 
-    Two independent checks:
+    Three independent checks:
 
     * **identity** — against the *latest* entry regardless of machine: the
       sweep checksum is machine-independent, and a perf PR must not silently
       change analysis results;
+    * **work** — :data:`WORK_COUNTERS`, exactly, against the latest entry
+      that recorded counters with the same cold/warm classification.  The
+      counts do not depend on the machine, and a cold run does the same work
+      with or without a persistent store; a change that alters them on
+      purpose appends a new entry;
     * **wall clock** — against the latest entry measured on the *same
       machine fingerprint* with the *same cache mode* (persistent store
       attached, store warm): comparing a laptop's seconds against a CI
@@ -374,6 +389,27 @@ def check_regression(
             "analysis results changed: sweep checksum "
             f"{record.identity['sweep_checksum']} != baseline {latest_checksum}"
         )
+
+    warm = bool(record.cache.get("warm"))
+    work_baseline = next(
+        (
+            entry
+            for entry in reversed(entries)
+            if entry.get("counters")
+            and bool(entry.get("cache", {}).get("warm")) == warm
+        ),
+        None,
+    )
+    if work_baseline is not None:
+        sections = {"counters": record.counters, "cache": record.cache}
+        for name, section, key in WORK_COUNTERS:
+            expected = work_baseline.get(section, {}).get(key)
+            observed = sections[section].get(key)
+            if observed != expected:
+                problems.append(
+                    f"work changed: {name} {observed} != baseline {expected} "
+                    f"({work_baseline.get('label', '?')!r})"
+                )
 
     baseline = next(
         (

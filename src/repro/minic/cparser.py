@@ -19,6 +19,15 @@ from repro.minic.lexer import Token, TokenKind, tokenize
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
+#: Deepest nesting the frontend accepts.  Each statement, each pair of
+#: parentheses and each level of an expression tree counts one level, so a
+#: left-associative chain such as ``x + x + x`` is as deep as it is long.
+#: The parser and the passes after it recurse once or more per level (up to
+#: 16 Python frames per parenthesis), so the limit keeps every accepted
+#: program clear of the interpreter's recursion limit, and the verdict does
+#: not depend on how deep the caller's stack already is.
+MAX_NESTING = 32
+
 #: Binary operator precedence levels, weakest first.
 _BINARY_LEVELS: List[List[str]] = [
     ["||"],
@@ -39,6 +48,10 @@ class _Parser:
         self.tokens = tokens
         self.position = 0
         self.source_name = source_name
+        #: Levels open above the construct being parsed.
+        self.depth = 0
+        #: Height of the expression tree parse_* returned last.
+        self.height = 0
 
     # ------------------------------------------------------------------ #
     # Token helpers
@@ -77,6 +90,20 @@ class _Parser:
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.current.line, self.current.column)
+
+    def enter(self) -> None:
+        """Open one nesting level (closed by ``self.depth -= 1``)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+
+    def grow(self, height: int, token: Token) -> int:
+        """Check an expression tree of ``height`` built at ``token``."""
+        if self.depth + height > MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than {MAX_NESTING} levels", token.line, token.column
+            )
+        return height
 
     # ------------------------------------------------------------------ #
     # Types
@@ -272,6 +299,12 @@ class _Parser:
         return block
 
     def parse_statement(self) -> ast.Stmt:
+        self.enter()
+        statement = self._statement()
+        self.depth -= 1
+        return statement
+
+    def _statement(self) -> ast.Stmt:
         token = self.current
         line = token.line
 
@@ -383,17 +416,24 @@ class _Parser:
     # ------------------------------------------------------------------ #
     def parse_expression(self) -> ast.Expr:
         expr = self.parse_assignment()
+        height = self.height
         while self.current.is_punct(","):
-            self.advance()
+            token = self.advance()
             right = self.parse_assignment()
+            height = self.grow(max(height, self.height) + 1, token)
             expr = ast.BinaryExpr(line=expr.line, op=",", left=expr, right=right)
+        self.height = height
         return expr
 
     def parse_assignment(self) -> ast.Expr:
         target = self.parse_binary(0)
         if self.current.kind is TokenKind.PUNCT and self.current.text in _ASSIGN_OPS:
+            height = self.height
             op_token = self.advance()
+            self.enter()
             value = self.parse_assignment()
+            self.depth -= 1
+            self.height = max(height, self.height) + 1
             op = op_token.text[:-1] if op_token.text != "=" else ""
             return ast.AssignExpr(line=op_token.line, op=op, target=target, value=value)
         if self.current.is_punct("?"):
@@ -405,34 +445,41 @@ class _Parser:
             return self.parse_unary()
         left = self.parse_binary(level + 1)
         operators = _BINARY_LEVELS[level]
+        if self.current.kind is not TokenKind.PUNCT or self.current.text not in operators:
+            return left
+        height = self.height
         while self.current.kind is TokenKind.PUNCT and self.current.text in operators:
             op_token = self.advance()
             right = self.parse_binary(level + 1)
+            height = self.grow(max(height, self.height) + 1, op_token)
             left = ast.BinaryExpr(
                 line=op_token.line, op=op_token.text, left=left, right=right
             )
+        self.height = height
         return left
 
     def parse_unary(self) -> ast.Expr:
         token = self.current
-        if token.is_punct("+", "-", "!", "~", "*", "&"):
+        if token.is_punct("+", "-", "!", "~", "*", "&", "++", "--"):
             self.advance()
+            self.enter()
             operand = self.parse_unary()
+            self.depth -= 1
             if token.text == "+":
                 return operand
-            return ast.UnaryExpr(line=token.line, op=token.text, operand=operand)
-        if token.is_punct("++", "--"):
-            self.advance()
-            operand = self.parse_unary()
+            self.height += 1
             return ast.UnaryExpr(line=token.line, op=token.text, operand=operand)
         if token.is_keyword("sizeof"):
             self.advance()
             self.expect_punct("(")
+            self.enter()
             if self.at_type_specifier():
                 self.parse_pointers(self.parse_type_specifier())
             else:
                 self.parse_expression()
+            self.depth -= 1
             self.expect_punct(")")
+            self.height = 1
             return ast.IntLiteral(line=token.line, value=4)
         # Cast: '(' type ')' unary
         if token.is_punct("(") and self.peek().is_keyword(
@@ -441,7 +488,10 @@ class _Parser:
             self.advance()
             cast_type = self.parse_pointers(self.parse_type_specifier())
             self.expect_punct(")")
+            self.enter()
             operand = self.parse_unary()
+            self.depth -= 1
+            self.height += 1
             cast = ast.UnaryExpr(line=token.line, op="cast", operand=operand)
             cast.ctype = cast_type
             return cast
@@ -449,23 +499,30 @@ class _Parser:
 
     def parse_postfix(self) -> ast.Expr:
         expr = self.parse_primary()
+        height = self.height
         while True:
             token = self.current
             if token.is_punct("["):
                 self.advance()
+                self.enter()
                 index = self.parse_expression()
+                self.depth -= 1
+                height = max(height, self.height)
                 self.expect_punct("]")
                 expr = ast.IndexExpr(line=token.line, base=expr, index=index)
             elif token.is_punct("("):
                 self.advance()
                 arguments: List[ast.Expr] = []
                 if not self.current.is_punct(")"):
+                    self.enter()
                     while True:
                         arguments.append(self.parse_assignment())
+                        height = max(height, self.height)
                         if self.current.is_punct(","):
                             self.advance()
                             continue
                         break
+                    self.depth -= 1
                 self.expect_punct(")")
                 expr = ast.CallExpr(line=token.line, callee=expr, arguments=arguments)
             elif token.is_punct("++", "--"):
@@ -475,22 +532,29 @@ class _Parser:
                 )
             else:
                 break
+            height = self.grow(height + 1, token)
+        self.height = height
         return expr
 
     def parse_primary(self) -> ast.Expr:
         token = self.current
         if token.kind is TokenKind.INT:
             self.advance()
+            self.height = 1
             return ast.IntLiteral(line=token.line, value=int(token.value))
         if token.kind is TokenKind.FLOAT:
             self.advance()
+            self.height = 1
             return ast.FloatLiteral(line=token.line, value=float(token.value))
         if token.kind is TokenKind.IDENT:
             self.advance()
+            self.height = 1
             return ast.Identifier(line=token.line, name=token.text)
         if token.is_punct("("):
             self.advance()
+            self.enter()
             expr = self.parse_expression()
+            self.depth -= 1
             self.expect_punct(")")
             return expr
         raise self.error(f"unexpected token {token.text!r} in expression")

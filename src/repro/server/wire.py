@@ -276,13 +276,14 @@ serialize.register(AnalysisRequest)
 serialize.register(ServerSubmitReply)
 serialize.register(ServerJobStatus)
 serialize.register(ServerEvent)
-# Every knob may be omitted; an unknown knob is an error, except "engine",
-# a knob of older clients that the single execution path no longer has.
+# Every knob may be omitted; an unknown knob is an error, except the retired
+# knobs of older clients, which chose between execution engines and between
+# ILP solvers: this code has one of each.
 serialize.register(
     AnalysisOptions,
     optional=[f.name for f in fields(AnalysisOptions)],
     reject_unknown=True,
-    retired=("engine",),
+    retired=("engine", "ilp_backend"),
 )
 serialize.register(ServerSubmit, optional=("timeout", "trace"))
 serialize.register(ServerError, optional=("retry_after",))

@@ -508,7 +508,7 @@ _BAD_FIELDS: List[Tuple[Tuple[str, ...], object]] = [
     (("request", "options"), {"schema": 1, "kind": "AnalysisOptions",
                               "compute_bcet": 0}),
     (("request", "options"), {"schema": 1, "kind": "AnalysisOptions",
-                              "ilp_backend": 5}),
+                              "strict_indirect": "no"}),
     (("request", "options"), {"schema": 1, "kind": "AnalysisOptions",
                               "max_contexts_per_function": "x"}),
 ]

@@ -1,11 +1,12 @@
 """Path analysis and the top-level WCET analyzer (Figure 1 end-to-end).
 
-* :mod:`repro.wcet.simplex` / :mod:`repro.wcet.ilp` — a self-contained linear
-  and integer-linear programming solver (with an optional scipy backend) used
-  by the IPET path analysis;
+* :mod:`repro.wcet.simplex` / :mod:`repro.wcet.ilp` — the self-contained
+  linear and integer-linear programming solver of the IPET path analysis (a
+  sparse two-phase simplex under branch and bound; no other solver);
 * :mod:`repro.wcet.ipet` — the Implicit Path Enumeration Technique: block and
-  edge frequency variables, structural flow conservation, loop-bound and
-  annotation constraints, maximisation of total execution time;
+  edge counts, structural flow conservation, loop-bound and annotation
+  constraints, presolved into one integer column per class of equal counts,
+  maximisation of total execution time;
 * :mod:`repro.wcet.blocktime` — per-block timing tables combining pipeline,
   cache and memory-map information;
 * :mod:`repro.wcet.contexts` — call-site context sensitivity;
@@ -14,7 +15,7 @@
 * :mod:`repro.wcet.report` — structured analysis reports.
 """
 
-from repro.wcet.ilp import ILPProblem, ILPSolution, LinearExpression, solve_ilp
+from repro.wcet.ilp import ILPSolution, ILPSystem, solve_ilp, solve_ilp_pair
 from repro.wcet.ipet import IPETBuilder, PathAnalysisResult
 from repro.wcet.blocktime import BlockTimeTable
 from repro.wcet.contexts import CallContext
@@ -22,10 +23,10 @@ from repro.wcet.analyzer import AnalysisOptions, WCETAnalyzer
 from repro.wcet.report import FunctionReport, WCETReport, ChallengeReport
 
 __all__ = [
-    "ILPProblem",
     "ILPSolution",
-    "LinearExpression",
+    "ILPSystem",
     "solve_ilp",
+    "solve_ilp_pair",
     "IPETBuilder",
     "PathAnalysisResult",
     "BlockTimeTable",

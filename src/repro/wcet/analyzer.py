@@ -123,8 +123,6 @@ class AnalysisOptions:
     use_data_cache: bool = True
     #: Assume mutable globals still hold their initial values at task entry.
     assume_initial_globals: bool = False
-    #: ILP backend: "auto", "scipy" or "simplex".
-    ilp_backend: str = "auto"
     #: Raise immediately on unresolved indirect branches/calls (tier-one).
     strict_indirect: bool = True
     #: Also compute BCET bounds (cheap; disable for large sweeps).
@@ -484,8 +482,8 @@ class WCETAnalyzer:
             ipet = IPETBuilder(cfg, loops)
             solve_span = obs_trace.begin("simplex-solve", attrs={"function": name})
             if self.options.compute_bcet:
-                # Both objectives share one constraint system (and, under the
-                # bespoke simplex, one phase-1 feasibility basis).
+                # Both objectives share one presolved constraint system and
+                # one phase-1 feasibility basis.
                 wcet_result, bcet_result = ipet.solve_pair(
                     table.wcet_weights(),
                     table.bcet_weights(),
@@ -493,7 +491,6 @@ class WCETAnalyzer:
                     infeasible_blocks=infeasible_blocks,
                     infeasible_edges=infeasible_edges,
                     flow_constraints=flow_constraints,
-                    backend=self.options.ilp_backend,
                 )
                 bcet_cycles = bcet_result.bound_cycles
                 pivots = wcet_result.ilp_pivots + bcet_result.ilp_pivots
@@ -505,7 +502,6 @@ class WCETAnalyzer:
                     infeasible_edges=infeasible_edges,
                     flow_constraints=flow_constraints,
                     maximise=True,
-                    backend=self.options.ilp_backend,
                 )
                 bcet_cycles = 0
                 pivots = wcet_result.ilp_pivots

@@ -1,10 +1,9 @@
 """A small, dependency-free two-phase simplex solver over sparse rows.
 
-The IPET path analysis produces linear programs with a few dozen variables; we
-solve them either with this solver or with scipy's ``linprog`` (HiGHS) backend
-(:mod:`repro.wcet.ilp` chooses).  Having our own implementation keeps the
-library usable without scipy and gives the test-suite a second, independent
-solver to cross-check against.
+This is the only LP solver of the IPET path analysis: after the presolve in
+:mod:`repro.wcet.ipet`, a paper function's system has a handful of columns,
+and :mod:`repro.wcet.ilp` runs branch and bound on top of it.  The library
+needs no scipy; the test suite uses scipy's HiGHS as an independent oracle.
 
 The solver handles problems of the form::
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from repro.errors import CodegenError, ParseError, TypeCheckError
 from repro.ir import Interpreter
 from repro.minic import compile_source, parse_source, tokenize
 from repro.minic import ast
+from repro.minic.cparser import MAX_NESTING
 from repro.minic.lexer import TokenKind
 from repro.minic.typecheck import check_types
 
@@ -95,6 +98,68 @@ class TestParser:
     def test_ternary_is_rejected_with_message(self):
         with pytest.raises(ParseError):
             parse_source("int main(void) { return 1 ? 2 : 3; }")
+
+
+def _deep(shape: str, levels: int) -> str:
+    """A one-line program nested ``levels`` deep in one of four shapes."""
+    return {
+        "parentheses": "int main(void) { return " + "(" * levels + "1" + ")" * levels + "; }",
+        "if-blocks": "int main(void) { int x = 0; " + "if (x) { " * levels + "x = 1;"
+        + " }" * levels + " return x; }",
+        "prefix-not": "int main(void) { int x = 1; return " + "!" * levels + "x; }",
+        "long-sum": "int main(void) { int x = 1; return "
+        + " + ".join(["x"] * levels) + "; }",
+    }[shape]
+
+
+#: Each shape at a depth that used to end in a RecursionError.
+DEEP = {"parentheses": 100, "if-blocks": 200, "prefix-not": 400, "long-sum": 500}
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("shape", sorted(DEEP))
+    def test_deep_nesting_is_a_parse_error(self, shape):
+        with pytest.raises(ParseError, match=r"^1:\d+: nesting deeper than") as excinfo:
+            compile_source(_deep(shape, DEEP[shape]))
+        assert excinfo.value.line == 1 and excinfo.value.column > 0
+
+    @pytest.mark.parametrize("shape", ["parentheses", "prefix-not", "long-sum"])
+    def test_limit_is_independent_of_the_callers_stack(self, shape):
+        """Just below the limit compiles even from a deep stack; just above
+        is refused even from a shallow one."""
+
+        def at_depth(frames, source):
+            if frames:
+                return at_depth(frames - 1, source)
+            return compile_source(source)
+
+        levels = MAX_NESTING - 2
+        at_depth(sys.getrecursionlimit() // 5, _deep(shape, levels))
+        with pytest.raises(ParseError):
+            compile_source(_deep(shape, MAX_NESTING + 1))
+
+    def test_real_programs_stay_below_the_limit(self):
+        from repro.testing.corpus import load_corpus
+        from repro.testing.fuzz import default_presets
+        from repro.testing.generator import generate_case, render_case
+        from repro.workloads.catalog import catalog
+
+        for workload in catalog().values():
+            workload.program()
+        for case in load_corpus():
+            compile_source(case.source)
+        for preset in default_presets():
+            for seed in range(1, 21):
+                compile_source(render_case(generate_case(seed, mix=preset.mix)).source)
+
+    def test_cli_reports_a_typed_error_without_traceback(self, tmp_path, capsys):
+        from repro.api.cli import main as cli_main
+
+        path = tmp_path / "deep.c"
+        path.write_text(_deep("parentheses", DEEP["parentheses"]))
+        assert cli_main(["analyze", "--source", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: 1:") and "Traceback" not in err
 
 
 class TestTypeCheck:

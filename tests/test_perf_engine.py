@@ -23,8 +23,9 @@ from repro.testing import generate_case, run_sweep
 from repro.testing.oracle import OracleConfig
 from repro.wcet import WCETAnalyzer
 from repro.wcet import simplex
-from repro.wcet.ilp import ILPProblem, LinearExpression, solve_ilp_pair
+from repro.wcet.ilp import ILPSystem, solve_ilp, solve_ilp_pair
 from repro.workloads import flight_control
+from test_ilp_oracle import highs
 
 
 NESTED_LOOPS = """
@@ -132,49 +133,27 @@ class TestCopyOnWriteState:
 
 
 class TestSparseSimplex:
-    def _problem(self, maximise: bool) -> ILPProblem:
-        problem = ILPProblem(name="t", maximise=maximise)
-        problem.add_variable("x")
-        problem.add_variable("y")
-        problem.set_objective_coefficient("x", 3.0)
-        problem.set_objective_coefficient("y", 2.0)
-        problem.add_constraint(
-            LinearExpression({"x": 1.0, "y": 1.0}), "<=", 10, name="cap"
-        )
-        problem.add_constraint(
-            LinearExpression({"x": 1.0, "y": -1.0}), "==", 2, name="bal"
-        )
-        return problem
+    # max/min 3x + 2y  s.t.  x + y <= 10,  x - y == 2
+    SYSTEM = ILPSystem(2, a_ub=[{0: 1.0, 1: 1.0}], b_ub=[10.0],
+                       a_eq=[{0: 1.0, 1: -1.0}], b_eq=[2.0])
+    OBJECTIVE = [3.0, 2.0]
 
-    def test_simplex_matches_scipy_backend(self):
+    def test_simplex_matches_highs(self):
         for maximise in (True, False):
-            expected = self._problem(maximise).solve(backend="scipy")
-            actual = self._problem(maximise).solve(backend="simplex")
-            assert actual.objective == pytest.approx(expected.objective)
+            actual = solve_ilp(self.SYSTEM, self.OBJECTIVE, maximise)
+            expected = highs(self.SYSTEM, self.OBJECTIVE, maximise)
+            assert actual.objective == pytest.approx(expected)
 
     def test_solve_pair_matches_independent_solves(self):
-        first, second = self._problem(True), self._problem(False)
-        paired = solve_ilp_pair(first, second, backend="simplex")
+        paired = solve_ilp_pair(self.SYSTEM, self.OBJECTIVE, self.OBJECTIVE)
         independent = (
-            self._problem(True).solve(backend="simplex"),
-            self._problem(False).solve(backend="simplex"),
+            solve_ilp(self.SYSTEM, self.OBJECTIVE, True),
+            solve_ilp(self.SYSTEM, self.OBJECTIVE, False),
         )
         for got, want in zip(paired, independent):
             assert got.objective == want.objective
             assert got.values == want.values
-
-    def test_solve_pair_falls_back_when_systems_differ(self):
-        first = self._problem(True)
-        second = self._problem(False)
-        second.add_constraint(LinearExpression({"x": 1.0}), "<=", 3, name="extra")
-        paired = solve_ilp_pair(first, second, backend="simplex")
-        reference = self._problem(False)
-        reference.add_constraint(LinearExpression({"x": 1.0}), "<=", 3, name="extra")
-        expected = reference.solve(backend="simplex")
-        # The second problem's extra constraint must actually bind — i.e. the
-        # pair helper solved it against its own system, not the first one's.
-        assert paired[1].objective == expected.objective
-        assert paired[1].values == expected.values
+        assert sum(s.pivots for s in paired) < sum(s.pivots for s in independent)
 
     def test_prepared_tableau_is_reusable(self):
         # One phase 1, two different objectives: both must be optimal.
@@ -294,6 +273,45 @@ class TestBenchmarkTrajectory:
         slow_warm.cache = {"enabled": True, "warm": True, "tier2_hits": 100}
         problem = check_regression(path, slow_warm)
         assert problem is not None and "regression" in problem
+
+    def _counted(self, label: str, pivots: int, warm: bool = False):
+        record = self._record(label, 3.0)
+        record.counters = {
+            "analysis.fixpoint_iterations": 140,
+            "analysis.simplex_pivots": pivots,
+        }
+        record.cache = {"enabled": warm, "warm": warm, "tier1_hits": 116}
+        return record
+
+    def test_work_counters_gate_exactly(self, tmp_path):
+        from repro.benchmarks import append_record, check_regression
+
+        path = str(tmp_path / "BENCH_perf.json")
+        append_record(path, self._counted("baseline", 42))
+        # Equal work passes, also with a store attached (still a cold run).
+        assert check_regression(path, self._counted("equal", 42)) is None
+        stored = self._counted("cold with store", 42)
+        stored.cache["enabled"] = True
+        assert check_regression(path, stored) is None
+        problem = check_regression(path, self._counted("more pivots", 43))
+        assert problem is not None
+        assert "analysis.simplex_pivots 43 != baseline 42" in problem
+        fewer_hits = self._counted("fewer hits", 42)
+        fewer_hits.cache["tier1_hits"] = 115
+        assert "cache.tier1_hits 115 != baseline 116" in check_regression(
+            path, fewer_hits
+        )
+
+    def test_work_counters_compared_within_cold_or_warm_only(self, tmp_path):
+        from repro.benchmarks import append_record, check_regression
+
+        path = str(tmp_path / "BENCH_perf.json")
+        append_record(path, self._counted("cold", 42))
+        append_record(path, self._record("no counters", 3.0))
+        # The latest entry has no counters: the cold entry before it gates.
+        assert "simplex_pivots 7" in check_regression(path, self._counted("x", 7))
+        # A warm run has no warm baseline with counters: not compared.
+        assert check_regression(path, self._counted("warm", 0, warm=True)) is None
 
 
 class TestPhaseClock:

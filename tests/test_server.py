@@ -87,8 +87,7 @@ class TestWireRoundTrips:
         ProjectSpec(source=MINI_C, annotations="recursion f 4\n", name="t.c"),
         ProjectSpec(assembly=".func main\n    halt", processor="hcs12x"),
         AnalysisOptions(),
-        AnalysisOptions(ilp_backend="simplex", compute_bcet=False,
-                        max_contexts_per_function=3),
+        AnalysisOptions(compute_bcet=False, max_contexts_per_function=3),
         AnalysisRequest(),
         AnalysisRequest(entry="task", mode="air", error_scenario="single_fault",
                         options=AnalysisOptions(strict_indirect=False),
@@ -160,6 +159,17 @@ class TestWireRoundTrips:
         payload["warp_speed"] = True
         with pytest.raises(SchemaError, match="malformed"):
             from_json(payload)
+
+    @pytest.mark.parametrize("value", ["auto", "scipy", 5])
+    def test_retired_ilp_backend_knob_dropped(self, value):
+        """Every envelope an older client sends carries ``ilp_backend``
+        (the codec writes every field); it loads, whatever the value's type,
+        and equals the same options without it."""
+        options = AnalysisOptions(compute_bcet=False)
+        payload = to_json(options)
+        payload["ilp_backend"] = value
+        assert from_json(payload) == options
+        assert "ilp_backend" not in to_json(from_json(payload))
 
     def test_result_payload_is_plain_analysis_result(self):
         """A finished job's payload is the existing AnalysisResult kind."""
@@ -749,7 +759,7 @@ class TestHTTPEndToEnd:
         [
             ("use_data_cache", "false"),
             ("compute_bcet", 0),
-            ("ilp_backend", 5),
+            ("strict_indirect", "no"),
             ("max_contexts_per_function", "x"),
         ],
     )
@@ -788,6 +798,15 @@ class TestHTTPEndToEnd:
             job.result(timeout=60)
         assert excinfo.value.status == 500
         assert "no-such-workload" in excinfo.value.error.message
+
+    def test_deep_nesting_fails_the_job_with_a_typed_error(self, client):
+        source = "int main(void) { return " + "(" * 100 + "1" + ")" * 100 + "; }"
+        job = client.submit(ProjectSpec(source=source), AnalysisRequest())
+        with pytest.raises(JobFailed) as excinfo:
+            job.result(timeout=60)
+        assert excinfo.value.error.error == "ParseError"
+        assert "nesting deeper than" in excinfo.value.error.message
+        assert "Traceback" not in excinfo.value.error.message
 
     def test_unknown_endpoint_is_404(self, client):
         with pytest.raises(RemoteError) as excinfo:

@@ -22,6 +22,7 @@ from repro.wcet.report import (
     WCETReport,
 )
 from repro.wcet.simplex import SimplexResult, solve_lp
+from test_ilp_oracle import check_single, record
 
 
 class TestSimplexOptimal:
@@ -121,23 +122,25 @@ class TestSimplexUnboundedInfeasible:
 
 
 class TestSimplexCrossCheck:
-    def test_simplex_backend_matches_auto_backend(self, counter_loop_program):
-        """The two ILP backends must agree on a real IPET system."""
+    def test_wcet_only_path_matches_highs_oracle(
+        self, counter_loop_program, monkeypatch
+    ):
+        """With ``compute_bcet=False`` the analyzer takes ``IPETBuilder.solve``
+        on the same presolved system; its bound must equal HiGHS's on the
+        unreduced formulation."""
         from repro.wcet import AnalysisOptions
 
-        processor = simple_scalar()
-        own = WCETAnalyzer(
+        calls = []
+        record(monkeypatch, "solve", calls)
+        report = WCETAnalyzer(
             counter_loop_program,
-            processor,
-            options=AnalysisOptions(ilp_backend="simplex"),
+            simple_scalar(),
+            options=AnalysisOptions(compute_bcet=False),
         ).analyze()
-        auto = WCETAnalyzer(
-            counter_loop_program,
-            processor,
-            options=AnalysisOptions(ilp_backend="auto"),
-        ).analyze()
-        assert own.wcet_cycles == auto.wcet_cycles
-        assert own.bcet_cycles == auto.bcet_cycles
+        full = WCETAnalyzer(counter_loop_program, simple_scalar()).analyze()
+        assert report.wcet_cycles == full.wcet_cycles and calls
+        for call in calls:
+            assert check_single(*call) == []
 
 
 class TestReportRendering:

@@ -12,6 +12,7 @@ from repro.annotations import AnnotationSet
 from repro.errors import (
     CFGError,
     InfeasibleILPError,
+    PathAnalysisError,
     UnboundedILPError,
     UnboundedLoopError,
 )
@@ -20,12 +21,14 @@ from repro.hardware import TraceTimer, leon2_like, simple_scalar
 from repro.ir import Interpreter, parse_assembly
 from repro.wcet import (
     AnalysisOptions,
-    ILPProblem,
+    ILPSystem,
     IPETBuilder,
-    LinearExpression,
     WCETAnalyzer,
+    simplex,
+    solve_ilp,
 )
 from repro.wcet.ipet import ResolvedFlowConstraint
+from test_ilp_oracle import check_pair, full_ipet, highs, record
 
 
 # --------------------------------------------------------------------------- #
@@ -41,57 +44,56 @@ def _knapsack_bruteforce(weights, values, capacity):
     return best
 
 
+def _system(num_columns, ub=(), eq=()):
+    """An ILPSystem from ``(row, bound)`` pairs of ``{column: coefficient}`` rows."""
+    return ILPSystem(
+        num_columns,
+        a_ub=[row for row, _ in ub], b_ub=[bound for _, bound in ub],
+        a_eq=[row for row, _ in eq], b_eq=[bound for _, bound in eq],
+    )
+
+
 class TestILP:
-    @pytest.mark.parametrize("backend", ["scipy", "simplex"])
-    def test_simple_maximisation(self, backend):
-        problem = ILPProblem("t")
-        problem.add_variable("x")
-        problem.add_variable("y")
-        problem.set_objective_coefficient("x", 3)
-        problem.set_objective_coefficient("y", 2)
-        problem.add_constraint(LinearExpression({"x": 1, "y": 1}), "<=", 4)
-        problem.add_constraint(LinearExpression({"x": 1}), "<=", 2)
-        solution = problem.solve(backend=backend)
+    """The in-tree branch and bound, checked by hand and against HiGHS."""
+
+    def test_simple_maximisation(self):
+        system = _system(2, ub=[({0: 1, 1: 1}, 4), ({0: 1}, 2)])
+        solution = solve_ilp(system, [3, 2])
         assert solution.objective == pytest.approx(10)
-        assert solution.int_value("x") == 2 and solution.int_value("y") == 2
+        assert solution.int_value(0) == 2 and solution.int_value(1) == 2
+        assert highs(system, [3, 2], True) == pytest.approx(10)
 
-    @pytest.mark.parametrize("backend", ["scipy", "simplex"])
-    def test_equality_constraints(self, backend):
-        problem = ILPProblem("t")
-        problem.add_variable("a")
-        problem.add_variable("b")
-        problem.set_objective_coefficient("a", 1)
-        problem.set_objective_coefficient("b", 1)
-        problem.add_constraint(LinearExpression({"a": 2, "b": 2}), "<=", 5)
-        problem.add_constraint(LinearExpression({"a": 1, "b": -1}), "==", 0)
-        solution = problem.solve(backend=backend)
+    def test_equality_constraints(self):
+        system = _system(2, ub=[({0: 2, 1: 2}, 5)], eq=[({0: 1, 1: -1}, 0)])
+        solution = solve_ilp(system, [1, 1])
         assert solution.objective == pytest.approx(2)
+        assert highs(system, [1, 1], True) == pytest.approx(2)
 
-    @pytest.mark.parametrize("backend", ["scipy", "simplex"])
-    def test_infeasible_detected(self, backend):
-        problem = ILPProblem("t")
-        problem.add_variable("x")
-        problem.set_objective_coefficient("x", 1)
-        problem.add_constraint(LinearExpression({"x": 1}), ">=", 5)
-        problem.add_constraint(LinearExpression({"x": 1}), "<=", 2)
+    def test_infeasible_detected(self):
+        system = _system(1, ub=[({0: -1}, -5), ({0: 1}, 2)])
         with pytest.raises(InfeasibleILPError):
-            problem.solve(backend=backend)
+            solve_ilp(system, [1])
+        with pytest.raises(InfeasibleILPError):
+            highs(system, [1], True)
 
-    @pytest.mark.parametrize("backend", ["scipy", "simplex"])
-    def test_unbounded_detected(self, backend):
-        problem = ILPProblem("t")
-        problem.add_variable("x")
-        problem.set_objective_coefficient("x", 1)
+    def test_no_integral_point_is_infeasible(self):
+        system = _system(1, eq=[({0: 2}, 1)])
+        with pytest.raises(InfeasibleILPError, match="no integral solution"):
+            solve_ilp(system, [1])
+        with pytest.raises(InfeasibleILPError):
+            highs(system, [1], True)
+
+    def test_unbounded_detected(self):
+        system = _system(1)
         with pytest.raises(UnboundedILPError):
-            problem.solve(backend=backend, integer=False)
+            solve_ilp(system, [1])
+        with pytest.raises(UnboundedILPError):
+            highs(system, [1], True)
 
-    @pytest.mark.parametrize("backend", ["scipy", "simplex"])
-    def test_minimisation(self, backend):
-        problem = ILPProblem("t", maximise=False)
-        problem.add_variable("x")
-        problem.set_objective_coefficient("x", 4)
-        problem.add_constraint(LinearExpression({"x": 1}), ">=", 3)
-        assert problem.solve(backend=backend).objective == pytest.approx(12)
+    def test_minimisation(self):
+        system = _system(1, ub=[({0: -1}, -3)])
+        assert solve_ilp(system, [4], maximise=False).objective == pytest.approx(12)
+        assert highs(system, [4], False) == pytest.approx(12)
 
     @given(
         weights=st.lists(st.integers(1, 9), min_size=2, max_size=5),
@@ -100,30 +102,35 @@ class TestILP:
     )
     @settings(max_examples=30, deadline=None)
     def test_knapsack_matches_bruteforce(self, weights, values, capacity):
+        """0/1 knapsacks have fractional relaxations: the in-tree branch and
+        bound against brute force."""
         n = min(len(weights), len(values))
         weights, values = weights[:n], values[:n]
-        problem = ILPProblem("knapsack")
-        expression = LinearExpression()
-        for index in range(n):
-            name = f"x{index}"
-            problem.add_variable(name, upper=1)
-            problem.set_objective_coefficient(name, values[index])
-            expression.add_term(name, weights[index])
-        problem.add_constraint(expression, "<=", capacity)
-        solution = problem.solve(backend="scipy")
+        system = _system(
+            n,
+            ub=[(dict(enumerate(weights)), capacity)]
+            + [({index: 1}, 1) for index in range(n)],
+        )
+        solution = solve_ilp(system, values)
         assert round(solution.objective) == _knapsack_bruteforce(weights, values, capacity)
 
-    def test_backends_agree_on_lp_relaxation(self):
-        problem = ILPProblem("t")
-        problem.add_variable("x")
-        problem.add_variable("y")
-        problem.set_objective_coefficient("x", 5)
-        problem.set_objective_coefficient("y", 4)
-        problem.add_constraint(LinearExpression({"x": 6, "y": 4}), "<=", 24)
-        problem.add_constraint(LinearExpression({"x": 1, "y": 2}), "<=", 6)
-        a = problem.solve(backend="scipy", integer=False).objective
-        b = problem.solve(backend="simplex", integer=False).objective
-        assert a == pytest.approx(b, rel=1e-6)
+    def test_fractional_relaxation_branches(self):
+        # LP optimum 21 at (3, 1.5); the integral optimum is 20 at (4, 0).
+        system = _system(2, ub=[({0: 6, 1: 4}, 24), ({0: 1, 1: 2}, 6)])
+        relaxation = simplex.solve_sparse_lp([5, 4], system.a_ub, system.b_ub, [], [])
+        assert relaxation.objective == pytest.approx(21)
+        solution = solve_ilp(system, [5, 4])
+        assert solution.objective == pytest.approx(20) and solution.nodes > 1
+        assert highs(system, [5, 4], True) == pytest.approx(20)
+
+    def test_lp_relaxation_matches_highs(self):
+        system = _system(2, ub=[({0: 6, 1: 4}, 24), ({0: 1, 1: 2}, 6)])
+        ours = simplex.solve_sparse_lp([5, 4], system.a_ub, system.b_ub, [], [])
+        optimize = pytest.importorskip("scipy.optimize")
+        theirs = optimize.linprog(
+            c=[-5, -4], A_ub=[[6, 4], [1, 2]], b_ub=[24, 6], method="highs"
+        )
+        assert ours.objective == pytest.approx(-theirs.fun, rel=1e-6)
 
 
 # --------------------------------------------------------------------------- #
@@ -204,6 +211,62 @@ class TestIPET:
         cfg, loops, weights, bounds = self._build()
         result = IPETBuilder(cfg, loops).solve(weights, bounds)
         assert cfg.entry_block in result.worst_case_blocks()
+
+    def test_counts_cover_every_block_and_edge(self):
+        cfg, loops, weights, bounds = self._build()
+        wcet, bcet = IPETBuilder(cfg, loops).solve_pair(weights, weights, bounds)
+        edges = {(edge.source, edge.target) for edge in cfg.edges()}
+        for result in (wcet, bcet):
+            assert set(result.block_counts) == set(cfg.node_ids())
+            assert set(result.edge_counts) == edges
+        assert wcet.block_counts[loops.loops[0].header] == 11  # entry + 10 back edges
+
+    @pytest.mark.parametrize(
+        "facts",
+        [
+            # The entry block runs once, so it cannot be infeasible.
+            lambda cfg: {"infeasible_blocks": [cfg.entry_block]},
+            # No integral count solves 2x = 1.
+            lambda cfg: {"flow_constraints": [ResolvedFlowConstraint(
+                terms=((cfg.node_ids()[2], 2),), relation="==", bound=1)]},
+            # The branch block runs at most 3 and at least 4 times.
+            lambda cfg: {"flow_constraints": [
+                ResolvedFlowConstraint(terms=((cfg.node_ids()[2], 1),), relation="<=", bound=3),
+                ResolvedFlowConstraint(terms=((cfg.node_ids()[2], 1),), relation=">=", bound=4),
+            ]},
+        ],
+    )
+    def test_contradictions_are_infeasible_like_highs(self, facts):
+        cfg, loops, weights, bounds = self._build()
+        builder = IPETBuilder(cfg, loops)
+        with pytest.raises(InfeasibleILPError):
+            builder.solve_pair(weights, weights, bounds, **facts(cfg))
+        with pytest.raises(InfeasibleILPError):
+            builder.solve(weights, bounds, **facts(cfg))
+        system, variables = full_ipet(builder, bounds, **facts(cfg))
+        with pytest.raises(InfeasibleILPError):
+            highs(system, [0.0] * len(variables), True)
+
+    def test_missing_bound_names_the_loop_in_both_entry_points(self):
+        cfg, loops, weights, _ = self._build()
+        header = f"{loops.loops[0].header:#x}"
+        with pytest.raises(UnboundedILPError, match=header):
+            IPETBuilder(cfg, loops).solve_pair(weights, weights, {})
+        with pytest.raises(UnboundedILPError, match=header):
+            IPETBuilder(cfg, loops).solve(weights, {})
+
+    def test_flow_fact_outside_the_cfg_is_a_path_analysis_error(self):
+        cfg, loops, weights, bounds = self._build()
+        outside = ResolvedFlowConstraint(terms=((0xDEAD0, 1),), relation="<=", bound=1)
+        with pytest.raises(PathAnalysisError, match="not in the CFG"):
+            IPETBuilder(cfg, loops).solve_pair(
+                weights, weights, bounds, flow_constraints=[outside]
+            )
+        bad_relation = ResolvedFlowConstraint(
+            terms=((cfg.entry_block, 1),), relation="<", bound=1
+        )
+        with pytest.raises(PathAnalysisError, match="relation"):
+            IPETBuilder(cfg, loops).solve(weights, bounds, flow_constraints=[bad_relation])
 
 
 # --------------------------------------------------------------------------- #
@@ -336,13 +399,12 @@ class TestWCETAnalyzer:
         ).analyze()
         assert sensitive.wcet_cycles < insensitive.wcet_cycles
 
-    def test_ilp_backend_simplex_gives_same_bound(self, counter_loop_program):
-        scipy_bound = WCETAnalyzer(
-            counter_loop_program, simple_scalar(),
-            options=AnalysisOptions(ilp_backend="scipy"),
-        ).analyze().wcet_cycles
-        simplex_bound = WCETAnalyzer(
-            counter_loop_program, simple_scalar(),
-            options=AnalysisOptions(ilp_backend="simplex"),
-        ).analyze().wcet_cycles
-        assert scipy_bound == simplex_bound
+    def test_path_analysis_matches_highs_oracle(
+        self, counter_loop_program, monkeypatch
+    ):
+        calls = []
+        record(monkeypatch, "solve_pair", calls)
+        report = WCETAnalyzer(counter_loop_program, simple_scalar()).analyze()
+        assert report.wcet_cycles > 0 and calls
+        for call in calls:
+            assert check_pair(*call) == []
