@@ -441,9 +441,6 @@ class Interval:
             return self
         return self.meet(Interval(other.lo, None))
 
-    def refine_eq(self, other: "Interval") -> "Interval":
-        return self.meet(other)
-
     def refine_ne(self, other: "Interval") -> "Interval":
         if other.is_constant and self.is_finite:
             if self.lo == other.lo:

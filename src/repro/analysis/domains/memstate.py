@@ -90,16 +90,6 @@ class AbstractValue:
     def constant_value(self) -> Optional[int]:
         return self.interval.constant_value if self.is_constant else None
 
-    @property
-    def is_address(self) -> bool:
-        return bool(self.bases)
-
-    @property
-    def single_base(self) -> Optional[str]:
-        if len(self.bases) == 1:
-            return next(iter(self.bases))
-        return None
-
     # ------------------------------------------------------------------ #
     # Lattice
     # ------------------------------------------------------------------ #
@@ -280,15 +270,6 @@ class AbstractMemory:
         self._materialize()
         for key in keys:
             self._cells[key] = self._cells[key].join(value)
-
-    def clobber_base(self, base: str) -> None:
-        """Forget everything known about cells of ``base``."""
-        if not any(key[0] == base for key in self._cells):
-            return
-        self._cells = {
-            key: value for key, value in self._cells.items() if key[0] != base
-        }
-        self._owned = True
 
     def clobber_all(self, keep_bases: Iterable[str] = ()) -> None:
         """Forget all cells except those with a base in ``keep_bases``."""

@@ -79,18 +79,9 @@ class LoopBoundResult:
     bounds: Dict[int, LoopBound] = field(default_factory=dict)
     failures: Dict[int, LoopBoundFailure] = field(default_factory=dict)
 
-    def bound_for(self, header: int) -> Optional[LoopBound]:
-        return self.bounds.get(header)
-
-    def failure_for(self, header: int) -> Optional[LoopBoundFailure]:
-        return self.failures.get(header)
-
     @property
     def all_bounded(self) -> bool:
         return not self.failures
-
-    def unbounded_headers(self) -> List[int]:
-        return sorted(self.failures)
 
     def add_annotation(self, header: int, max_back_edges: int, detail: str = "") -> None:
         """Install a designer-supplied bound, overriding an analysis failure."""

@@ -67,10 +67,6 @@ class AccessInfo:
     #: True when the pointer value was completely unknown.
     unknown: bool = False
 
-    @property
-    def is_precise(self) -> bool:
-        return self.absolute.is_constant
-
     def span(self) -> Optional[int]:
         return self.absolute.width()
 
@@ -86,15 +82,12 @@ class ValueAnalysisResult:
     iterations: int = 0
     # Query caches: entry states are immutable once the fixpoint is done, so
     # repeated lookups (loop-bound queries probe one register at a time) reuse
-    # one shared unreachable state, one joined state per edge set and one
-    # interval per (block, register) instead of rebuilding them per call.
+    # one shared unreachable state and one joined state per edge set instead
+    # of rebuilding them per call.
     _unreachable: Optional[AbstractState] = field(
         default=None, init=False, repr=False, compare=False
     )
     _edge_join_cache: Dict[Tuple[Tuple[int, int], ...], AbstractState] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _entry_interval_cache: Dict[Tuple[int, str], Interval] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -138,10 +131,6 @@ class ValueAnalysisResult:
             self._edge_join_cache[key] = cached
         return cached
 
-    def edge_is_feasible(self, source: int, target: int) -> bool:
-        state = self.edge_out.get((source, target))
-        return state is not None and state.reachable
-
     def infeasible_edges(self) -> List[Tuple[int, int]]:
         return [
             edge for edge, state in self.edge_out.items() if not state.reachable
@@ -154,17 +143,6 @@ class ValueAnalysisResult:
             for block, state in self.block_in.items()
             if not state.reachable
         ]
-
-    def access_for(self, instruction_address: int) -> Optional[AccessInfo]:
-        return self.accesses.get(instruction_address)
-
-    def register_interval_at_block_entry(self, block_id: int, register: str) -> Interval:
-        key = (block_id, register)
-        cached = self._entry_interval_cache.get(key)
-        if cached is None:
-            cached = self.state_at_block_entry(block_id).get(register).interval
-            self._entry_interval_cache[key] = cached
-        return cached
 
 
 #: Compiled per-block transfer kernels, shared process-wide and keyed by

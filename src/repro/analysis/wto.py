@@ -54,15 +54,6 @@ class WeakTopologicalOrder:
     def is_head(self, node: int) -> bool:
         return node in self.components
 
-    def component_of(self, node: int) -> Optional[int]:
-        """Head of the innermost component containing ``node`` (or ``None``)."""
-        best: Optional[int] = None
-        best_size = None
-        for head, members in self.components.items():
-            if node in members and (best_size is None or len(members) < best_size):
-                best, best_size = head, len(members)
-        return best
-
     def __len__(self) -> int:
         return len(self.positions)
 

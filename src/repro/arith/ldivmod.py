@@ -53,9 +53,6 @@ class DivisionResult:
     remainder: int
     iterations: int
 
-    def as_tuple(self) -> tuple:
-        return (self.quotient, self.remainder)
-
 
 def ldivmod(dividend: int, divisor: int) -> DivisionResult:
     """Divide two 32-bit unsigned integers, counting approximation iterations.
@@ -105,17 +102,3 @@ def ldivmod(dividend: int, divisor: int) -> DivisionResult:
             break
 
     return DivisionResult(quotient, remainder, iterations)
-
-
-def ldivmod_iterations(dividend: int, divisor: int) -> int:
-    """Convenience accessor used by the sampling harness."""
-    return ldivmod(dividend, divisor).iterations
-
-
-def worst_case_inputs() -> tuple:
-    """An input pair that exercises (close to) the worst observed behaviour.
-
-    A maximal dividend with the smallest legal divisor forces the estimate
-    loop to rebuild the full 32-bit quotient out of 16-bit chunks.
-    """
-    return (UINT32_MASK, 1)

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.arith.ldivmod import ldivmod
 
 #: Bucket boundaries exactly as printed in Table 1 of the paper
@@ -133,6 +131,10 @@ def sample_iteration_histogram(
     to show its degenerate single-bar histogram).  Zero divisors are skipped
     (re-drawn), matching the paper's setup of valid division inputs.
     """
+    # Imported here: the analyzer imports this package through the workload
+    # catalog, and only this sampler needs numpy.
+    import numpy as np
+
     histogram = IterationHistogram(samples=samples, seed=seed)
     generator = np.random.Generator(np.random.PCG64(seed))
     remaining = samples

@@ -27,7 +27,6 @@ _FRAC_BITS = 23
 _FRAC_MASK = (1 << _FRAC_BITS) - 1
 _EXP_BIAS = 127
 _QNAN = 0x7FC0_0000
-_INF = 0x7F80_0000
 
 
 def float_to_bits(value: float) -> int:

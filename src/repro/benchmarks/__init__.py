@@ -326,23 +326,6 @@ def append_record(path: str, record: BenchmarkRecord) -> Dict[str, object]:
     return history
 
 
-def append_server_record(path: str, record: Dict[str, object]) -> Dict[str, object]:
-    """Append a server load-benchmark entry (``benchmarks/bench_server.py``).
-
-    Server throughput measurements live under their own ``server_entries``
-    key: they measure a different workload shape (concurrent clients vs the
-    serial macro workload), and :func:`check_regression` anchors its identity
-    check on the *latest* macro entry — mixing the two lists would silently
-    disable that guard.
-    """
-    history = load_history(path)
-    history.setdefault("server_entries", []).append(record)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(history, handle, indent=2)
-        handle.write("\n")
-    return history
-
-
 #: Deterministic work counts :func:`check_regression` compares exactly:
 #: ``(name, section of the entry, key)``.
 WORK_COUNTERS = (

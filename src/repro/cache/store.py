@@ -221,11 +221,6 @@ class SummaryStore:
             self._sigs[bucket] = self._file_sig(bucket)
 
     # ------------------------------------------------------------------ #
-    def drop_page_cache(self) -> None:
-        """Forget loaded buckets (tests use this to force re-reads)."""
-        self.flush()
-        self._pages.clear()
-
     def __len__(self) -> int:
         """Number of bucket files currently on disk."""
         return sum(1 for name in os.listdir(self.path) if name.endswith(".pkl"))

@@ -51,9 +51,6 @@ class CallGraph:
     def call_sites_in(self, function: str) -> List[CallSite]:
         return [site for site in self.call_sites if site.caller == function]
 
-    def call_sites_of(self, callee: str) -> List[CallSite]:
-        return [site for site in self.call_sites if site.callee == callee]
-
     def reachable_from(self, function: Optional[str] = None) -> Set[str]:
         """Functions transitively reachable from ``function`` (default: entry)."""
         start = function or self.entry

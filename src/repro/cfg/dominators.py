@@ -31,20 +31,8 @@ class DominatorInfo:
             node = self.idom.get(node)
         return False
 
-    def strictly_dominates(self, a: int, b: int) -> bool:
-        return a != b and self.dominates(a, b)
-
     def immediate_dominator(self, node: int) -> Optional[int]:
         return self.idom.get(node)
-
-    def dominators_of(self, node: int) -> List[int]:
-        """All dominators of ``node`` from the node itself up to the entry."""
-        result: List[int] = []
-        current: Optional[int] = node
-        while current is not None:
-            result.append(current)
-            current = self.idom.get(current)
-        return result
 
     def dominator_tree_children(self) -> Dict[int, List[int]]:
         children: Dict[int, List[int]] = {}

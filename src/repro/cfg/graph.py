@@ -99,9 +99,6 @@ class BasicBlock:
         """All (direct and indirect) call instructions of this block."""
         return [instr for instr in self.instructions if instr.is_call]
 
-    def memory_instructions(self) -> List[Instruction]:
-        return [instr for instr in self.instructions if instr.is_memory_access]
-
     def addresses(self) -> List[int]:
         return [instr.address for instr in self.instructions]
 
@@ -189,9 +186,6 @@ class ControlFlowGraph:
     def out_edges(self, node: int) -> List[Edge]:
         return list(self._successors.get(node, []))
 
-    def in_edges(self, node: int) -> List[Edge]:
-        return list(self._predecessors.get(node, []))
-
     def edges(self) -> List[Edge]:
         result: List[Edge] = []
         for edges in self._successors.values():
@@ -260,20 +254,6 @@ class ControlFlowGraph:
 
         visit(ENTRY)
         order.reverse()
-        return order
-
-    def depth_first_order(self) -> List[int]:
-        """Preorder DFS over real blocks from the entry block."""
-        seen: Set[int] = set()
-        order: List[int] = []
-        stack = [self.entry_block]
-        while stack:
-            node = stack.pop()
-            if node in seen or node in (ENTRY, EXIT):
-                continue
-            seen.add(node)
-            order.append(node)
-            stack.extend(reversed(self.successors(node)))
         return order
 
     # ------------------------------------------------------------------ #

@@ -105,9 +105,6 @@ class LoopForest:
                     best = loop
         return best
 
-    def loops_containing(self, block: int) -> List[Loop]:
-        return [loop for loop in self.loops if block in loop.blocks]
-
     def headers(self) -> List[int]:
         return [loop.header for loop in self.loops]
 

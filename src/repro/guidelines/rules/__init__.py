@@ -65,10 +65,6 @@ def modified_variable_names(node: object) -> Set[str]:
     return result
 
 
-def identifiers_in(node: object) -> List[ast.Identifier]:
-    return [child for child in ast.walk(node) if isinstance(child, ast.Identifier)]
-
-
 def calls_in(node: object) -> List[ast.CallExpr]:
     return [child for child in ast.walk(node) if isinstance(child, ast.CallExpr)]
 
@@ -89,7 +85,3 @@ def expression_uses_float(expr: Optional[ast.Expr]) -> bool:
         if isinstance(child, ast.FloatLiteral):
             return True
     return False
-
-
-def statements_of_block(block: ast.CompoundStmt) -> List[ast.Stmt]:
-    return [item for item in block.statements if isinstance(item, ast.Stmt)]

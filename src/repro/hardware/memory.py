@@ -112,9 +112,6 @@ class MemoryMap:
         may_be_cached = any(module.cached for module in modules)
         return min(latencies), max(latencies), may_be_cached
 
-    def worst_case_latency(self, interval: Interval, is_load: bool) -> int:
-        return self.latency_bounds(interval, is_load)[1]
-
     def slowest_module(self) -> MemoryModule:
         return max(self.modules, key=lambda m: max(m.read_latency, m.write_latency))
 

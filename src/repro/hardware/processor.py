@@ -47,12 +47,6 @@ class ProcessorConfig:
     def latency_of(self, op_class: OpClass) -> int:
         return self.op_latencies[op_class]
 
-    def with_caches(
-        self, icache: Optional[CacheConfig], dcache: Optional[CacheConfig]
-    ) -> "ProcessorConfig":
-        """A copy of this configuration with different cache geometry."""
-        return replace(self, icache=icache, dcache=dcache)
-
     def without_caches(self) -> "ProcessorConfig":
         return replace(self, icache=None, dcache=None)
 

@@ -68,7 +68,10 @@ def _strip_comment(line: str) -> str:
 
 def _parse_number(token: str, line_no: int):
     if _INT_RE.match(token):
-        return int(token, 0)
+        try:
+            return int(token, 0)
+        except ValueError as exc:  # a leading zero, as in "08"
+            raise AssemblyError(f"bad number {token!r}", line_no) from exc
     if _FLOAT_RE.match(token):
         return float(token)
     raise AssemblyError(f"expected a number, got {token!r}", line_no)

@@ -46,9 +46,6 @@ ARGUMENT_REGISTERS = ("r3", "r4", "r5", "r6", "r7", "r8", "r9", "r10")
 #: Register holding a function's return value.
 RETURN_VALUE_REGISTER = "r3"
 
-#: Callee-saved registers (preserved across calls by the code generator).
-CALLEE_SAVED_REGISTERS = tuple(f"r{i}" for i in range(14, 29))
-
 #: Caller-saved scratch registers.
 CALLER_SAVED_REGISTERS = tuple(f"r{i}" for i in range(3, 14))
 
@@ -356,10 +353,6 @@ class Instruction:
         return self.opcode in TERMINATOR_OPCODES
 
     @property
-    def is_branch(self) -> bool:
-        return self.opcode in (Opcode.BR, Opcode.BT, Opcode.BF, Opcode.IBR)
-
-    @property
     def is_conditional_branch(self) -> bool:
         return self.opcode in CONDITIONAL_BRANCHES
 
@@ -439,9 +432,6 @@ class Instruction:
         clone.__dict__.update(self.__dict__)
         clone.__dict__["address"] = address
         return clone
-
-    def with_label(self, label: str) -> "Instruction":
-        return replace(self, label=label)
 
     # ------------------------------------------------------------------ #
     # Rendering

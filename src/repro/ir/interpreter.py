@@ -88,12 +88,6 @@ class ExecutionTrace:
     block_counts: Dict[int, int] = field(default_factory=dict)
     call_counts: Dict[str, int] = field(default_factory=dict)
 
-    def record_instruction(self, address: int) -> None:
-        self.instruction_addresses.append(address)
-
-    def record_access(self, access: MemoryAccess) -> None:
-        self.memory_accesses.append(access)
-
     @property
     def length(self) -> int:
         return len(self.instruction_addresses)
@@ -109,9 +103,6 @@ class ExecutionResult:
     registers: Dict[str, Number]
     trace: ExecutionTrace
     function_name: str
-
-    def executed_addresses(self) -> List[int]:
-        return self.trace.instruction_addresses
 
 
 class MachineState:
@@ -163,9 +154,6 @@ class MachineState:
         mask = 0xFF << shift
         new = (to_unsigned(word) & ~mask) | ((value & 0xFF) << shift)
         self._memory[base] = to_signed(new)
-
-    def dump_memory(self) -> Dict[int, Number]:
-        return dict(self._memory)
 
 
 @dataclass

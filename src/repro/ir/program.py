@@ -318,9 +318,6 @@ class Program:
             return self.function_at(address).instruction_at(address)
         return instruction
 
-    def entry_function(self) -> Function:
-        return self.function(self.entry)
-
     def __iter__(self) -> Iterator[Function]:
         return iter(self._functions.values())
 
@@ -389,10 +386,6 @@ class Program:
             (name, obj.address) for name, obj in self._data.items()
         )
 
-    @property
-    def is_laid_out(self) -> bool:
-        return self._laid_out
-
     def ensure_layout(self) -> None:
         if not self._laid_out:
             self.layout()
@@ -454,9 +447,6 @@ class Program:
     # ------------------------------------------------------------------ #
     # Statistics & rendering
     # ------------------------------------------------------------------ #
-    def code_size(self) -> int:
-        return sum(f.size for f in self._functions.values())
-
     def instruction_count(self) -> int:
         return sum(len(f) for f in self._functions.values())
 

@@ -33,10 +33,6 @@ class ScalarType:
     def is_unsigned(self) -> bool:
         return self.name == "unsigned"
 
-    @property
-    def is_void(self) -> bool:
-        return self.name == "void"
-
     def __str__(self) -> str:
         return self.name
 

@@ -656,9 +656,6 @@ class _FunctionEmitter:
         raise CodegenError(f"cannot generate access to {expr.name!r}")
 
     # ------------------------------------------------------------------ #
-    def _element_size(self, base_type: Optional[ast.Type]) -> int:
-        return WORD_SIZE
-
     def _emit_address(self, expr: ast.Expr) -> Tuple[_Value, bool]:
         """Produce a register holding the address of an lvalue expression.
 

@@ -274,10 +274,6 @@ class _Emitter:
         #: candidate-target tuple of one ``icall``-to-be.
         self.fnptr_sites: List[Tuple[str, ...]] = []
 
-    @property
-    def next_line(self) -> int:
-        return len(self.lines) + 1
-
     def emit(self, indent: int, text: str) -> int:
         self.lines.append("    " * indent + text)
         return len(self.lines)

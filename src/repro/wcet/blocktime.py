@@ -71,9 +71,5 @@ class BlockTimeTable:
         return {block_id: self.total_bcet(block_id) for block_id in self.times}
 
     # ------------------------------------------------------------------ #
-    def straight_line_wcet(self) -> int:
-        """Sum of all block WCETs — a trivial upper bound used in sanity checks."""
-        return sum(self.total_wcet(block_id) for block_id in self.times)
-
     def __len__(self) -> int:
         return len(self.times)

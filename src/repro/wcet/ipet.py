@@ -77,9 +77,6 @@ class PathAnalysisResult:
     #: solved together, the shared phase 1 is counted on the WCET result.
     ilp_pivots: int = 0
 
-    def count_of(self, block_id: int) -> int:
-        return self.block_counts.get(block_id, 0)
-
     def worst_case_blocks(self) -> List[int]:
         """Blocks on the critical path (non-zero execution count), sorted."""
         return sorted(block for block, count in self.block_counts.items() if count > 0)

@@ -102,8 +102,10 @@ def _densify(
         dense[column] = value
     rows[r] = dense
     dense_rows.add(r)
-    for members in col_rows.values():
-        members.discard(r)
+    # A sparse row never loses a key, so it is registered exactly under the
+    # columns it holds.
+    for column in row:
+        col_rows[column].discard(r)
 
 
 def _pivot(

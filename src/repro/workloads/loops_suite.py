@@ -1,9 +1,10 @@
 """Loop-structure variant pairs for MISRA rules 13.4, 13.6, 14.1, 14.4, 14.5.
 
 Each experiment compares a *violating* variant with a *conforming* rewrite of
-the same computation, so the benchmarks can show what the violation costs the
-WCET analysis: no automatic bound at all (13.4, 13.6, 14.4), extra analysed
-paths (14.1), or — the paper's counterpoint — nothing at all (14.5).
+the same computation, so ``tests/test_paper_claims.py`` can show what the
+violation costs the WCET analysis: no automatic bound at all (13.4, 13.6,
+14.4), extra analysed paths (14.1), or — the paper's counterpoint — nothing
+at all (14.5).
 """
 
 from __future__ import annotations

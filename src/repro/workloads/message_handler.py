@@ -77,8 +77,8 @@ def annotations(with_length_bound: bool = True, with_exclusion: bool = True) -> 
 
     ``with_length_bound`` adds the argument-range fact ``length in [0, 16]``
     (bounds both copy loops); ``with_exclusion`` adds the read/write mutual
-    exclusion.  Disabling them lets the benchmarks show the cost of not
-    documenting each piece of information.
+    exclusion.  Disabling them shows the cost of not documenting each piece
+    of information (``tests/test_paper_claims.py``).
     """
     annotation_set = AnnotationSet()
     if with_length_bound:

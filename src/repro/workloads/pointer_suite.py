@@ -142,14 +142,6 @@ def static_program() -> Program:
     return compile_source(STATIC_BUFFER_SOURCE)
 
 
-def longjmp_program() -> Program:
-    return compile_source(LONGJMP_SOURCE)
-
-
-def structured_error_program() -> Program:
-    return compile_source(STRUCTURED_ERROR_SOURCE)
-
-
 def device_driver_program(entry: str = "can_driver") -> Program:
     return compile_source(DEVICE_DRIVER_SOURCE, entry=entry)
 

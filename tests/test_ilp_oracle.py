@@ -337,17 +337,31 @@ class TestReportIdentityIgnoresHashSeed:
         assert first == second
 
 
+@pytest.fixture(scope="module")
+def runtime_imports():
+    """The flight-control bound and the top-level packages a fresh process
+    holds after analysing flight-control in all modes and importing the
+    server."""
+    code = (
+        "import sys, json\n"
+        "from repro.api import AnalysisRequest, AnalysisService, Project\n"
+        "import repro.server.http\n"
+        "project = Project.from_workload('flight-control', cache='off')\n"
+        "result = AnalysisService(project).analyze(AnalysisRequest(all_modes=True))\n"
+        "print(json.dumps({'wcet': result.report.wcet_cycles,\n"
+        "                  'packages': sorted({m.split('.')[0] for m in sys.modules})}))\n"
+    )
+    output = json.loads(_run_python(code).strip().splitlines()[-1])
+    assert output["wcet"] == 2514
+    return output["packages"]
+
+
 class TestNoScipyAtRuntime:
-    def test_analysis_and_server_never_import_scipy(self):
-        code = (
-            "import sys, json\n"
-            "from repro.api import AnalysisRequest, AnalysisService, Project\n"
-            "import repro.server.http\n"
-            "project = Project.from_workload('flight-control', cache='off')\n"
-            "result = AnalysisService(project).analyze(AnalysisRequest(all_modes=True))\n"
-            "print(json.dumps({'wcet': result.report.wcet_cycles,\n"
-            "                  'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n"
-        )
-        output = json.loads(_run_python(code).strip().splitlines()[-1])
-        assert output["wcet"] == 2514
-        assert output["scipy"] == []
+    def test_analysis_and_server_never_import_scipy(self, runtime_imports):
+        assert "scipy" not in runtime_imports
+
+
+class TestNoNumpyAtRuntime:
+    def test_analysis_and_server_never_import_numpy(self, runtime_imports):
+        """Only the Table 1 sampler (``repro.arith.sampling``) uses numpy."""
+        assert "numpy" not in runtime_imports

@@ -235,6 +235,10 @@ class TestAssembler:
             parse_assembly(".func main\n    frobnicate r1\n    halt\n")
         assert "line 2" in str(excinfo.value)
 
+    def test_leading_zero_literal_is_an_assembly_error(self):
+        with pytest.raises(AssemblyError, match=r"line 2: bad number '08'"):
+            parse_assembly(".func main\n    mov r4, 08\n    halt\n")
+
     def test_instruction_outside_function_rejected(self):
         with pytest.raises(AssemblyError):
             parse_assembly("mov r1, 2\n")

@@ -808,6 +808,16 @@ class TestHTTPEndToEnd:
         assert "nesting deeper than" in excinfo.value.error.message
         assert "Traceback" not in excinfo.value.error.message
 
+    def test_bad_assembly_literal_fails_the_job_with_a_typed_error(self, client):
+        job = client.submit(
+            ProjectSpec(assembly=".func main\n    mov r4, 08\n    halt\n"),
+            AnalysisRequest(),
+        )
+        with pytest.raises(JobFailed) as excinfo:
+            job.result(timeout=60)
+        assert excinfo.value.error.error == "AssemblyError"
+        assert excinfo.value.error.message == "line 2: bad number '08'"
+
     def test_unknown_endpoint_is_404(self, client):
         with pytest.raises(RemoteError) as excinfo:
             client._call("GET", "/v2/nope")
