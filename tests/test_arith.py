@@ -73,6 +73,7 @@ class TestSamplingHarness:
         """Table 1 at the default seed: the exact histogram, and the paper's
         prose claims around it."""
         histogram = sample_iteration_histogram(samples=200_000)
+        assert histogram.samples == 200_000
         assert sum(histogram.counts.values()) == 200_000
         pinned = {"1": 199_982, "2": 17, "4 .. 9": 1}
         assert histogram.bucketed() == [

@@ -202,7 +202,6 @@ class TestMisraRules:
         recursive = functions_suite.recursive_program()
         with pytest.raises(CFGError):
             _analyze(recursive)
-        assert functions_suite.RECURSION_DEPTH + 1 == 9
         shallow = _wcet(recursive, annotations=functions_suite.recursion_annotations())
         deep = _wcet(recursive, annotations=functions_suite.recursion_annotations(depth=32))
         automatic = _wcet(functions_suite.iterative_program())
