@@ -159,9 +159,17 @@ class MustMayCacheState:
         return MustMayCacheState(self.config, must, may)
 
     def includes(self, other: "MustMayCacheState") -> bool:
-        """True if ``self`` is less precise than (or equal to) ``other``."""
-        joined = self.join(other)
-        return joined == self
+        """True if ``self`` is less precise than (or equal to) ``other``:
+        ``self.join(other) == self``, decided without building the join."""
+        other_must = other.must
+        for line, age in self.must.items():
+            if other_must.get(line, age + 1) > age:
+                return False
+        may = self.may
+        for line, age in other.may.items():
+            if may.get(line, age + 1) > age:
+                return False
+        return True
 
 
 @dataclass
@@ -248,13 +256,22 @@ class InstructionCacheAnalysis(_AbstractCacheAnalysis):
 
     def _process_block(self, block_id: int, state: MustMayCacheState) -> None:
         block = self.cfg.block(block_id)
+        previous = None
         for instr in block.instructions:
             line = self.config.line_of(instr.address)
-            self._record(instr.address, state.classify(line))
-            state.access_line(line)
+            if line == previous:
+                # The line just fetched is at age 0 in the must cache and the
+                # only age-0 line of its set in the may cache: fetching it
+                # again hits and changes nothing.
+                self._record(instr.address, CacheClassification.ALWAYS_HIT)
+            else:
+                self._record(instr.address, state.classify(line))
+                state.access_line(line)
+                previous = line
             if instr.is_call and self.calls_clobber:
                 # The callee's fetches evict an unknown set of lines.
                 state.clobber()
+                previous = None
 
 
 class DataCacheAnalysis(_AbstractCacheAnalysis):

@@ -12,7 +12,7 @@ best-case latency over them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TimingAnalysisError
 from repro.analysis.domains.interval import Interval
@@ -56,7 +56,8 @@ class MemoryMap:
     """An ordered collection of non-overlapping memory modules."""
 
     def __init__(self, modules: Sequence[MemoryModule]):
-        self.modules: List[MemoryModule] = sorted(modules, key=lambda m: m.base)
+        self.modules: Tuple[MemoryModule, ...] = tuple(sorted(modules, key=lambda m: m.base))
+        self._latency_memo: Dict[Tuple[Interval, bool], Tuple[int, int, bool]] = {}
         for first, second in zip(self.modules, self.modules[1:]):
             if first.end > second.base:
                 raise TimingAnalysisError(
@@ -100,17 +101,25 @@ class MemoryMap:
         (what the WCET analysis charges); ``best`` the minimum (for BCET);
         ``may_be_cached`` is False only if *no* possibly-touched module is
         cached, in which case the cache analysis ignores the access.
+        Memoised per ``(interval, is_load)``: the modules never change.
         """
+        key = (interval, is_load)
+        bounds = self._latency_memo.get(key)
+        if bounds is not None:
+            return bounds
         modules = self.modules_for_interval(interval)
         if not modules:
             # An infeasible access contributes nothing.
-            return 0, 0, False
-        if is_load:
-            latencies = [module.read_latency for module in modules]
+            bounds = 0, 0, False
         else:
-            latencies = [module.write_latency for module in modules]
-        may_be_cached = any(module.cached for module in modules)
-        return min(latencies), max(latencies), may_be_cached
+            if is_load:
+                latencies = [module.read_latency for module in modules]
+            else:
+                latencies = [module.write_latency for module in modules]
+            may_be_cached = any(module.cached for module in modules)
+            bounds = min(latencies), max(latencies), may_be_cached
+        self._latency_memo[key] = bounds
+        return bounds
 
     def slowest_module(self) -> MemoryModule:
         return max(self.modules, key=lambda m: max(m.read_latency, m.write_latency))

@@ -397,5 +397,5 @@ class ProgramBuilder:
             program.add_function(self._functions[name].build())
         for obj in self._data:
             program.add_data(obj)
-        program.validate()
+        program.validate(functions_checked=True)
         return program

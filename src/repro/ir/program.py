@@ -390,10 +390,12 @@ class Program:
         if not self._laid_out:
             self.layout()
 
-    def validate(self) -> None:
+    def validate(self, *, functions_checked: bool = False) -> None:
         """Validate every function and the entry point, then lay out.
 
-        Validation is structural and the program is immutable once built (any
+        ``functions_checked`` skips re-validating the functions themselves,
+        for a builder that validated each one as it built it.  Validation is
+        structural and the program is immutable once built (any
         ``add_function``/``add_data`` resets the flag), so repeated calls —
         one per interpreter construction in a differential sweep — are
         answered from the cached verdict.
@@ -403,7 +405,8 @@ class Program:
         if self.entry not in self._functions:
             raise IRError(f"entry function {self.entry!r} is not defined")
         for function in self._functions.values():
-            function.validate()
+            if not functions_checked:
+                function.validate()
             for instr in function.instructions:
                 target = instr.call_target()
                 if target is not None and target not in self._functions:

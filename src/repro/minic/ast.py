@@ -284,6 +284,10 @@ class FunctionDef:
     variadic: bool = False
     body: Optional[CompoundStmt] = None
     line: int = 0
+    #: The body's local declarations and labels, in the pre-order ``walk``
+    #: yields them; the parser records them as it creates them.
+    locals: List[VarDecl] = field(default_factory=list)
+    labels: List[LabelStmt] = field(default_factory=list)
 
     @property
     def is_prototype(self) -> bool:
@@ -325,9 +329,10 @@ class CompilationUnit:
 # Generic traversal helpers (used by the guideline checker)
 # --------------------------------------------------------------------------- #
 #: Attributes that hold *references* to other nodes (resolved declarations,
-#: computed types) rather than syntactic children; traversals must not follow
-#: them or globals would appear "inside" every function that mentions them.
-_NON_CHILD_ATTRIBUTES = {"decl", "ctype"}
+#: computed types, a function's recorded locals and labels) rather than
+#: syntactic children; traversals must not follow them or globals would
+#: appear "inside" every function that mentions them.
+_NON_CHILD_ATTRIBUTES = {"decl", "ctype", "locals", "labels"}
 
 
 #: Per-class cache of the attribute names a traversal must look at.  AST

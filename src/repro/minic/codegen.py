@@ -222,14 +222,6 @@ class _FunctionEmitter:
     # ------------------------------------------------------------------ #
     # Frame layout
     # ------------------------------------------------------------------ #
-    def _collect_locals(self) -> List[ast.VarDecl]:
-        declarations: List[ast.VarDecl] = []
-        if self.function.body is not None:
-            for node in ast.walk(self.function.body):
-                if isinstance(node, ast.VarDecl):
-                    declarations.append(node)
-        return declarations
-
     def _assign_homes(self) -> None:
         available = list(HOME_REGISTERS)
         stack_offset = 0
@@ -251,7 +243,7 @@ class _FunctionEmitter:
                 home.stack_offset = alloc_stack(WORD_SIZE)
             self.homes[id(parameter)] = home
 
-        for declaration in self._collect_locals():
+        for declaration in self.function.locals:
             var_type = declaration.var_type
             home = _VariableHome(name=declaration.name, var_type=var_type)
             if isinstance(var_type, ast.ArrayType):

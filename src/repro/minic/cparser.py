@@ -22,25 +22,20 @@ _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="
 #: Deepest nesting the frontend accepts.  Each statement, each pair of
 #: parentheses and each level of an expression tree counts one level, so a
 #: left-associative chain such as ``x + x + x`` is as deep as it is long.
-#: The parser and the passes after it recurse once or more per level (up to
-#: 16 Python frames per parenthesis), so the limit keeps every accepted
+#: The parser and the passes after it recurse once or more per level (about
+#: 6 Python frames per parenthesis), so the limit keeps every accepted
 #: program clear of the interpreter's recursion limit, and the verdict does
-#: not depend on how deep the caller's stack already is.
+#: not depend on how deep the caller's stack already is.  The frames would
+#: allow a higher limit now, but the limit decides which programs are
+#: accepted, and it stays 32 so that no program's verdict changes.
 MAX_NESTING = 32
 
-#: Binary operator precedence levels, weakest first.
-_BINARY_LEVELS: List[List[str]] = [
-    ["||"],
-    ["&&"],
-    ["|"],
-    ["^"],
-    ["&"],
-    ["==", "!="],
-    ["<", ">", "<=", ">="],
-    ["<<", ">>"],
-    ["+", "-"],
-    ["*", "/", "%"],
-]
+#: Binary operator -> precedence, weakest first.
+_BINARY_PRECEDENCE = {
+    "||": 0, "&&": 1, "|": 2, "^": 3, "&": 4, "==": 5, "!=": 5,
+    "<": 6, ">": 6, "<=": 6, ">=": 6, "<<": 7, ">>": 7,
+    "+": 8, "-": 8, "*": 9, "/": 9, "%": 9,
+}
 
 
 class _Parser:
@@ -52,6 +47,9 @@ class _Parser:
         self.depth = 0
         #: Height of the expression tree parse_* returned last.
         self.height = 0
+        #: Local declarations and labels of the function being parsed.
+        self.locals: List[ast.VarDecl] = []
+        self.labels: List[ast.LabelStmt] = []
 
     # ------------------------------------------------------------------ #
     # Token helpers
@@ -235,6 +233,7 @@ class _Parser:
         self.expect_punct(")")
 
         body: Optional[ast.CompoundStmt] = None
+        self.locals, self.labels = [], []
         if self.current.is_punct("{"):
             body = self.parse_compound()
         else:
@@ -246,6 +245,8 @@ class _Parser:
             variadic=variadic,
             body=body,
             line=line,
+            locals=self.locals,
+            labels=self.labels,
         )
 
     # ------------------------------------------------------------------ #
@@ -287,6 +288,7 @@ class _Parser:
             declarations.append(
                 ast.VarDecl(line=line, name=name, var_type=var_type, init=init)
             )
+            self.locals.append(declarations[-1])
             if self.current.is_punct(","):
                 self.advance()
                 continue
@@ -337,14 +339,16 @@ class _Parser:
             self.expect_punct(";")
             return ast.GotoStmt(line=line, label=label)
         if token.kind is TokenKind.IDENT and self.peek().is_punct(":"):
-            name = self.advance().text
+            label = ast.LabelStmt(line=line, label=self.advance().text)
+            # Recorded before the statement it labels, as walk() yields it.
+            self.labels.append(label)
             self.advance()  # ':'
-            statement = (
+            label.statement = (
                 ast.EmptyStmt(line=line)
                 if self.current.is_punct("}")
                 else self.parse_statement()
             )
-            return ast.LabelStmt(line=line, label=name, statement=statement)
+            return label
         if token.is_punct(";"):
             self.advance()
             return ast.EmptyStmt(line=line)
@@ -440,17 +444,19 @@ class _Parser:
             raise self.error("the conditional operator '?:' is not supported by mini-C")
         return target
 
-    def parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self.parse_unary()
-        left = self.parse_binary(level + 1)
-        operators = _BINARY_LEVELS[level]
-        if self.current.kind is not TokenKind.PUNCT or self.current.text not in operators:
-            return left
+    def parse_binary(self, min_precedence: int) -> ast.Expr:
+        """Precedence climbing: one call per operand, left-associative."""
+        left = self.parse_unary()
         height = self.height
-        while self.current.kind is TokenKind.PUNCT and self.current.text in operators:
-            op_token = self.advance()
-            right = self.parse_binary(level + 1)
+        while True:
+            op_token = self.current
+            if op_token.kind is not TokenKind.PUNCT:
+                break
+            precedence = _BINARY_PRECEDENCE.get(op_token.text, -1)
+            if precedence < min_precedence:
+                break
+            self.advance()
+            right = self.parse_binary(precedence + 1)
             height = self.grow(max(height, self.height) + 1, op_token)
             left = ast.BinaryExpr(
                 line=op_token.line, op=op_token.text, left=left, right=right

@@ -90,19 +90,12 @@ class TypeChecker:
         for parameter in function.parameters:
             if parameter.name:
                 scope.define(parameter.name, parameter)
-        labels = self._collect_labels(function.body)
-        self._check_stmt(function.body, scope, function, labels)
-
-    def _collect_labels(self, body: Optional[ast.Stmt]) -> Dict[str, ast.LabelStmt]:
         labels: Dict[str, ast.LabelStmt] = {}
-        if body is None:
-            return labels
-        for node in ast.walk(body):
-            if isinstance(node, ast.LabelStmt):
-                if node.label in labels:
-                    raise TypeCheckError(f"duplicate label {node.label!r}", node.line)
-                labels[node.label] = node
-        return labels
+        for label in function.labels:
+            if label.label in labels:
+                raise TypeCheckError(f"duplicate label {label.label!r}", label.line)
+            labels[label.label] = label
+        self._check_stmt(function.body, scope, function, labels)
 
     # ------------------------------------------------------------------ #
     def _check_stmt(

@@ -18,12 +18,13 @@ All public methods are thread-safe; worker threads block in :meth:`pop`.
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.api.service import AnalysisRequest, AnalysisResult
 from repro.obs import metrics as obs_metrics
@@ -37,6 +38,11 @@ from repro.server.wire import (
     ServerJobStatus,
     request_digest,
 )
+
+#: Finished (done, failed or cancelled) jobs the scheduler keeps for status
+#: and result reads.  Past it the oldest finished job is forgotten and its id
+#: answers 404 ``UnknownJob``; a queued or running job is never forgotten.
+MAX_FINISHED_JOBS = 1024
 
 
 @dataclass
@@ -183,6 +189,8 @@ class Scheduler:
         self.events = threading.Condition(self._lock)
         self._queue = JobQueue()
         self._jobs: Dict[str, Job] = {}
+        #: Ids of the finished jobs in ``_jobs``, oldest first.
+        self._finished: Deque[str] = collections.deque()
         #: Active (queued or running) executions by dedup key.
         self._active: Dict[str, Execution] = {}
         self._job_seq = itertools.count(1)
@@ -556,4 +564,12 @@ class Scheduler:
                 ts=time.time(),
             )
         )
+        if event in TERMINAL_STATES:
+            # Each job emits exactly one terminal event.
+            self._finished.append(job.id)
+            while len(self._finished) > MAX_FINISHED_JOBS:
+                evicted = self._jobs.pop(self._finished.popleft())
+                # Job and execution point at each other: unlinking frees
+                # both now, without waiting for the cycle collector.
+                evicted.execution.jobs.remove(evicted)
         self.events.notify_all()

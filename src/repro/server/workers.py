@@ -95,6 +95,12 @@ class _Job:
     trace: Optional[Dict[str, Optional[str]]] = field(default=None, repr=False)
 
 
+def fault_key(spec: ProjectSpec, request: AnalysisRequest) -> str:
+    """The key seeded fault draws use for an execution of ``request`` on
+    ``spec`` (:func:`repro.testing.faults.on_job` keys on the task's repr)."""
+    return repr(_Job(serialize.to_json(spec), serialize.to_json(request)))
+
+
 def _serve(warm: _WarmServices, job: _Job, ship_obs: bool = False) -> tuple:
     """Execute one job.
 

@@ -80,6 +80,16 @@ class FaultPlan:
     def from_json(cls, raw: str) -> "FaultPlan":
         return cls(**json.loads(raw))
 
+    def draw(self, key: str) -> Optional[str]:
+        """The fault a task keyed ``key`` gets on an injected attempt:
+        ``"kill"``, ``"hang"`` or ``None``.  A kill draw shadows a hang
+        draw, so the two rates stay independently tunable."""
+        if self.kill_rate and decide(self.seed, "kill", key) < self.kill_rate:
+            return "kill"
+        if self.hang_rate and decide(self.seed, "hang", key) < self.hang_rate:
+            return "hang"
+        return None
+
 
 def install(plan: FaultPlan) -> None:
     """Arm the plan for this process and every child it forks."""
@@ -112,8 +122,7 @@ def on_job(task: Any, attempt: int) -> None:
 
     The draws are keyed on ``repr(task)``, so a task type keeps out of its
     repr whatever must not steer them (the server's trace context).  Fires
-    at most one fault per call; a kill draw shadows a hang draw so the two
-    rates stay independently tunable.
+    at most one fault per call (:meth:`FaultPlan.draw`).
     """
     if not _IN_WORKER:
         return
@@ -122,12 +131,12 @@ def on_job(task: Any, attempt: int) -> None:
         return
     if plan.first_attempt_only and attempt > 0:
         return
-    key = repr(task)
-    if plan.kill_rate and decide(plan.seed, "kill", key) < plan.kill_rate:
+    fault = plan.draw(repr(task))
+    if fault == "kill":
         # The closest honest simulation of an OOM kill: no cleanup, no
         # exception propagation, the pipe just goes EOF on the supervisor.
         os._exit(KILL_EXIT_CODE)
-    if plan.hang_rate and decide(plan.seed, "hang", key) < plan.hang_rate:
+    if fault == "hang":
         time.sleep(plan.hang_seconds)
 
 

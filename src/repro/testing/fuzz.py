@@ -45,6 +45,7 @@ from repro.cache import SummaryStore
 from repro.server.client import ClientError, JobFailed, RemoteError, ServerClient
 from repro.server.http import AnalysisServer
 from repro.server.wire import ProjectSpec, ServerError, ServerStats, ServerSubmit
+from repro.server.workers import fault_key
 from repro.testing import faults as fault_injection
 from repro.testing.corpus import annotations_to_text, save_case
 from repro.testing.generator import FeatureMix, generate_case, render_case
@@ -234,6 +235,26 @@ def _case_spec(case, rendered, processor: str) -> ProjectSpec:
         processor=processor,
         name=case.name,
     )
+
+
+def _fault_shortfalls(
+    plan: fault_injection.FaultPlan, keys: List[str], faults: Dict[str, int]
+) -> List[str]:
+    """The fault counters ``faults`` (/healthz) shows fewer of than ``plan``
+    drew over the tasks keyed ``keys``: every distinct task that draws a kill
+    restarts a worker, and every one that draws a hang times out, at least
+    once."""
+    drawn = {"kill": 0, "hang": 0}
+    for key in set(keys):
+        fault = plan.draw(key)
+        if fault is not None:
+            drawn[fault] += 1
+    return [
+        f"the plan drew {drawn[fault]} {fault}(s) over the sweep's jobs but "
+        f"/healthz reports {faults.get(counter, 0)} {counter}"
+        for counter, fault in (("worker_restarts", "kill"), ("job_timeouts", "hang"))
+        if faults.get(counter, 0) < drawn[fault]
+    ]
 
 
 def _check_canary(client: ServerClient, lane: str) -> Optional[FuzzViolation]:
@@ -846,6 +867,8 @@ def run_chaos(
       the same program, and the flight-control canary still pins
       ``FLIGHT_CONTROL_PINS`` afterwards;
     * corrupt store buckets are quarantined, not re-read;
+    * /healthz counts at least the worker kills and hangs the seeded plan
+      drew over the accepted jobs;
     * no dispatcher thread is lost, and the server drains cleanly.
     """
     if workers < 2:
@@ -1105,16 +1128,16 @@ def run_chaos(
                     say(f"VIOLATION [canary]: {canary.detail}")
                 stats = direct.healthz()
                 summary.server_faults = dict(stats.faults)
-                for counter, rate in (
-                    ("worker_restarts", kill_rate),
-                    ("job_timeouts", hang_rate),
+                for problem in _fault_shortfalls(
+                    plan,
+                    [
+                        fault_key(spec, request)
+                        for case_seed, spec, request in cases
+                        if handles.get(case_seed) is not None
+                    ],
+                    stats.faults,
                 ):
-                    if rate > 0 and not stats.faults.get(counter):
-                        violate(
-                            "faults",
-                            f"injection ran with a nonzero rate but "
-                            f"/healthz reports no {counter}",
-                        )
+                    violate("faults", problem)
                 summary.injected = {
                     "worker_kills": stats.faults.get("worker_restarts", 0),
                     "job_timeouts": stats.faults.get("job_timeouts", 0),

@@ -10,6 +10,7 @@ pre-redesign ``WCETAnalyzer`` API.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -53,6 +54,36 @@ PAPER_REQUESTS = [
     if workload != "dispatch"
     for processor in ("simple", "leon2", "mpc5554", "hcs12x")
 ]
+
+
+#: The first 16 hex digits of a sha256 over the report identities of the
+#: paper requests (all modes where declared) and of error-monitor on leon2
+#: under no scenario and under each of its two error scenarios.
+REPORT_IDENTITY_DIGEST = "b7483e3315fa8608"
+
+
+def report_identity_digest() -> str:
+    from repro.testing.fuzz import report_identity
+
+    identities = []
+    for workload, processor in PAPER_REQUESTS:
+        project = Project.from_workload(workload, processor=processor, cache="off")
+        request = AnalysisRequest(all_modes=bool(project.annotations.mode_names()))
+        result = AnalysisService(project).analyze(request)
+        identities.append(
+            {str(mode): report_identity(report) for mode, report in result.reports.items()}
+        )
+    for scenario in (None, "single_fault", "errors_excluded"):
+        project = Project.from_workload("error-monitor", processor="leon2", cache="off")
+        result = AnalysisService(project).analyze(AnalysisRequest(error_scenario=scenario))
+        identities.append(report_identity(result.report))
+    text = json.dumps(identities, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_paper_report_identities_are_pinned():
+    """Every analyzer speed-up must report the same bounds and details."""
+    assert report_identity_digest() == REPORT_IDENTITY_DIGEST
 
 
 def roundtrip(obj):

@@ -124,6 +124,50 @@ class TestOnJob:
         assert repr(traced) == repr(retraced) == repr(_Job(spec, request))
 
 
+class TestChaosFaultCheck:
+    """The chaos sweep expects the faults its plan drew, not its rates."""
+
+    PLAN = faults.FaultPlan(seed=11, kill_rate=0.05, hang_rate=0.05)
+    KEYS = [f"job-{index}" for index in range(40)]
+
+    def test_a_plan_that_draws_no_kill_raises_no_violation(self):
+        from repro.testing.fuzz import _fault_shortfalls
+
+        spared = [key for key in self.KEYS if self.PLAN.draw(key) is None]
+        assert len(spared) > 30
+        assert _fault_shortfalls(self.PLAN, spared, {}) == []
+
+    @pytest.mark.parametrize(
+        "fault, counter", [("kill", "worker_restarts"), ("hang", "job_timeouts")]
+    )
+    def test_a_drawn_fault_the_server_never_saw_is_a_violation(self, fault, counter):
+        from repro.testing.fuzz import _fault_shortfalls
+
+        drawn = [key for key in self.KEYS if self.PLAN.draw(key) == fault]
+        assert drawn
+        [problem] = _fault_shortfalls(self.PLAN, drawn, {counter: len(drawn) - 1})
+        assert counter in problem
+        assert _fault_shortfalls(self.PLAN, drawn, {counter: len(drawn)}) == []
+
+    def test_the_ten_jobs_of_chaos_seed_700123_draw_no_kill(self):
+        """``repro fuzz --chaos --chaos-jobs 10 --base-seed 700123`` once
+        failed for want of a worker restart its plan never drew."""
+        from repro.api import AnalysisRequest
+        from repro.server.workers import fault_key
+        from repro.testing.fuzz import _case_spec, _fault_shortfalls
+        from repro.testing.generator import generate_case, render_case
+
+        plan = faults.FaultPlan(seed=700123, kill_rate=0.3, hang_rate=0.2)
+        keys = []
+        for case_seed in range(700123, 700133):
+            case = generate_case(case_seed)
+            spec = _case_spec(case, render_case(case), "simple")
+            keys.append(fault_key(spec, AnalysisRequest(entry=case.entry)))
+        draws = [plan.draw(key) for key in keys]
+        assert draws.count("kill") == 0 and draws.count("hang") == 2
+        assert _fault_shortfalls(plan, keys, {"job_timeouts": 2}) == []
+
+
 # --------------------------------------------------------------------------- #
 # Store corruption
 # --------------------------------------------------------------------------- #

@@ -132,6 +132,34 @@ class TestConcreteCache:
             concrete.access(address, 4)
             abstract.access_line(line)
 
+    @given(
+        maps=st.lists(
+            st.dictionaries(st.integers(0, 7), st.integers(0, 3), max_size=6),
+            min_size=4,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_includes_is_join_equality(self, maps):
+        config = CacheConfig("d", 2, 4, 16)
+        a = MustMayCacheState(config, maps[0], maps[1])
+        b = MustMayCacheState(config, maps[2], maps[3])
+        joined = a.join(b)
+        for first, second in ((a, b), (b, a), (joined, a), (joined, b), (a, a)):
+            assert first.includes(second) == (first.join(second) == first)
+
+    @given(lines=st.lists(st.integers(0, 31), min_size=1, max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_fetching_the_last_line_again_changes_nothing(self, lines):
+        """Why the instruction cache analysis skips a repeated fetch."""
+        state = MustMayCacheState(CacheConfig("i", 4, 2, 16))
+        for line in lines:
+            state.access_line(line)
+        before = state.copy()
+        assert state.classify(lines[-1]) is CacheClassification.ALWAYS_HIT
+        state.access_line(lines[-1])
+        assert state == before
+
     def test_must_may_classification(self):
         config = CacheConfig("d", 2, 2, 16)
         state = MustMayCacheState(config)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import sys
 
 import pytest
@@ -152,6 +153,18 @@ class TestNestingLimit:
             for seed in range(1, 21):
                 compile_source(render_case(generate_case(seed, mix=preset.mix)).source)
 
+    def test_31_parentheses_compile_with_250_frames_of_headroom(self):
+        """Precedence climbing costs about 6 frames per parenthesis."""
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 250)
+        try:
+            compile_source(_deep("parentheses", MAX_NESTING - 1))
+        finally:
+            sys.setrecursionlimit(limit)
+
     def test_cli_reports_a_typed_error_without_traceback(self, tmp_path, capsys):
         from repro.api.cli import main as cli_main
 
@@ -160,6 +173,33 @@ class TestNestingLimit:
         assert cli_main(["analyze", "--source", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ParseError: 1:") and "Traceback" not in err
+
+
+#: The first 16 hex digits of a sha256 over the content digests of every
+#: catalog program and of generator seeds 1-20 under each fuzz preset.
+FRONTEND_DIGEST = "a90bea452bfecad5"
+
+
+def frontend_digest() -> str:
+    from repro.testing.fuzz import default_presets
+    from repro.testing.generator import generate_case, render_case
+    from repro.workloads.catalog import catalog
+
+    lines = [
+        f"{name} {workload.program().content_digest()}"
+        for name, workload in sorted(catalog().items())
+    ]
+    for preset in default_presets():
+        for seed in range(1, 21):
+            case = generate_case(seed, mix=preset.mix)
+            program = compile_source(render_case(case).source, entry=case.entry)
+            lines.append(f"{preset.name}/{seed} {program.content_digest()}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def test_compiled_programs_are_pinned():
+    """Every frontend speed-up must compile the same programs."""
+    assert frontend_digest() == FRONTEND_DIGEST
 
 
 class TestTypeCheck:
@@ -174,6 +214,11 @@ class TestTypeCheck:
     def test_goto_to_unknown_label(self):
         with pytest.raises(TypeCheckError):
             check_types(parse_source("int main(void) { goto nowhere; return 0; }"))
+
+    def test_duplicate_label_reports_the_inner_label(self):
+        source = "int main(void) {\n  L:\n  { L: ; }\n  return 0;\n}"
+        with pytest.raises(TypeCheckError, match=r"^line 3: duplicate label 'L'$"):
+            check_types(parse_source(source))
 
     def test_float_expression_typing(self):
         unit = check_types(parse_source("float g; int main(void) { g = g + 1.0; return 0; }"))

@@ -54,6 +54,7 @@ from repro.server import (
 from repro.cache import store as store_module
 from repro.obs import metrics as obs_metrics
 from repro.server import http as server_http
+from repro.server import queue as queue_module
 from repro.server.client import ClientError, JobCancelled
 from repro.testing import faults as fault_injection
 from repro.wcet.analyzer import AnalysisOptions
@@ -363,6 +364,29 @@ class TestScheduler:
         assert first.execution.timeout == 10.0
         scheduler.submit(spec, AnalysisRequest(label="c"), timeout=120.0)
         assert first.execution.timeout == 10.0  # joins never loosen
+
+    def test_finished_jobs_are_evicted_oldest_first(self, monkeypatch):
+        monkeypatch.setattr(queue_module, "MAX_FINISHED_JOBS", 2)
+        scheduler = Scheduler()
+        spec = ProjectSpec(workload="flight-control")
+        keeper = scheduler.submit(spec, AnalysisRequest(label="keeper"))
+        joiner = scheduler.submit(spec, AnalysisRequest(label="joiner"))
+        assert joiner.deduped
+        running = scheduler.pop(timeout=1)
+        finished = []
+        for processor in ("simple", "leon2", "mpc5554", "hcs12x"):
+            other = ProjectSpec(workload="message-handler", processor=processor)
+            finished.append(scheduler.submit(other, AnalysisRequest()).id)
+            scheduler.complete(scheduler.pop(timeout=1), result=_fake_result())
+        # The two newest finished jobs stay; the running execution keeps
+        # both its subscribers, the deduped one included.
+        assert set(scheduler._jobs) == {keeper.id, joiner.id, *finished[2:]}
+        assert scheduler.job(finished[0]) is None
+        assert scheduler.job_counts()["running"] == 2
+        assert running.jobs == [keeper, joiner]
+        scheduler.complete(running, result=_fake_result())
+        assert set(scheduler._jobs) == {keeper.id, joiner.id}
+        assert scheduler.job(joiner.id).result.label == "joiner"
 
     def test_late_outcome_after_terminal_state_is_ignored(self):
         """A straggling attempt's result must not resurrect a resolved job."""
@@ -846,19 +870,21 @@ class TestHTTPEndToEnd:
 # --------------------------------------------------------------------------- #
 # Queue-state HTTP semantics (server with NO workers: jobs stay queued)
 # --------------------------------------------------------------------------- #
-class TestQueuedJobHTTP:
-    @pytest.fixture()
-    def idle_server(self):
-        server = AnalysisServer(port=0, jobs=1)
-        # Start ONLY the listener — no worker pool, so jobs never leave the
-        # queue and the not-ready/cancel paths are deterministic.
-        thread = threading.Thread(target=server._httpd.serve_forever, daemon=True)
-        thread.start()
-        yield server
-        server.scheduler.close()
-        server._httpd.shutdown()
-        server._httpd.server_close()
+@pytest.fixture()
+def idle_server():
+    server = AnalysisServer(port=0, jobs=1)
+    # Start ONLY the listener — no worker pool, so jobs never leave the
+    # queue unless a test pops them, and the not-ready/cancel paths are
+    # deterministic.
+    thread = threading.Thread(target=server._httpd.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.scheduler.close()
+    server._httpd.shutdown()
+    server._httpd.server_close()
 
+
+class TestQueuedJobHTTP:
     def test_result_before_completion_is_409_then_410_after_cancel(self, idle_server):
         client = ServerClient(idle_server.url, timeout=10)
         job = client.submit(ProjectSpec(workload="message-handler"), AnalysisRequest())
@@ -880,6 +906,22 @@ class TestQueuedJobHTTP:
         assert client.status(first.id).position == 0
         assert client.status(second.id).position == 1
         assert client.healthz().queue_depth == {"interactive": 2, "batch": 0}
+
+    def test_an_evicted_finished_job_is_404(self, idle_server, monkeypatch):
+        monkeypatch.setattr(queue_module, "MAX_FINISHED_JOBS", 1)
+        client = ServerClient(idle_server.url, timeout=10)
+        scheduler = idle_server.scheduler
+        ids = []
+        for processor in ("simple", "leon2"):
+            spec = ProjectSpec(workload="message-handler", processor=processor)
+            ids.append(client.submit(spec, AnalysisRequest()).id)
+            scheduler.complete(scheduler.pop(timeout=1), result=_fake_result())
+        assert client.status(ids[1]).state == "done"
+        with pytest.raises(RemoteError) as excinfo:
+            client.status(ids[0])
+        assert excinfo.value.status == 404
+        assert excinfo.value.error.error == "UnknownJob"
+        assert client.healthz().jobs["done"] == 1
 
 
 # --------------------------------------------------------------------------- #
