@@ -36,10 +36,22 @@ RegLike = Union[str, Reg]
 ValueLike = Union[str, Reg, Imm, int, float]
 
 
+#: One operand per canonical register name: a ``Reg`` is immutable, so one
+#: instance serves every instruction that names the register.
+_REGS: Dict[str, Reg] = {}
+
+
 def _reg(value: RegLike) -> Reg:
     if isinstance(value, Reg):
         return value
-    return Reg(value)
+    reg = _REGS.get(value)
+    if reg is None:
+        reg = Reg(value)
+        if reg.name == value:
+            # Only canonical spellings are kept (at most one per register),
+            # whatever spellings an assembly source uses.
+            _REGS[value] = reg
+    return reg
 
 
 def _value(value: ValueLike) -> Operand:
@@ -51,7 +63,7 @@ def _value(value: ValueLike) -> Operand:
     if isinstance(value, bool):
         return Imm(int(value))
     if isinstance(value, str):
-        return Reg(value)
+        return _reg(value)
     raise IRError(f"cannot use {value!r} as an instruction operand")
 
 
@@ -111,16 +123,13 @@ class FunctionBuilder:
         if pred is not None:
             extra["pred"] = _reg(pred)
         if extra:
-            instruction = Instruction(
-                opcode=instruction.opcode,
-                dest=instruction.dest,
-                operands=instruction.operands,
-                offset=instruction.offset,
-                label=extra.get("label", instruction.label),
-                comment=extra.get("comment", instruction.comment),
-                source_line=extra.get("source_line", instruction.source_line),
-                pred=extra.get("pred", instruction.pred),
-            )
+            # A copy with the pending metadata; the operands are already
+            # built, so the constructor's per-field setattrs are skipped (as
+            # in ``Instruction.with_address``).
+            clone = Instruction.__new__(Instruction)
+            clone.__dict__.update(instruction.__dict__)
+            clone.__dict__.update(extra)
+            instruction = clone
         self._instructions.append(instruction)
         return instruction
 
@@ -397,5 +406,5 @@ class ProgramBuilder:
             program.add_function(self._functions[name].build())
         for obj in self._data:
             program.add_data(obj)
-        program.validate(functions_checked=True)
+        program._check_links()
         return program

@@ -390,23 +390,29 @@ class Program:
         if not self._laid_out:
             self.layout()
 
-    def validate(self, *, functions_checked: bool = False) -> None:
+    def validate(self) -> None:
         """Validate every function and the entry point, then lay out.
 
-        ``functions_checked`` skips re-validating the functions themselves,
-        for a builder that validated each one as it built it.  Validation is
-        structural and the program is immutable once built (any
+        Validation is structural and the program is immutable once built (any
         ``add_function``/``add_data`` resets the flag), so repeated calls —
         one per interpreter construction in a differential sweep — are
         answered from the cached verdict.
         """
         if self._validated and self._laid_out:
             return
+        for function in self._functions.values():
+            function.validate()
+        self._check_links()
+
+    def _check_links(self) -> None:
+        """Check the entry point and every call target, then lay out.
+
+        The rest of :meth:`validate`, for a builder that validated each
+        function as it built it.
+        """
         if self.entry not in self._functions:
             raise IRError(f"entry function {self.entry!r} is not defined")
         for function in self._functions.values():
-            if not functions_checked:
-                function.validate()
             for instr in function.instructions:
                 target = instr.call_target()
                 if target is not None and target not in self._functions:

@@ -416,7 +416,10 @@ class Scheduler:
                 for report in result.reports.values():
                     for phase, secs in report.phase_seconds().items():
                         self._m_phase_seconds.inc(secs, phase=phase)
-                for job in execution.jobs:
+                # A copy: each terminal event may evict an older finished
+                # job, which can be a cancelled subscriber of this very
+                # execution (see ``_emit``).
+                for job in list(execution.jobs):
                     if not job.cancelled:
                         # Each subscriber gets the shared result under its
                         # own label (labels are excluded from the dedup key).
@@ -429,7 +432,7 @@ class Scheduler:
                 execution.error = error or ServerError(
                     error="InternalError", message="execution failed"
                 )
-                for job in execution.jobs:
+                for job in list(execution.jobs):
                     if not job.cancelled:
                         self._emit(job, "failed", detail=execution.error.message)
             self._active.pop(execution.key, None)
@@ -570,6 +573,8 @@ class Scheduler:
             while len(self._finished) > MAX_FINISHED_JOBS:
                 evicted = self._jobs.pop(self._finished.popleft())
                 # Job and execution point at each other: unlinking frees
-                # both now, without waiting for the cycle collector.
+                # both now, without waiting for the cycle collector.  A
+                # caller that emits terminal events while looping over an
+                # execution's jobs must loop over a copy.
                 evicted.execution.jobs.remove(evicted)
         self.events.notify_all()

@@ -18,6 +18,7 @@ single-path transformation pair (Section 2, Puschner/Kirner critique).
 
 from __future__ import annotations
 
+import functools
 from typing import Tuple
 
 from repro.annotations import AnnotationSet
@@ -222,7 +223,10 @@ def ldivmod_annotations(
     return annotation_set
 
 
+@functools.lru_cache(maxsize=None)
 def _loop_labels(function_name: str) -> Tuple[str, ...]:
+    # Memoised: the source is a constant, and every ldivmod project reads
+    # these labels for its annotations.
     program = compile_source(LDIVMOD_SOURCE, entry=function_name)
     return tuple(
         label

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.annotations import AnnotationSet
@@ -18,7 +19,7 @@ from repro.workloads import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Workload:
     """A named, self-describing workload."""
 
@@ -40,6 +41,12 @@ class Workload:
 
 def catalog() -> Dict[str, Workload]:
     """All workloads, keyed by name."""
+    return dict(_by_name())
+
+
+@functools.lru_cache(maxsize=None)
+def _by_name() -> Dict[str, Workload]:
+    # Built once: every cold project build looks its workload up here.
     entries: List[Workload] = [
         Workload(
             name="flight-control",
@@ -181,7 +188,7 @@ def workload_names() -> List[str]:
 
 def get_workload(name: str) -> Workload:
     try:
-        return catalog()[name]
+        return _by_name()[name]
     except KeyError as exc:
         raise KeyError(
             f"unknown workload {name!r}; available: {', '.join(workload_names())}"

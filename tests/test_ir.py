@@ -171,6 +171,17 @@ class TestBuilder:
         program = builder.build()
         assert program.function("main").labels() == {"end": 1}
 
+    def test_register_operands_are_shared_per_canonical_name(self):
+        from repro.ir import builder as builder_module
+
+        fb = ProgramBuilder().function("main")
+        first = fb.add("r3", "r3", 1)
+        second = fb.mov("R03", "SP")
+        assert first.dest is first.operands[0] is builder_module._reg("r3")
+        assert second.dest == first.dest and second.operands == (Reg("r29"),)
+        # Other spellings are canonicalised but never kept.
+        assert all(reg.name == name for name, reg in builder_module._REGS.items())
+
     def test_builder_rejects_undefined_branch_target(self):
         builder = ProgramBuilder()
         fb = builder.function("main")

@@ -388,6 +388,33 @@ class TestScheduler:
         assert set(scheduler._jobs) == {keeper.id, joiner.id}
         assert scheduler.job(joiner.id).result.label == "joiner"
 
+    @pytest.mark.parametrize("outcome", ["done", "failed"])
+    def test_eviction_during_fan_out_skips_no_subscriber(self, monkeypatch, outcome):
+        """A live subscriber's terminal event can evict a cancelled
+        subscriber of the same execution; every live one still finishes."""
+        monkeypatch.setattr(queue_module, "MAX_FINISHED_JOBS", 1)
+        scheduler = Scheduler()
+        spec = ProjectSpec(workload="flight-control")
+        creator = scheduler.submit(spec, AnalysisRequest(label="creator"))
+        joiners = [
+            scheduler.submit(spec, AnalysisRequest(label=label))
+            for label in ("b", "c")
+        ]
+        assert all(joiner.deduped for joiner in joiners)
+        scheduler.cancel(creator.id)
+        execution = scheduler.pop(timeout=1)
+        if outcome == "done":
+            scheduler.complete(execution, result=_fake_result())
+        else:
+            scheduler.complete(execution, error=ServerError(error="Boom", message="x"))
+        for joiner in joiners:
+            assert joiner.state == outcome
+            assert joiner.events[-1].event == outcome
+            if outcome == "done":
+                assert joiner.result.label == joiner.label
+        assert scheduler.job(creator.id) is None
+        assert set(scheduler._jobs) == {joiners[1].id}
+
     def test_late_outcome_after_terminal_state_is_ignored(self):
         """A straggling attempt's result must not resurrect a resolved job."""
         scheduler = Scheduler()

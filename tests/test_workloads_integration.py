@@ -37,6 +37,12 @@ class TestCatalog:
         with pytest.raises(KeyError):
             get_workload("does-not-exist")
 
+    def test_entries_are_built_once_and_shared(self):
+        entries = catalog()
+        entries.clear()  # a caller's copy; the registry is unaffected
+        assert get_workload("ldivmod") is catalog()["ldivmod"]
+        assert len(catalog()) == len(workload_names())
+
     def test_rule_variants_come_in_pairs(self):
         names = set(workload_names())
         for rule in ("13.4", "13.6", "14.1", "14.4", "14.5"):
