@@ -17,7 +17,7 @@ the surrounding tooling the paper's discussion is built on:
 * :mod:`repro.guidelines` — MISRA-C:2004 predictability rule checker.
 * :mod:`repro.annotations` — design-level information (modes, flow facts, ...).
 * :mod:`repro.arith` — software arithmetic (lDivMod study, soft-float, fixed-point).
-* :mod:`repro.workloads` — workload programs used by examples and benchmarks.
+* :mod:`repro.workloads` — workload programs used by the examples, tests and perfbench.
 """
 
 __version__ = "1.0.0"

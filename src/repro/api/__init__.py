@@ -13,7 +13,7 @@ typed, serialisable API:
 * :mod:`repro.api.serialize` — the versioned JSON schema every report type
   round-trips through exactly (``to_json``/``from_json``);
 * :mod:`repro.api.cli` — the single ``python -m repro`` command line
-  (``analyze``, ``check``, ``sweep``, ``bench``, ``report``), with
+  (``analyze``, ``check``, ``sweep``, ``fuzz``, ``report``, ``serve``), with
   machine-readable ``--json`` output everywhere.
 
 Quick start::
@@ -27,8 +27,8 @@ Quick start::
 
 Many requests go through :meth:`AnalysisService.analyze_many` (serial or
 over a process pool).  Every other entry point — the analysis server, the
-differential oracle behind :func:`repro.testing.sweep.run_sweep`, the
-benchmarks — is a thin consumer of this layer; new workloads and back ends
+differential oracle behind :func:`repro.testing.sweep.run_sweep`,
+perfbench — is a thin consumer of this layer; new workloads and back ends
 plug in here instead of growing another bespoke surface.
 """
 

@@ -7,7 +7,8 @@ Subcommands (each supports machine-readable ``--json`` output on stdout; with
   assembly file, optionally per operating mode / error scenario;
 * ``check`` — the MISRA-C predictability checker over a mini-C file;
 * ``sweep`` — the differential soundness sweep over generated programs;
-* ``bench`` — the tracked macro perf workload;
+* ``fuzz`` — the same oracle through the server path, plus the wire fuzzer
+  and (``--chaos``) the fault-injection sweep;
 * ``report`` — pretty-print (or re-emit) a previously saved ``--json`` file;
 * ``serve`` — run the persistent analysis server (:mod:`repro.server`);
   ``analyze --remote URL`` sends the same request to such a server instead
@@ -19,7 +20,6 @@ Examples::
     python -m repro analyze --source task.c --annotations task.ann --processor leon2
     python -m repro check examples/problematic.c
     python -m repro sweep --count 25 --jobs 0
-    python -m repro bench --check-regression --no-append
     python -m repro report analysis.json
     python -m repro serve --port 8472 --jobs 4 --cache-dir .repro-cache
     python -m repro analyze --workload flight-control --remote http://127.0.0.1:8472
@@ -28,7 +28,7 @@ Exit codes (documented contract, see docs/api.md):
 
 * ``0`` — success;
 * ``1`` — the operation ran and failed (analysis error, strict-check
-  findings, sweep violations, benchmark regression, unreachable server);
+  findings, sweep violations, unreachable server);
 * ``2`` — the invocation was unusable (unknown flags, missing/malformed
   input files, invalid flag combinations) — argparse's own convention.
 """
@@ -466,119 +466,6 @@ def _cmd_fuzz_chaos(args) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# bench (the tracked macro perf workload)
-# --------------------------------------------------------------------------- #
-def cmd_bench(args) -> int:
-    from repro.benchmarks import (
-        append_record,
-        check_regression,
-        measure_trace_overhead,
-        run_macro_workload,
-    )
-
-    profile = args.profile or bool(args.profile_out)
-    if args.trace_overhead and profile:
-        print(
-            "error: --trace-overhead and --profile are mutually exclusive "
-            "(profiler overhead would drown the tracing overhead)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-
-    if args.trace_overhead:
-        _say(
-            args,
-            "running macro workload 4x (untraced/traced interleaved) to "
-            "measure tracing overhead...",
-        )
-        record = measure_trace_overhead(jobs=args.jobs)
-    elif profile:
-        import cProfile
-        import pstats
-
-        _say(args, "running macro workload (analyses + 50-seed differential sweep)...")
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            record = run_macro_workload(
-                args.label, jobs=args.jobs, cache_dir=args.cache_dir
-            )
-        finally:
-            profiler.disable()
-            stats = pstats.Stats(profiler, stream=sys.stderr)
-            stats.sort_stats("cumulative").print_stats(25)
-            if args.profile_out:
-                stats.dump_stats(args.profile_out)
-                _say(args, f"wrote full profile stats to {args.profile_out}")
-    else:
-        _say(args, "running macro workload (analyses + 50-seed differential sweep)...")
-        record = run_macro_workload(args.label, jobs=args.jobs, cache_dir=args.cache_dir)
-    record.label = args.label
-
-    _say(args, f"total: {record.total_seconds:.2f}s")
-    for phase, seconds in sorted(record.phases.items()):
-        _say(args, f"  {phase:<28s} {seconds:8.3f}s")
-    for counter, count in sorted(record.counters.items()):
-        _say(args, f"  {counter:<28s} {count:8d}")
-    _say(args, f"  sweep checksum: {record.identity['sweep_checksum']}")
-    cache = record.cache
-    for tier in ("tier1", "tier2"):
-        hits = cache.get(f"{tier}_hits", 0)
-        misses = cache.get(f"{tier}_misses", 0)
-        rate = hits / (hits + misses) if hits + misses else 0.0
-        _say(
-            args,
-            f"  summary cache {tier}: {hits} hits / {misses} misses ({rate:.0%})",
-        )
-    if record.identity["sweep_violations"]:
-        print(
-            f"ERROR: {record.identity['sweep_violations']} soundness violations "
-            "during the benchmark sweep",
-            file=sys.stderr,
-        )
-        return EXIT_FAILURE
-
-    status = 0
-    if args.trace_overhead:
-        overhead = record.extra["trace_overhead"]
-        _say(
-            args,
-            f"trace overhead: {overhead['overhead_fraction']:+.1%} "
-            f"({overhead['untraced_seconds']:.2f}s untraced vs "
-            f"{overhead['traced_seconds']:.2f}s traced, "
-            f"{overhead['spans_per_run']} spans/run)",
-        )
-        if overhead["overhead_fraction"] > args.max_trace_overhead:
-            print(
-                f"trace overhead check FAILED: {overhead['overhead_fraction']:.1%} "
-                f"> budget {args.max_trace_overhead:.1%}",
-                file=sys.stderr,
-            )
-            status = 1
-    if args.check_regression:
-        problem = check_regression(args.output, record, args.max_regression)
-        if problem is None:
-            _say(args, "regression check: OK (within budget of committed baseline)")
-        else:
-            print(f"regression check FAILED: {problem}", file=sys.stderr)
-            status = 1
-
-    if args.measurement_out:
-        with open(args.measurement_out, "w", encoding="utf-8") as handle:
-            json.dump(record.to_json(), handle, indent=2)
-            handle.write("\n")
-        _say(args, f"wrote measurement to {args.measurement_out}")
-
-    if not args.no_append:
-        append_record(args.output, record)
-        _say(args, f"appended entry {record.label!r} to {args.output}")
-
-    if args.json:
-        print(json.dumps(record.to_json(), indent=2))
-    return status
-
-
-# --------------------------------------------------------------------------- #
 # report (pretty-print a saved --json file)
 # --------------------------------------------------------------------------- #
 def cmd_report(args) -> int:
@@ -863,68 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(guards CI against a silently-tame run)",
     )
     fuzz.set_defaults(func=cmd_fuzz)
-
-    # bench ------------------------------------------------------------- #
-    bench = sub.add_parser(
-        "bench", help="run the macro perf workload and track BENCH_perf.json"
-    )
-    bench.add_argument(
-        "--output", default="BENCH_perf.json", help="trajectory file (repo root)"
-    )
-    bench.add_argument("--label", default="local run", help="entry label")
-    bench.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the sweep half (1 = serial, 0 = all cores)",
-    )
-    bench.add_argument(
-        "--cache-dir", default=None,
-        help="persistent function-summary store for both halves; a first "
-        "(cold) pass over a fresh directory fills it, a second (warm) pass "
-        "reuses it with bit-identical results",
-    )
-    bench.add_argument(
-        "--no-append", action="store_true",
-        help="measure only; do not write the entry to the trajectory file",
-    )
-    bench.add_argument(
-        "--measurement-out", default=None,
-        help="also write the fresh measurement (single entry) to this file",
-    )
-    bench.add_argument(
-        "--check-regression", action="store_true",
-        help="fail if wall-clock regresses beyond --max-regression vs the "
-        "last committed entry, or if analysis results changed",
-    )
-    bench.add_argument(
-        "--max-regression", type=float, default=0.20,
-        help="allowed fractional slowdown for --check-regression (default 0.20)",
-    )
-    bench.add_argument(
-        "--json", action="store_true", help="print the measurement JSON on stdout"
-    )
-    bench.add_argument(
-        "--profile", action="store_true",
-        help="wrap the workload in cProfile and print the top-25 functions "
-        "by cumulative time to stderr (the measured seconds then include "
-        "profiler overhead; do not append such runs)",
-    )
-    bench.add_argument(
-        "--profile-out", default=None, metavar="PATH",
-        help="dump the full cProfile stats to PATH (implies --profile; load "
-        "with pstats.Stats(PATH) or snakeviz)",
-    )
-    bench.add_argument(
-        "--trace-overhead", action="store_true",
-        help="run the workload untraced and traced (interleaved, best-of-2 "
-        "each) and report the tracing overhead; the appended entry is the "
-        "untraced one with the measurement under 'extra'",
-    )
-    bench.add_argument(
-        "--max-trace-overhead", type=float, default=0.05,
-        help="fail --trace-overhead runs whose overhead exceeds this "
-        "fraction (default 0.05)",
-    )
-    bench.set_defaults(func=cmd_bench)
 
     # report ------------------------------------------------------------ #
     report = sub.add_parser(

@@ -17,7 +17,7 @@ Compilation is lazy and memoised: :meth:`Project.build` compiles the sources
 to a :class:`~repro.ir.program.Program` once, :meth:`Project.compilation_unit`
 parses the mini-C AST once (for the guideline checker).  Every front end —
 the ``python -m repro`` CLI, :meth:`~repro.api.service.AnalysisService.analyze_many`
-and its pool workers, the differential oracle, the benchmarks — goes through a
+and its pool workers, the differential oracle, perfbench — goes through a
 project instead of re-implementing source loading and cache wiring.
 """
 
@@ -28,7 +28,7 @@ from typing import Callable, Dict, Optional, Union
 
 from repro.annotations.parser import parse_annotations
 from repro.annotations.registry import AnnotationSet
-from repro.cache import SummaryStore, configured_store
+from repro.cache import SummaryStore
 from repro.errors import ReproError
 from repro.hardware.processor import (
     ProcessorConfig,
@@ -91,11 +91,11 @@ def resolve_summary_store(
     1. an explicit :class:`~repro.cache.SummaryStore` instance — used as-is;
     2. an explicit directory path — a store is opened there;
     3. ``"off"`` or ``None`` — caching disabled, full stop (the differential
-       oracle uses this: its contract is that no global default can leak in);
-    4. ``"auto"`` (the default):
-       a. the ``REPRO_CACHE_DIR`` environment variable, if set and non-empty;
-       b. the process-global store installed via :func:`repro.cache.configure`;
-       c. otherwise no store (tier-1 in-process caching still applies).
+       oracle uses this: its contract is that ``REPRO_CACHE_DIR`` never
+       leaks in);
+    4. ``"auto"`` (the default): the ``REPRO_CACHE_DIR`` environment
+       variable, if set and non-empty, otherwise no store (tier-1 in-process
+       caching still applies).
     """
     if cache is None or cache == "off":
         return None
@@ -104,9 +104,7 @@ def resolve_summary_store(
     if cache != "auto":
         return SummaryStore(str(cache))
     env_dir = os.environ.get(CACHE_ENV_VAR, "")
-    if env_dir:
-        return SummaryStore(env_dir)
-    return configured_store()
+    return SummaryStore(env_dir) if env_dir else None
 
 
 class Project:

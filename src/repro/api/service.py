@@ -14,8 +14,8 @@ one :class:`~repro.api.project.Project`:
   boundaries.
 
 Every front end is a thin consumer of this layer: the ``python -m repro``
-CLI, the analysis server's workers, the differential oracle and the
-benchmarks.  :meth:`AnalysisService.analyze_many` (and its streaming twin
+CLI, the analysis server's workers, the differential oracle and
+perfbench.  :meth:`AnalysisService.analyze_many` (and its streaming twin
 :meth:`AnalysisService.analyze_iter`) serves many requests, serially or over
 a :class:`repro.pool.SupervisedPool`.
 """

@@ -9,17 +9,16 @@ analysis options), a stored summary can never be served for changed inputs —
 invalidation is structural, not time-based, and a warm cache is guaranteed
 to reproduce the cold path's results bit for bit.
 
-A store can be wired in three ways:
+A store is always wired in explicitly:
 
-* explicitly per analyzer: ``WCETAnalyzer(..., summary_store=SummaryStore(p))``;
+* per analyzer: ``WCETAnalyzer(..., summary_store=SummaryStore(p))``;
+* per project: ``Project(..., cache=p)``, or ``cache="auto"`` (the default),
+  which opens ``REPRO_CACHE_DIR`` when that is set
+  (:func:`repro.api.resolve_summary_store`);
 * per oracle sweep: ``OracleConfig(cache_dir=p)`` (each worker process opens
-  the same directory);
-* process-globally: :func:`configure` installs a default store that every
-  analyzer constructed without an explicit store/cache picks up (the CLIs
-  pass their ``--cache-dir`` explicitly; the differential oracle opts out
-  of the global default altogether).
+  the same directory).
 """
 
-from repro.cache.store import SummaryStore, configure, configured_store
+from repro.cache.store import SummaryStore
 
-__all__ = ["SummaryStore", "configure", "configured_store"]
+__all__ = ["SummaryStore"]

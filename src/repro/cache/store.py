@@ -9,11 +9,11 @@ modes of the same program land in the *same* bucket (their item keys differ
 by the per-function annotation digest), so one file read warms a whole
 ``analyze_all_modes`` family.
 
-This granularity is deliberate: the macro workloads analyse the same few
-programs many times, and a differential sweep touches each generated program
-exactly once per run — one ``open`` + one ``pickle.load`` per analysis is two
-orders of magnitude cheaper than a file per function summary, and distinct
-programs never contend for the same file.
+This granularity is deliberate: a server or a warm-store run analyses the
+same few programs many times, and a differential sweep touches each
+generated program exactly once per run — one ``open`` + one ``pickle.load``
+per analysis is two orders of magnitude cheaper than a file per function
+summary, and distinct programs never contend for the same file.
 
 Concurrency: writes go through a temp file + :func:`os.replace`, so readers
 always see a complete pickle.  Concurrent writers to the same bucket are
@@ -224,28 +224,3 @@ class SummaryStore:
     def __len__(self) -> int:
         """Number of bucket files currently on disk."""
         return sum(1 for name in os.listdir(self.path) if name.endswith(".pkl"))
-
-
-# --------------------------------------------------------------------------- #
-# Process-global default store (the ``--cache-dir`` CLI hook).
-# --------------------------------------------------------------------------- #
-_DEFAULT_STORE: Optional[SummaryStore] = None
-
-
-def configure(path: Optional[str]) -> Optional[SummaryStore]:
-    """Install (or, with ``None``, clear) the process-global default store.
-
-    Analyzers constructed without an explicit ``summary_store``/
-    ``summary_cache`` pick this up — the hook for embedding applications
-    that cannot thread a store through every construction site.  The
-    repo's own CLIs pass their ``--cache-dir`` explicitly instead, and the
-    differential oracle deliberately ignores this default
-    (``OracleConfig(cache_dir=None)`` means *no* persistent caching).
-    """
-    global _DEFAULT_STORE
-    _DEFAULT_STORE = SummaryStore(path) if path else None
-    return _DEFAULT_STORE
-
-
-def configured_store() -> Optional[SummaryStore]:
-    return _DEFAULT_STORE

@@ -13,7 +13,7 @@ different latencies, pipeline effects.  This package provides:
 * :mod:`repro.hardware.pipeline` — a simple in-order pipeline cost model that
   turns instruction sequences into cycle counts;
 * :mod:`repro.hardware.processor` — named processor configurations (LEON2-like,
-  MPC5554-like, HCS12X-like) used throughout the benchmarks.
+  MPC5554-like, HCS12X-like) used throughout the tests and perfbench.
 """
 
 from repro.hardware.memory import MemoryMap, MemoryModule

@@ -221,9 +221,9 @@ class DifferentialOracle:
         processor = self.config.processor_factory()
         # The oracle is a thin consumer of the repro.api facade; cache="off"
         # keeps its caching contract literal: cache_dir=None means *no*
-        # tier-2 store, even when a process-global default store is
-        # configured elsewhere — only the explicitly passed summary cache
-        # (with this oracle's own store) is ever in play.
+        # tier-2 store, even when REPRO_CACHE_DIR is set — only the
+        # explicitly passed summary cache (with this oracle's own store) is
+        # ever in play.
         project = Project.from_source(
             rendered.source,
             entry=case.entry,

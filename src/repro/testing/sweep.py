@@ -51,18 +51,6 @@ class SweepResult:
     def total_runs(self) -> int:
         return sum(len(result.runs) for result in self.results)
 
-    def phase_seconds(self) -> Dict[str, float]:
-        """Per-phase oracle time summed over all checked programs.
-
-        Note that with ``jobs > 1`` the phases overlap in wall-clock time;
-        the sum can exceed :attr:`seconds`.
-        """
-        totals: Dict[str, float] = {}
-        for result in self.results:
-            for phase, spent in result.timings.items():
-                totals[phase] = totals.get(phase, 0.0) + spent
-        return totals
-
     def cache_stats(self) -> Dict[str, int]:
         """Function-summary cache counters summed over all checked programs."""
         totals: Dict[str, int] = {}

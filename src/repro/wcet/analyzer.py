@@ -42,7 +42,6 @@ from repro.analysis.domains.interval import Interval
 from repro.analysis.domains.memstate import AbstractValue
 from repro.analysis.loopbounds import LoopBoundAnalysis, LoopBoundResult
 from repro.analysis.summaries import FunctionSummary, SummaryCache
-from repro.cache import configured_store
 from repro.analysis.reachability import find_unreachable_code
 from repro.analysis.value import AccessInfo, ValueAnalysis, ValueAnalysisResult
 from repro.annotations.registry import AnnotationSet
@@ -152,13 +151,10 @@ class WCETAnalyzer:
         # Two-tier function-summary cache.  ``summary_cache`` shares an
         # in-process tier between analyzers (the batch API uses this);
         # ``summary_store`` attaches a persistent on-disk tier.  With neither,
-        # the process-global store configured via ``repro.cache.configure``
-        # (the CLIs' --cache-dir) is picked up, if any.
+        # the analyzer caches in process only.
         if summary_cache is not None:
             self.summaries = summary_cache
         else:
-            if summary_store is None:
-                summary_store = configured_store()
             self.summaries = SummaryCache(store=summary_store)
 
     # ------------------------------------------------------------------ #

@@ -1,4 +1,4 @@
-"""Workload programs for the examples and benchmarks.
+"""Workload programs for the examples, the tests and perfbench.
 
 Every experiment in DESIGN.md analyses one or more of these mini-C programs
 (or, for the single-path study, directly-built IR programs).  Each module

@@ -1,4 +1,4 @@
-"""Name-indexed registry of all workloads (used by examples and benchmarks)."""
+"""Name-indexed registry of all workloads (used by the examples, tests and perfbench)."""
 
 from __future__ import annotations
 

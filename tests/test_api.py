@@ -29,7 +29,7 @@ from repro.api import (
     to_json,
 )
 from repro.api.cli import main as cli_main
-from repro.cache import SummaryStore, configure
+from repro.cache import SummaryStore
 from repro.guidelines.checker import GuidelineReport
 from repro.guidelines.finding import ChallengeTier, Finding, Severity
 from repro.hardware.pipeline import BlockTimeBounds
@@ -355,29 +355,25 @@ class TestCachePrecedence:
 
     def test_precedence_order(self, tmp_path, monkeypatch):
         monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-        configure(None)
-        try:
-            # off / None disable caching outright.
-            assert resolve_summary_store("off") is None
-            assert resolve_summary_store(None) is None
-            # auto with nothing configured: no store.
-            assert resolve_summary_store("auto") is None
-            # auto + process-global default.
-            configure(str(tmp_path / "global"))
-            assert resolve_summary_store("auto").path == str(tmp_path / "global")
-            # environment variable beats the global default.
-            monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "env"))
-            assert resolve_summary_store("auto").path == str(tmp_path / "env")
-            # an explicit path beats both...
-            explicit = resolve_summary_store(str(tmp_path / "explicit"))
-            assert explicit.path == str(tmp_path / "explicit")
-            # ...and "off" still wins over everything.
-            assert resolve_summary_store("off") is None
-            # A store instance is passed through untouched.
-            store = SummaryStore(str(tmp_path / "inst"))
-            assert resolve_summary_store(store) is store
-        finally:
-            configure(None)
+        # off / None disable caching outright.
+        assert resolve_summary_store("off") is None
+        assert resolve_summary_store(None) is None
+        # auto with nothing configured: no store.
+        assert resolve_summary_store("auto") is None
+        # An empty environment variable configures nothing either.
+        monkeypatch.setenv(CACHE_ENV_VAR, "")
+        assert resolve_summary_store("auto") is None
+        # auto + the environment variable.
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "env"))
+        assert resolve_summary_store("auto").path == str(tmp_path / "env")
+        # an explicit path beats it...
+        explicit = resolve_summary_store(str(tmp_path / "explicit"))
+        assert explicit.path == str(tmp_path / "explicit")
+        # ...and "off" still wins over everything.
+        assert resolve_summary_store("off") is None
+        # A store instance is passed through untouched.
+        store = SummaryStore(str(tmp_path / "inst"))
+        assert resolve_summary_store(store) is store
 
     def test_project_resolves_once(self, tmp_path):
         project = Project.from_source(
@@ -480,24 +476,20 @@ class TestServiceEquivalence:
         self, tmp_path, monkeypatch, jobs
     ):
         """A project's cache="off" stays off in analyze_many, serially and
-        in pool workers, even when a process-global default store is
-        configured."""
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        in pool workers (which inherit the environment), even when
+        REPRO_CACHE_DIR names a store."""
         requests = [AnalysisRequest(label="a"), AnalysisRequest(label="b")]
         global_dir = tmp_path / "global-store"
-        configure(str(global_dir))
-        try:
-            project = Project.from_workload("message-handler", cache="off")
-            AnalysisService(project).analyze_many(requests, jobs=jobs)
-            assert not list(global_dir.glob("*.pkl")), (
-                "cache='off' leaked into the process-global store"
-            )
-            # Sanity: the default cache setting does write through the store.
-            project = Project.from_workload("message-handler")
-            AnalysisService(project).analyze_many(requests, jobs=jobs)
-            assert list(global_dir.glob("*.pkl"))
-        finally:
-            configure(None)
+        monkeypatch.setenv(CACHE_ENV_VAR, str(global_dir))
+        project = Project.from_workload("message-handler", cache="off")
+        AnalysisService(project).analyze_many(requests, jobs=jobs)
+        assert not list(global_dir.glob("*.pkl")), (
+            "cache='off' leaked into the REPRO_CACHE_DIR store"
+        )
+        # Sanity: the default cache setting does write through the store.
+        project = Project.from_workload("message-handler")
+        AnalysisService(project).analyze_many(requests, jobs=jobs)
+        assert list(global_dir.glob("*.pkl"))
 
 
 # --------------------------------------------------------------------------- #

@@ -2,15 +2,19 @@
 
 The fast tier checks ``BCET bound <= observed cycles <= WCET bound`` (plus
 loop-bound and unreachable-block consistency) on 50 deterministic seeds, and
-replays every checked-in corpus seed.  The shrinker is exercised on a seeded
-known-bad program (a deliberately wrong loop-bound annotation) and must
-reduce it to a handful of lines.
+replays every checked-in corpus seed.  Metamorphic laws check that switching
+an analysis knob to its less precise setting never tightens a bound.  The
+shrinker is exercised on a seeded known-bad program (a deliberately wrong
+loop-bound annotation) and must reduce it to a handful of lines.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.api import AnalysisRequest, AnalysisService, Project
 from repro.hardware.processor import leon2_like
 from repro.testing import (
     FeatureMix,
@@ -21,9 +25,11 @@ from repro.testing import (
     load_corpus,
     render_case,
 )
+from repro.testing.fuzz import default_presets
 from repro.testing.generator import GFunction, GlobalVar, SAssign, SFor, SIf, SWhileBreak
 from repro.testing.oracle import enumerate_inputs
 from repro.testing.shrink import Shrinker
+from repro.wcet.analyzer import AnalysisOptions
 
 #: Fast-tier seeds: fixed, so failures are reproducible from the test id.
 FAST_SEEDS = list(range(1, 51))
@@ -80,6 +86,59 @@ class TestSoundnessInvariant:
         config = OracleConfig(processor_factory=leon2_like, max_input_vectors=2)
         result = check_case(generate_case(seed), config)
         assert result.ok, f"seed {seed}: {[str(v) for v in result.violations]}"
+
+
+#: One generator seed per fuzz preset, chosen so that every knob below
+#: strictly raises the program's WCET on leon2: each law is checked on a
+#: program where the knob bites.
+KNOB_LAW_SEEDS = {
+    "baseline": 1,
+    "recursion": 2,
+    "irreducible": 1,
+    "fnptr": 2,
+    "context-cap": 1,
+    "all": 3,
+}
+
+#: Each knob's less precise setting.  The analysis under it must never
+#: lower WCET and never raise BCET.
+LESS_PRECISE_KNOBS = (
+    {"use_instruction_cache": False},
+    {"use_data_cache": False},
+    {"context_sensitive_calls": False},
+    {"max_contexts_per_function": 1},
+)
+
+
+class TestKnobLaws:
+    @pytest.mark.parametrize(
+        "preset", default_presets(), ids=lambda preset: preset.name
+    )
+    def test_less_precise_knob_never_tightens_bounds(self, preset):
+        case = generate_case(KNOB_LAW_SEEDS[preset.name], mix=preset.mix)
+        rendered = render_case(case)
+        project = Project.from_source(
+            rendered.source,
+            entry=case.entry,
+            annotations=rendered.annotations,
+            processor=leon2_like(),
+            cache="off",
+        )
+        options = preset.options or AnalysisOptions()
+
+        def bounds(options):
+            result = AnalysisService(project).analyze(
+                AnalysisRequest(entry=case.entry, options=options)
+            )
+            return result.wcet_cycles, result.bcet_cycles
+
+        wcet, bcet = bounds(options)
+        for knob in LESS_PRECISE_KNOBS:
+            knob_wcet, knob_bcet = bounds(dataclasses.replace(options, **knob))
+            assert knob_wcet >= wcet and knob_bcet <= bcet, (
+                f"{preset.name} seed {case.seed} {knob}: bounds "
+                f"{knob_wcet}/{knob_bcet} tighter than {wcet}/{bcet}"
+            )
 
 
 class TestCorpus:

@@ -47,8 +47,8 @@ _FAST = OracleConfig(max_input_vectors=2)
 
 #: SHA-256 over the rendered sources of seeds 1..20 with the default mix.
 #: The hard-spot grammar features are opt-in: turning them OFF must keep
-#: every historical seed byte-identical (CI smoke baselines, benchmark
-#: identity checksums and FAST_SEEDS all depend on this).
+#: every historical seed byte-identical (CI smoke baselines,
+#: PINNED_SEED_BOUNDS and FAST_SEEDS all depend on this).
 _LEGACY_DIGEST = "1fd61ca1cfac9488"
 
 

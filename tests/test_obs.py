@@ -491,42 +491,3 @@ class TestCLI:
         assert any(name.startswith("phase:") for name in names)
         # the CLI restored the untraced default
         assert obs_trace.active() is None
-
-    def test_bench_profile_out_dumps_loadable_stats(self, tmp_path, monkeypatch):
-        import pstats
-
-        import repro.benchmarks as benchmarks
-
-        def tiny_workload(label, jobs=1, cache_dir=None):
-            project = Project.from_source(MINI_C, cache="off")
-            AnalysisService(project).analyze(AnalysisRequest())
-            return benchmarks.BenchmarkRecord(
-                label=label,
-                timestamp="t",
-                total_seconds=0.1,
-                phases={},
-                identity={"sweep_checksum": "x", "sweep_violations": 0},
-                workload={},
-            )
-
-        monkeypatch.setattr(benchmarks, "run_macro_workload", tiny_workload)
-        out = tmp_path / "profile.pstats"
-        code = cli_main(
-            ["bench", "--profile-out", str(out), "--no-append", "--label", "t"]
-        )
-        assert code == 0
-        stats = pstats.Stats(str(out))
-        assert stats.total_calls > 0
-
-    def test_benchmark_record_extra_serialised_only_when_set(self):
-        from repro.benchmarks import BenchmarkRecord
-
-        record = BenchmarkRecord(
-            label="x", timestamp="t", total_seconds=1.0, phases={},
-            identity={}, workload={},
-        )
-        assert "extra" not in record.to_json()
-        record.extra["trace_overhead"] = {"overhead_fraction": 0.01}
-        assert record.to_json()["extra"]["trace_overhead"][
-            "overhead_fraction"
-        ] == 0.01

@@ -197,121 +197,6 @@ class TestParallelSweep:
         sweep = run_sweep([1, 2], OracleConfig(max_input_vectors=2), jobs=1)
         assert sweep.ok
         assert sweep.total_runs == 4
-        phases = sweep.phase_seconds()
-        assert {"compile", "analyze", "execute"} <= set(phases)
-
-
-class TestBenchmarkTrajectory:
-    def _record(self, label: str, seconds: float, checksum: str = "abc"):
-        from repro.benchmarks import BenchmarkRecord
-
-        return BenchmarkRecord(
-            label=label,
-            timestamp="2026-01-01T00:00:00Z",
-            total_seconds=seconds,
-            phases={"sweep.wall": seconds},
-            identity={"sweep_checksum": checksum, "sweep_violations": 0},
-            workload={"sweep_programs": 50},
-        )
-
-    def test_append_and_reload_roundtrip(self, tmp_path):
-        from repro.benchmarks import append_record, load_history
-
-        path = str(tmp_path / "BENCH_perf.json")
-        append_record(path, self._record("first", 10.0))
-        append_record(path, self._record("second", 3.0))
-        history = load_history(path)
-        assert [e["label"] for e in history["entries"]] == ["first", "second"]
-        assert history["schema"] == 1
-
-    def test_regression_check_flags_slowdown_and_result_drift(self, tmp_path):
-        from repro.benchmarks import append_record, check_regression
-
-        path = str(tmp_path / "BENCH_perf.json")
-        append_record(path, self._record("baseline", 3.0))
-        assert check_regression(path, self._record("ok", 3.3)) is None
-        problem = check_regression(path, self._record("slow", 4.0))
-        assert problem is not None and "regression" in problem
-        drift = check_regression(path, self._record("drift", 3.0, checksum="zzz"))
-        assert drift is not None and "changed" in drift
-
-    def test_regression_check_passes_without_baseline(self, tmp_path):
-        from repro.benchmarks import check_regression
-
-        path = str(tmp_path / "BENCH_perf.json")
-        assert check_regression(path, self._record("fresh", 5.0)) is None
-
-    def test_wall_clock_not_compared_across_machines(self, tmp_path):
-        from repro.benchmarks import append_record, check_regression
-
-        path = str(tmp_path / "BENCH_perf.json")
-        baseline = self._record("laptop", 3.0)
-        baseline.machine = "other-arch-cpu64-py3.11.7"
-        append_record(path, baseline)
-        # 10x slower, but on different hardware: only the (matching)
-        # checksum is checked, so the wall clock must not fail the gate.
-        assert check_regression(path, self._record("ci", 30.0)) is None
-        # ... while a checksum drift still fails regardless of machine.
-        drift = check_regression(path, self._record("ci", 3.0, checksum="zzz"))
-        assert drift is not None and "changed" in drift
-
-    def test_wall_clock_not_compared_across_cache_modes(self, tmp_path):
-        from repro.benchmarks import append_record, check_regression
-
-        path = str(tmp_path / "BENCH_perf.json")
-        warm = self._record("warm", 1.0)
-        warm.cache = {"enabled": True, "warm": True, "tier2_hits": 100}
-        append_record(path, warm)
-        # A cold run is 3x slower than the warm baseline, but warm entries
-        # are not wall-clock baselines for cold runs: only the checksum is
-        # compared and the gate passes.
-        cold = self._record("cold", 3.0)
-        cold.cache = {"enabled": True, "warm": False, "tier2_hits": 0}
-        assert check_regression(path, cold) is None
-        # A second warm run 3x slower than the warm baseline does fail.
-        slow_warm = self._record("slow warm", 3.0)
-        slow_warm.cache = {"enabled": True, "warm": True, "tier2_hits": 100}
-        problem = check_regression(path, slow_warm)
-        assert problem is not None and "regression" in problem
-
-    def _counted(self, label: str, pivots: int, warm: bool = False):
-        record = self._record(label, 3.0)
-        record.counters = {
-            "analysis.fixpoint_iterations": 140,
-            "analysis.simplex_pivots": pivots,
-        }
-        record.cache = {"enabled": warm, "warm": warm, "tier1_hits": 116}
-        return record
-
-    def test_work_counters_gate_exactly(self, tmp_path):
-        from repro.benchmarks import append_record, check_regression
-
-        path = str(tmp_path / "BENCH_perf.json")
-        append_record(path, self._counted("baseline", 42))
-        # Equal work passes, also with a store attached (still a cold run).
-        assert check_regression(path, self._counted("equal", 42)) is None
-        stored = self._counted("cold with store", 42)
-        stored.cache["enabled"] = True
-        assert check_regression(path, stored) is None
-        problem = check_regression(path, self._counted("more pivots", 43))
-        assert problem is not None
-        assert "analysis.simplex_pivots 43 != baseline 42" in problem
-        fewer_hits = self._counted("fewer hits", 42)
-        fewer_hits.cache["tier1_hits"] = 115
-        assert "cache.tier1_hits 115 != baseline 116" in check_regression(
-            path, fewer_hits
-        )
-
-    def test_work_counters_compared_within_cold_or_warm_only(self, tmp_path):
-        from repro.benchmarks import append_record, check_regression
-
-        path = str(tmp_path / "BENCH_perf.json")
-        append_record(path, self._counted("cold", 42))
-        append_record(path, self._record("no counters", 3.0))
-        # The latest entry has no counters: the cold entry before it gates.
-        assert "simplex_pivots 7" in check_regression(path, self._counted("x", 7))
-        # A warm run has no warm baseline with counters: not compared.
-        assert check_regression(path, self._counted("warm", 0, warm=True)) is None
 
 
 class TestPhaseClock:

@@ -1457,7 +1457,7 @@ class TestCliVersion:
         assert "repro" in capsys.readouterr().out
 
     def test_version_on_subcommands(self, capsys):
-        for command in ("analyze", "check", "sweep", "bench", "report", "serve"):
+        for command in ("analyze", "check", "sweep", "fuzz", "report", "serve"):
             with pytest.raises(SystemExit) as excinfo:
                 cli_main([command, "--version"])
             assert excinfo.value.code == 0

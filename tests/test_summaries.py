@@ -19,7 +19,7 @@ from repro.analysis.summaries import merge_stats
 from repro.analysis.value import ValueAnalysis
 from repro.annotations import AnnotationSet
 from repro.api import CACHE_ENV_VAR, AnalysisRequest, AnalysisService, Project
-from repro.cache import SummaryStore, configure, configured_store
+from repro.cache import SummaryStore
 from repro.hardware.processor import leon2_like, simple_scalar
 from repro.minic import compile_source
 from repro.testing.oracle import OracleConfig
@@ -104,15 +104,6 @@ class TestSummaryStore:
         fresh = SummaryStore(str(tmp_path))
         assert fresh.get("bucket", "a") == 1
         assert fresh.get("bucket", "b") == 2
-
-    def test_configure_global_store(self, tmp_path):
-        try:
-            assert configured_store() is None
-            store = configure(str(tmp_path))
-            assert configured_store() is store
-        finally:
-            configure(None)
-        assert configured_store() is None
 
 
 # --------------------------------------------------------------------------- #
@@ -306,13 +297,9 @@ class TestAnalyzeMany:
         assert len(bounds) == 1
 
     def test_parallel_workers_honour_global_store(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
         store_dir = tmp_path / "global-store"
-        try:
-            configure(str(store_dir))
-            self._service(cache="auto").analyze_many(self.REQUESTS[1:], jobs=2)
-        finally:
-            configure(None)
+        monkeypatch.setenv(CACHE_ENV_VAR, str(store_dir))
+        self._service(cache="auto").analyze_many(self.REQUESTS[1:], jobs=2)
         assert list(store_dir.glob("*.pkl")), "workers did not persist summaries"
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -486,18 +473,15 @@ class TestContextCapping:
         cold_side = analyze("side", None)
         assert _report_fingerprint(warm_side) == _report_fingerprint(cold_side)
 
-    def test_oracle_ignores_global_default_store(self, tmp_path):
+    def test_oracle_ignores_global_default_store(self, tmp_path, monkeypatch):
         # OracleConfig(cache_dir=None) promises no persistent caching, even
-        # when a process-global default store is configured.
+        # when REPRO_CACHE_DIR names a store.
         from repro.testing.oracle import DifferentialOracle
         from repro.testing.generator import generate_case
 
-        try:
-            configure(str(tmp_path / "global"))
-            oracle = DifferentialOracle(OracleConfig(max_input_vectors=2))
-            result = oracle.check(generate_case(1))
-        finally:
-            configure(None)
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "global"))
+        oracle = DifferentialOracle(OracleConfig(max_input_vectors=2))
+        result = oracle.check(generate_case(1))
         assert result.ok
         assert result.cache_stats["tier2_hits"] == 0
         assert result.cache_stats["tier2_misses"] == 0
