@@ -18,6 +18,7 @@ composes per-function results bottom-up over the call graph.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -158,8 +159,14 @@ class ValueAnalysisResult:
 #: ``compile()`` costs ~15µs per generated line, so eagerly compiling blocks
 #: that run two or three times is a net loss on one-shot analyses, while hot
 #: loop bodies and repeatedly-analysed functions amortise it many times over.
+#: The cache is least-recently-used: a use moves an entry to the newest end
+#: (dicts keep insertion order) and a full cache evicts the oldest entry.
+#: The limit holds the paper pass's 33 entries and the server's warm set many
+#: times over, while a stream of novel programs (sweeps, fuzzing, the
+#: server's one-off requests) cannot grow it past a few megabytes.
 _KERNEL_CACHE: Dict[Tuple[str, str], Tuple[Dict[int, object], Dict[int, int]]] = {}
-_KERNEL_CACHE_LIMIT = 4096
+_KERNEL_CACHE_LIMIT = 256
+_KERNEL_CACHE_LOCK = threading.Lock()
 _KERNEL_JIT_THRESHOLD = 8
 
 _M_COMPILES = obs_metrics.REGISTRY.counter(
@@ -229,11 +236,12 @@ class ValueAnalysis:
         # content digest so repeated analyses (per-context runs, modes, cache
         # replays) skip recompilation entirely.
         key = (program.content_digest(), cfg.function_name)
-        entry = _KERNEL_CACHE.get(key)
-        if entry is None:
-            if len(_KERNEL_CACHE) >= _KERNEL_CACHE_LIMIT:
-                _KERNEL_CACHE.clear()
-            entry = ({}, {})
+        with _KERNEL_CACHE_LOCK:
+            entry = _KERNEL_CACHE.pop(key, None)
+            if entry is None:
+                if len(_KERNEL_CACHE) >= _KERNEL_CACHE_LIMIT:
+                    del _KERNEL_CACHE[next(iter(_KERNEL_CACHE))]
+                entry = ({}, {})
             _KERNEL_CACHE[key] = entry
         self._kernels, self._kernel_runs = entry
 

@@ -173,6 +173,10 @@ class PipelineModel:
         )
 
 
+#: Opcode classes whose control transfer may pay the branch penalty.
+_TRANSFER_CLASSES = (OpClass.BRANCH, OpClass.CALL, OpClass.RETURN)
+
+
 @dataclass
 class TraceTimingResult:
     """Observed execution time of one concrete run."""
@@ -187,11 +191,16 @@ class TraceTimer:
     """Replay an interpreter trace through concrete caches and count cycles.
 
     The per-instruction *static* cost ingredients (base cost, memory-access
-    and control-transfer classification) depend only on the program and the
-    processor, so they are precomputed once per timer into an address-indexed
-    table; per-address memory-module lookups are memoised the same way.
-    Construct one timer per (processor, program) pair and call :meth:`time`
-    for every trace — the concrete cache simulators are fresh per call.
+    and control-transfer classification, the instruction-cache line a fetch
+    touches) depend only on the program and the processor.  Each address's
+    row is built on its first fetch and kept in an address-indexed table;
+    per-address memory-module lookups are memoised the same way.  Construct
+    one timer per (processor, program) pair and call :meth:`time` for every
+    trace — the concrete cache simulators are fresh per call.
+
+    A fetch from the one line the previous fetch touched is an LRU hit that
+    changes nothing (that line is already the most recently used of its
+    set), so it is counted as a hit without a simulator access.
     """
 
     def __init__(self, processor: ProcessorConfig, program: Program):
@@ -199,26 +208,30 @@ class TraceTimer:
         self.program = program
         program.ensure_layout()
         #: address -> (base cycles, is memory access, pays transfer penalty,
-        #: is conditional branch)
-        self._static_costs: Optional[Dict[int, tuple]] = None
+        #: is conditional branch, instruction-cache line of the fetch or
+        #: ``None`` when it spans several lines or there is no icache)
+        self._static_costs: Dict[int, tuple] = {}
         #: data address -> (read latency, write latency, goes through dcache)
         self._module_info: Dict[int, tuple] = {}
 
-    def _build_static_costs(self) -> Dict[int, tuple]:
-        table: Dict[int, tuple] = {}
-        latency_of = self.processor.latency_of
-        transfer_classes = (OpClass.BRANCH, OpClass.CALL, OpClass.RETURN)
-        for function in self.program:
-            for instr in function.instructions:
-                op_class = instr.op_class
-                table[instr.address] = (
-                    latency_of(op_class),
-                    instr.is_memory_access,
-                    op_class in transfer_classes,
-                    instr.is_conditional_branch,
-                )
-        self._static_costs = table
-        return table
+    def _static_row(self, address: int) -> tuple:
+        instr = self.program.instruction_at(address)
+        op_class = instr.op_class
+        icache = self.processor.icache
+        fetch_line = None
+        if icache is not None:
+            first = icache.line_of(address)
+            if icache.line_of(address + INSTRUCTION_SIZE - 1) == first:
+                fetch_line = first
+        row = (
+            self.processor.latency_of(op_class),
+            instr.is_memory_access,
+            op_class in _TRANSFER_CLASSES,
+            instr.is_conditional_branch,
+            fetch_line,
+        )
+        self._static_costs[address] = row
+        return row
 
     def _module_info_for(self, address: int) -> tuple:
         info = self._module_info.get(address)
@@ -243,8 +256,7 @@ class TraceTimer:
         branch_penalty = processor.branch_penalty
 
         costs = self._static_costs
-        if costs is None:
-            costs = self._build_static_costs()
+        static_row = self._static_row
         module_info = self._module_info_for
 
         cycles = 0
@@ -253,16 +265,27 @@ class TraceTimer:
         num_accesses = len(accesses)
         addresses = trace.instruction_addresses
         num_addresses = len(addresses)
+        #: Line of the previous simulated fetch if it touched only that line.
+        last_line = None
+        same_line_hits = 0
 
         for position, address in enumerate(addresses):
-            base, is_memory, pays_transfer, is_conditional = costs[address]
+            try:
+                row = costs[address]
+            except KeyError:
+                row = static_row(address)
+            base, is_memory, pays_transfer, is_conditional, fetch_line = row
 
             # --- fetch ------------------------------------------------- #
-            if icache is not None:
+            if icache is None:
+                cycles += code_latency
+            elif last_line is not None and fetch_line == last_line:
+                same_line_hits += 1
+                cycles += icache_hit_cycles
+            else:
                 hit = icache.access(address, INSTRUCTION_SIZE)
                 cycles += icache_hit_cycles if hit else code_latency
-            else:
-                cycles += code_latency
+                last_line = fetch_line
 
             # --- execute ------------------------------------------------ #
             cycles += base
@@ -298,6 +321,8 @@ class TraceTimer:
                 if taken:
                     cycles += branch_penalty
 
+        if icache is not None:
+            icache.stats.hits += same_line_hits
         return TraceTimingResult(
             cycles=cycles,
             instructions=num_addresses,

@@ -24,6 +24,7 @@ Semantics
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -165,13 +166,16 @@ class _Frame:
 class Interpreter:
     """Executes a laid-out :class:`~repro.ir.program.Program`.
 
-    The program is *pre-decoded* at construction: every instruction is
-    compiled into a small Python closure that performs exactly its
-    architectural effect and returns the control transfer (if any).  The main
-    loop is then one dict lookup plus one call per executed instruction —
-    no per-step opcode dispatch, operand classification or label resolution.
-    Constructing one interpreter and calling :meth:`run` many times (as the
-    differential oracle does per input vector) amortises the decode to zero.
+    Each instruction is *decoded on its first execution*: it is compiled into
+    a small Python closure that performs exactly its architectural effect and
+    returns the control transfer (if any), and the closure is kept for every
+    later execution.  The main loop is then one dict lookup plus one call per
+    executed instruction — no per-step opcode dispatch, operand
+    classification or label resolution — and code that never runs is never
+    decoded (over three input vectors, more than half of a generated
+    program).  Constructing one
+    interpreter and calling :meth:`run` many times (as the differential
+    oracle does per input vector) decodes each executed instruction once.
 
     Parameters
     ----------
@@ -195,15 +199,30 @@ class Interpreter:
         self.program = program
         self.max_steps = max_steps
         self.trace_instructions = trace_instructions
-        #: address -> (predicate register name or None, step closure).
+        #: address -> (predicate register name or None, step closure), filled
+        #: in as instructions first execute.
         self._decoded: Dict[int, tuple] = {}
-        for function in program:
-            labels = function.label_addresses()
-            for instr in function.instructions:
-                self._decoded[instr.address] = (
-                    instr.pred.name if instr.pred is not None else None,
-                    self._compile(instr, function, labels),
-                )
+        #: function name -> label addresses, resolved on the first decode in
+        #: that function.
+        self._labels: Dict[str, Dict[str, int]] = {}
+
+    def _decode(self, pc: int) -> tuple:
+        """Compile the instruction at ``pc`` and remember it.
+
+        An address outside every function raises the :class:`IRError` of
+        :meth:`~repro.ir.program.Program.function_at`.
+        """
+        function = self.program.function_at(pc)
+        instr = function.instruction_at(pc)
+        labels = self._labels.get(function.name)
+        if labels is None:
+            labels = self._labels[function.name] = function.label_addresses()
+        entry = (
+            instr.pred.name if instr.pred is not None else None,
+            self._compile(instr, function, labels),
+        )
+        self._decoded[pc] = entry
+        return entry
 
     # ------------------------------------------------------------------ #
     def run(
@@ -259,6 +278,7 @@ class Interpreter:
 
         # Local bindings for the hot loop.
         decoded = self._decoded
+        decode = self._decode
         max_steps = self.max_steps
         trace_instructions = self.trace_instructions
         record = trace.instruction_addresses.append
@@ -273,13 +293,14 @@ class Interpreter:
                 )
             entry = decoded.get(pc)
             if entry is None:
-                # Outside every function: raise the canonical lookup error.
-                self.program.function_at(pc).instruction_at(pc)
-                raise ExecutionError(f"cannot decode instruction at {pc:#x}")
+                entry = decode(pc)
             steps += 1
+            # The trace records every fetched pc, predicated-off ones
+            # included, so the block counts are taken from it after the run.
             if trace_instructions:
                 record(pc)
-            block_counts[pc] = block_counts.get(pc, 0) + 1
+            else:
+                block_counts[pc] = block_counts.get(pc, 0) + 1
 
             pred_name, step = entry
             if pred_name is not None and to_int(registers[pred_name]) == 0:
@@ -298,6 +319,8 @@ class Interpreter:
             else:
                 pc = control
 
+        if trace_instructions:
+            trace.block_counts = Counter(trace.instruction_addresses)
         return ExecutionResult(
             return_value=self._int(state.get_register(RETURN_VALUE_REGISTER)),
             steps=steps,
@@ -350,10 +373,28 @@ class Interpreter:
 
         if op is Opcode.MOV:
             dest = instr.dest.name
-            get = self._getter(instr.operands[0])
+            source = instr.operands[0]
+            if isinstance(source, Reg):
+                name = source.name
+
+                def step(state, trace, frames):
+                    registers = state.registers
+                    value = registers[name]
+                    # Only ``la`` of an address at or above 2**31 leaves a
+                    # register value outside the signed 32-bit range.
+                    if value.__class__ is int and not -SIGN_BIT <= value < SIGN_BIT:
+                        value = wrap32(value)
+                    registers[dest] = value
+                    return None
+                return step
+            # An immediate or a symbol address is a constant: store it in the
+            # form set_register gives it.
+            constant = self._getter(source)(None)
+            if isinstance(constant, int):
+                constant = wrap32(constant)
 
             def step(state, trace, frames):
-                state.set_register(dest, get(state))
+                state.registers[dest] = constant
                 return None
             return step
 
@@ -369,8 +410,28 @@ class Interpreter:
         if op in _INT_BINOPS:
             dest = instr.dest.name
             compute = _INT_BINOPS[op]
-            get_a = self._getter(instr.operands[0])
-            get_b = self._getter(instr.operands[1])
+            first, second = instr.operands
+            if isinstance(first, Reg) and isinstance(second, Reg):
+                name_a, name_b = first.name, second.name
+
+                def step(state, trace, frames):
+                    registers = state.registers
+                    registers[dest] = compute(
+                        to_int(registers[name_a]), to_int(registers[name_b])
+                    )
+                    return None
+                return step
+            if isinstance(first, Reg) and isinstance(second, Imm):
+                name_a = first.name
+                value_b = to_int(second.value)
+
+                def step(state, trace, frames):
+                    registers = state.registers
+                    registers[dest] = compute(to_int(registers[name_a]), value_b)
+                    return None
+                return step
+            get_a = self._getter(first)
+            get_b = self._getter(second)
 
             def step(state, trace, frames):
                 state.registers[dest] = compute(

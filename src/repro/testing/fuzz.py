@@ -361,7 +361,7 @@ def run_fuzz(
                 job = None
                 remote_detail = f"submit failed: {type(exc).__name__}: {exc}"
 
-            local = oracles[preset.name].check(case)
+            local = oracles[preset.name].check(case, rendered)
             summary.total_runs += len(local.runs)
 
             if job is not None:

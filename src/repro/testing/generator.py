@@ -43,16 +43,21 @@ fleet (:mod:`repro.testing.fuzz`) rotates presets that switch them on:
 * ``allow_function_pointers`` — indirect calls through ``int *`` handler
   variables; :func:`render_case` compiles the rendered source to discover
   the ``icall`` instruction addresses and emits the matching ``calltargets``
-  control-flow hints (the strict CFG reconstruction path).
+  control-flow hints (the strict CFG reconstruction path).  It keeps that
+  compiled program on the :class:`RenderedCase`, so the oracle analyses and
+  replays it instead of compiling the source a second time.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.annotations import AnnotationSet
+
+if TYPE_CHECKING:
+    from repro.ir.program import Program
 
 #: Length of every generated input/state array (a power of two so masked
 #: input-dependent indices are in bounds by construction).
@@ -262,6 +267,10 @@ class RenderedCase:
     source: str
     annotations: AnnotationSet
     line_count: int
+    #: The source compiled with entry ``main``, when rendering had to compile
+    #: it (function-pointer sites); ``None`` otherwise.  A by-product of
+    #: rendering, so it takes no part in equality.
+    program: Optional["Program"] = field(default=None, compare=False, repr=False)
 
 
 # --------------------------------------------------------------------------- #
@@ -281,7 +290,7 @@ class _Emitter:
 
 def _attach_call_target_hints(
     source: str, annotations: AnnotationSet, sites: List[Tuple[str, ...]]
-) -> None:
+) -> Optional["Program"]:
     """Resolve the rendered function-pointer call sites to ``icall`` addresses.
 
     ``calltargets`` hints are keyed by instruction *address*, which only
@@ -289,26 +298,27 @@ def _attach_call_target_hints(
     not depend on annotations, so compiling the rendered source once here
     yields the final addresses: the Nth ``icall`` in address order is the Nth
     function-pointer site in emission order (functions are laid out in
-    source order, statements in source order within them).  A source the
-    compiler rejects gets no hints — the oracle reports the compile error
-    itself.
+    source order, statements in source order within them).  Returns the
+    compiled program, which is the one the analysis of this source sees.  A
+    source the compiler rejects gets no hints and no program — the oracle
+    compiles it again and reports the error itself.
     """
     from repro.minic import compile_source
 
     try:
         program = compile_source(source)
     except Exception:  # noqa: BLE001 - the oracle owns compile diagnostics
-        return
+        return None
     addresses = sorted(
         instruction.address
         for function in program.functions.values()
         for instruction in function.instructions
         if instruction.opcode.value == "icall"
     )
-    if len(addresses) != len(sites):
-        return
-    for address, targets in zip(addresses, sites):
-        annotations.add_call_targets(address, targets)
+    if len(addresses) == len(sites):
+        for address, targets in zip(addresses, sites):
+            annotations.add_call_targets(address, targets)
+    return program
 
 
 def render_case(case: GeneratedCase) -> RenderedCase:
@@ -347,10 +357,14 @@ def render_case(case: GeneratedCase) -> RenderedCase:
             annotations.add_recursion_bound(function.name, function.recursion_depth)
 
     source = "\n".join(emitter.lines) + "\n"
+    program = None
     if emitter.fnptr_sites:
-        _attach_call_target_hints(source, annotations, emitter.fnptr_sites)
+        program = _attach_call_target_hints(source, annotations, emitter.fnptr_sites)
     return RenderedCase(
-        source=source, annotations=annotations, line_count=len(emitter.lines)
+        source=source,
+        annotations=annotations,
+        line_count=len(emitter.lines),
+        program=program,
     )
 
 

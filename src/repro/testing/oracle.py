@@ -4,7 +4,8 @@ For one program (generated or from the corpus) the oracle:
 
 1. compiles the mini-C source through the full static pipeline and runs the
    WCET analyzer (mini-C → IR → CFG → value/loop analysis → cache/pipeline →
-   IPET), obtaining WCET and BCET bounds;
+   IPET), obtaining WCET and BCET bounds — a source that rendering already
+   compiled (function-pointer programs) is not compiled again;
 2. systematically enumerates concrete input vectors for the program's
    declared input globals;
 3. replays the program in the concrete interpreter for every vector, times
@@ -40,7 +41,7 @@ from repro.ir import Interpreter
 from repro.ir.program import Program
 from repro.cfg.loops import find_loops
 from repro.cfg.reconstruct import reconstruct_program
-from repro.testing.generator import GeneratedCase, GlobalVar, render_case
+from repro.testing.generator import GeneratedCase, GlobalVar, RenderedCase, render_case
 from repro.wcet.report import WCETReport
 
 #: Safety margin multiplier applied to the product-of-ancestor-bounds when
@@ -202,21 +203,23 @@ class DifferentialOracle:
         )
 
     # ------------------------------------------------------------------ #
-    def check(self, case) -> OracleResult:
+    def check(self, case, rendered: Optional[RenderedCase] = None) -> OracleResult:
         """Run the full differential check for one case.
 
         ``case`` is a :class:`~repro.testing.generator.GeneratedCase` or any
         object with the same duck-typed surface (``name``, ``seed``,
         ``entry``, ``max_steps``, ``input_variables()`` and either a model
         renderable by :func:`render_case` or its own ``rendered()`` method —
-        corpus cases provide the latter).
+        corpus cases provide the latter).  A caller that already rendered
+        the case passes that :class:`RenderedCase` as ``rendered``.
         """
         result = OracleResult(case_name=case.name, seed=case.seed)
 
-        if isinstance(case, GeneratedCase):
-            rendered = render_case(case)
-        else:
-            rendered = case.rendered()
+        if rendered is None:
+            if isinstance(case, GeneratedCase):
+                rendered = render_case(case)
+            else:
+                rendered = case.rendered()
         result.source = rendered.source
         processor = self.config.processor_factory()
         # The oracle is a thin consumer of the repro.api facade; cache="off"
@@ -224,14 +227,19 @@ class DifferentialOracle:
         # tier-2 store, even when REPRO_CACHE_DIR is set — only the
         # explicitly passed summary cache (with this oracle's own store) is
         # ever in play.
-        project = Project.from_source(
-            rendered.source,
+        settings = dict(
             entry=case.entry,
             annotations=rendered.annotations,
             processor=processor,
             cache="off",
             name=case.name,
         )
+        if rendered.program is not None and rendered.program.entry == case.entry:
+            # Rendering compiled this source already (to place the
+            # function-pointer hints); analyse and replay that program.
+            project = Project.from_program(rendered.program, **settings)
+        else:
+            project = Project.from_source(rendered.source, **settings)
         started = time.perf_counter()
         try:
             program = project.build()
@@ -272,7 +280,8 @@ class DifferentialOracle:
             seed=self.config.input_seed,
         )
         max_steps = min(case.max_steps, self.config.max_steps)
-        # One pre-decoded interpreter and one trace timer serve all vectors.
+        # One interpreter and one trace timer serve all vectors: each decodes
+        # an instruction, or builds its cost row, the first time it runs.
         interpreter = Interpreter(program, max_steps=max_steps)
         timer = TraceTimer(processor, program)
         # CFGs and loop forests depend only on the program; build them once

@@ -32,7 +32,6 @@ from repro.testing.generator import (
     SReturn,
     SWhileBreak,
     Stmt,
-    render_case,
 )
 from repro.testing.oracle import DifferentialOracle, OracleConfig, OracleResult
 
@@ -91,7 +90,7 @@ class Shrinker:
         return ShrinkResult(
             case=current,
             result=final_result,
-            line_count=render_case(current).line_count,
+            line_count=len(final_result.source.splitlines()),
             checks=self.checks,
             reductions=reductions,
         )

@@ -11,11 +11,15 @@ loop-bound annotation) and must reduce it to a handful of lines.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
 from repro.api import AnalysisRequest, AnalysisService, Project
-from repro.hardware.processor import leon2_like
+from repro.hardware import TraceTimer
+from repro.hardware.processor import leon2_like, simple_scalar
+from repro.ir import Interpreter
+from repro.minic import compile_source
 from repro.testing import (
     FeatureMix,
     GeneratedCase,
@@ -27,7 +31,7 @@ from repro.testing import (
 )
 from repro.testing.fuzz import default_presets
 from repro.testing.generator import GFunction, GlobalVar, SAssign, SFor, SIf, SWhileBreak
-from repro.testing.oracle import enumerate_inputs
+from repro.testing.oracle import DifferentialOracle, enumerate_inputs
 from repro.testing.shrink import Shrinker
 from repro.wcet.analyzer import AnalysisOptions
 
@@ -139,6 +143,210 @@ class TestKnobLaws:
                 f"{preset.name} seed {case.seed} {knob}: bounds "
                 f"{knob_wcet}/{knob_bcet} tighter than {wcet}/{bcet}"
             )
+
+
+#: Generator seeds whose programs pin the oracle's concrete outcomes, each
+#: under every fuzz preset on both processors below.
+ORACLE_PIN_SEEDS = (2, 5)
+ORACLE_PIN_PROCESSORS = {"simple": simple_scalar, "leon2": leon2_like}
+ORACLE_PIN_VECTORS = 3
+
+#: ``"<preset>/<seed>/<processor>"`` -> (WCET, BCET, one row per input vector:
+#: observed cycles, steps, return value, icache hits, icache misses, dcache
+#: hits, dcache misses; a cache the processor lacks counts zero).  Computed
+#: while the interpreter still decoded every instruction up front and the
+#: trace timer simulated every fetch.
+PINNED_ORACLE_OUTCOMES = {
+    "baseline/2/simple": (8638, 205, (
+        (4141, 1589, -3, 0, 0, 0, 0),
+        (4141, 1589, 4605, 0, 0, 0, 0),
+        (4188, 1611, 2301, 0, 0, 0, 0),
+    )),
+    "baseline/2/leon2": (17729, 207, (
+        (4848, 1589, -3, 1511, 78, 483, 10),
+        (4848, 1589, 4605, 1511, 78, 483, 10),
+        (4902, 1611, 2301, 1532, 79, 486, 10),
+    )),
+    "baseline/5/simple": (2248, 126, (
+        (521, 187, -1, 0, 0, 0, 0),
+        (521, 187, -1, 0, 0, 0, 0),
+        (521, 187, -1, 0, 0, 0, 0),
+    )),
+    "baseline/5/leon2": (4817, 127, (
+        (751, 187, -1, 158, 29, 35, 6),
+        (751, 187, -1, 158, 29, 35, 6),
+        (754, 187, -1, 158, 29, 34, 7),
+    )),
+    "recursion/2/simple": (509, 263, (
+        (424, 163, 0, 0, 0, 0, 0),
+        (424, 163, 0, 0, 0, 0, 0),
+        (424, 163, 0, 0, 0, 0, 0),
+    )),
+    "recursion/2/leon2": (1168, 272, (
+        (629, 163, 0, 140, 23, 47, 8),
+        (629, 163, 0, 140, 23, 47, 8),
+        (629, 163, 0, 140, 23, 47, 8),
+    )),
+    "recursion/5/simple": (358, 179, (
+        (355, 124, 0, 0, 0, 0, 0),
+        (355, 124, 0, 0, 0, 0, 0),
+        (355, 124, 0, 0, 0, 0, 0),
+    )),
+    "recursion/5/leon2": (741, 184, (
+        (558, 124, 0, 99, 25, 39, 6),
+        (558, 124, 0, 99, 25, 39, 6),
+        (558, 124, 0, 99, 25, 39, 6),
+    )),
+    "irreducible/2/simple": (8833, 209, (
+        (4290, 1655, 0, 0, 0, 0, 0),
+        (4290, 1655, 0, 0, 0, 0, 0),
+        (4337, 1677, 0, 0, 0, 0, 0),
+    )),
+    "irreducible/2/leon2": (17952, 212, (
+        (5028, 1655, 0, 1575, 80, 485, 11),
+        (5028, 1655, 0, 1575, 80, 485, 11),
+        (5075, 1677, 0, 1597, 80, 488, 11),
+    )),
+    "irreducible/5/simple": (2261, 139, (
+        (534, 193, 1, 0, 0, 0, 0),
+        (534, 193, 1, 0, 0, 0, 0),
+        (534, 193, 1, 0, 0, 0, 0),
+    )),
+    "irreducible/5/leon2": (4840, 140, (
+        (774, 193, 1, 163, 30, 35, 7),
+        (774, 193, 1, 163, 30, 35, 7),
+        (774, 193, 1, 163, 30, 35, 7),
+    )),
+    "fnptr/2/simple": (35488, 91, (
+        (10375, 4190, 9, 0, 0, 0, 0),
+        (10375, 4190, 9, 0, 0, 0, 0),
+        (12173, 4916, 9, 0, 0, 0, 0),
+    )),
+    "fnptr/2/leon2": (80341, 92, (
+        (11707, 4190, 9, 4091, 99, 886, 15),
+        (11707, 4190, 9, 4091, 99, 886, 15),
+        (13685, 4916, 9, 4808, 108, 1037, 15),
+    )),
+    "fnptr/5/simple": (8874, 201, (
+        (1693, 657, -5, 0, 0, 0, 0),
+        (1690, 655, -5, 0, 0, 0, 0),
+        (1588, 617, -5, 0, 0, 0, 0),
+    )),
+    "fnptr/5/leon2": (18483, 205, (
+        (2197, 657, -5, 599, 58, 153, 9),
+        (2195, 655, -5, 597, 58, 153, 9),
+        (2038, 617, -5, 566, 51, 145, 8),
+    )),
+    "context-cap/2/simple": (8770, 205, (
+        (4141, 1589, -3, 0, 0, 0, 0),
+        (4141, 1589, 4605, 0, 0, 0, 0),
+        (4188, 1611, 2301, 0, 0, 0, 0),
+    )),
+    "context-cap/2/leon2": (19148, 207, (
+        (4848, 1589, -3, 1511, 78, 483, 10),
+        (4848, 1589, 4605, 1511, 78, 483, 10),
+        (4902, 1611, 2301, 1532, 79, 486, 10),
+    )),
+    "context-cap/5/simple": (2248, 126, (
+        (521, 187, -1, 0, 0, 0, 0),
+        (521, 187, -1, 0, 0, 0, 0),
+        (521, 187, -1, 0, 0, 0, 0),
+    )),
+    "context-cap/5/leon2": (4817, 127, (
+        (751, 187, -1, 158, 29, 35, 6),
+        (751, 187, -1, 158, 29, 35, 6),
+        (754, 187, -1, 158, 29, 34, 7),
+    )),
+    "all/2/simple": (4033, 263, (
+        (3738, 1310, -7, 0, 0, 0, 0),
+        (3738, 1310, -7, 0, 0, 0, 0),
+        (2787, 965, -7, 0, 0, 0, 0),
+    )),
+    "all/2/leon2": (7966, 270, (
+        (4579, 1310, -7, 1212, 98, 300, 14),
+        (4579, 1310, -7, 1212, 98, 300, 14),
+        (3413, 965, -7, 892, 73, 214, 14),
+    )),
+    "all/5/simple": (2333, 94, (
+        (907, 346, 0, 0, 0, 0, 0),
+        (907, 346, 0, 0, 0, 0, 0),
+        (475, 176, 0, 0, 0, 0, 0),
+    )),
+    "all/5/leon2": (5351, 96, (
+        (1228, 346, 0, 311, 35, 85, 8),
+        (1228, 346, 0, 311, 35, 85, 8),
+        (708, 176, 0, 149, 27, 41, 6),
+    )),
+}
+#: SHA-256 of ``_outcome_lines(PINNED_ORACLE_OUTCOMES)``, first 16 digits.
+PINNED_ORACLE_DIGEST = "6d2e3f73ab2632df"
+
+
+def _outcome_lines(table) -> str:
+    return "\n".join(
+        f"{key}:{wcet}:{bcet}:" + ";".join(",".join(map(str, run)) for run in runs)
+        for key, (wcet, bcet, runs) in sorted(table.items())
+    )
+
+
+def _oracle_outcome(preset, seed: int, processor_name: str):
+    """The oracle's bounds and runs, with each run's cache counts from a
+    replay of the same vectors on a fresh compile of the same source."""
+    factory = ORACLE_PIN_PROCESSORS[processor_name]
+    case = generate_case(seed, mix=preset.mix)
+    rendered = render_case(case)
+    result = DifferentialOracle(
+        OracleConfig(
+            processor_factory=factory,
+            max_input_vectors=ORACLE_PIN_VECTORS,
+            analysis_options=preset.options,
+        )
+    ).check(case, rendered)
+    assert result.ok, [str(violation) for violation in result.violations]
+
+    program = compile_source(rendered.source)
+    interpreter = Interpreter(program, max_steps=case.max_steps)
+    timer = TraceTimer(factory(), program)
+    vectors = enumerate_inputs(case.input_variables(), ORACLE_PIN_VECTORS)
+    assert len(vectors) == len(result.runs)
+    runs = []
+    for run, vector in zip(result.runs, vectors):
+        execution = interpreter.run(case.entry, initial_data=vector)
+        timing = timer.time(execution.trace)
+        assert (timing.cycles, execution.steps, execution.return_value) == (
+            run.observed_cycles,
+            run.steps,
+            run.return_value,
+        )
+        counts = []
+        for stats in (timing.icache_stats, timing.dcache_stats):
+            counts += [stats.hits, stats.misses] if stats else [0, 0]
+        runs.append((run.observed_cycles, run.steps, run.return_value, *counts))
+    return result.wcet_cycles, result.bcet_cycles, tuple(runs)
+
+
+class TestOracleOutcomePins:
+    """Replay work may be skipped or reordered, never changed: the oracle's
+    concrete outcomes on 24 programs are pinned exactly."""
+
+    def test_pin_table_is_complete_and_matches_its_digest(self):
+        expected = {
+            f"{preset.name}/{seed}/{processor}"
+            for preset in default_presets()
+            for seed in ORACLE_PIN_SEEDS
+            for processor in ORACLE_PIN_PROCESSORS
+        }
+        assert set(PINNED_ORACLE_OUTCOMES) == expected
+        digest = hashlib.sha256(_outcome_lines(PINNED_ORACLE_OUTCOMES).encode())
+        assert digest.hexdigest()[:16] == PINNED_ORACLE_DIGEST
+
+    @pytest.mark.parametrize("key", sorted(PINNED_ORACLE_OUTCOMES))
+    def test_oracle_outcomes_are_pinned(self, key):
+        preset_name, seed, processor = key.split("/")
+        preset = next(p for p in default_presets() if p.name == preset_name)
+        assert _oracle_outcome(preset, int(seed), processor) == (
+            PINNED_ORACLE_OUTCOMES[key]
+        ), f"{key}: oracle outcomes moved"
 
 
 class TestCorpus:

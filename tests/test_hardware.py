@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,8 +29,11 @@ from repro.hardware import (
     mpc5554_like,
     simple_scalar,
 )
+from repro.hardware import pipeline
 from repro.hardware.memory import default_memory_map
-from repro.ir import Interpreter, parse_assembly
+from repro.ir import Instruction, Interpreter, Opcode, parse_assembly
+from repro.ir.instructions import INSTRUCTION_SIZE
+from repro.ir.interpreter import ExecutionTrace
 from repro.ir.program import CODE_BASE, DATA_BASE, DEVICE_BASE
 
 
@@ -276,3 +282,86 @@ class TestPipeline:
     def test_without_caches_helper(self):
         processor = leon2_like().without_caches()
         assert processor.icache is None and processor.dcache is None
+
+
+class _NopCode:
+    """Code memory with a ``nop`` at every byte address, so a hand-built trace
+    may fetch from anywhere, across line boundaries included."""
+
+    def ensure_layout(self) -> None:
+        pass
+
+    def instruction_at(self, address: int) -> Instruction:
+        return Instruction(Opcode.NOP, address=address)
+
+
+def _nop_code_trace() -> ExecutionTrace:
+    # From a cold cache, 0x100E reaches into the 16-byte line after the one
+    # 0x100A touched: a miss, though its first line was just fetched.  On
+    # two sets of two ways, 0x1030 and 0x1050 then evict that line again.
+    addresses = [0x100A, 0x100E, 0x1030, 0x1050, 0x1050]
+    addresses += list(range(0x1000, 0x1040, 4))
+    rng = random.Random(7)
+    address = 0x1000
+    for _ in range(400):
+        addresses.append(address)
+        address = address + 4 if rng.random() < 0.7 else 0x1000 + rng.randrange(160)
+    return ExecutionTrace(instruction_addresses=addresses)
+
+
+class TestTraceTimerSameLineFetches:
+    """A fetch from the one line the previous fetch touched is counted as a
+    hit without a simulator access; cycles and both caches' counts must equal
+    a replay that simulates every fetch."""
+
+    @pytest.mark.parametrize("code", ["program", "nop-code"])
+    @pytest.mark.parametrize("line_size", [2, 4, 16])
+    def test_timing_equals_a_replay_of_every_fetch(
+        self, line_size, code, counter_loop_program, monkeypatch
+    ):
+        processor = dataclasses.replace(
+            leon2_like(),
+            icache=CacheConfig("icache", num_sets=2, associativity=2, line_size=line_size),
+        )
+        if code == "program":
+            program = counter_loop_program
+            trace = Interpreter(program).run().trace
+        else:
+            program = _NopCode()
+            trace = _nop_code_trace()
+
+        fetches = []
+
+        class CountingCache(LRUCacheSimulator):
+            def access(self, address, size=4):
+                if self.config is processor.icache:
+                    fetches.append(address)
+                return super().access(address, size)
+
+        monkeypatch.setattr(pipeline, "LRUCacheSimulator", CountingCache)
+        timing = TraceTimer(processor, program).time(trace)
+        monkeypatch.undo()
+
+        # The reference: the trace timed without an icache, with every fetch
+        # then simulated and each hit's saving taken off.
+        uncached = TraceTimer(dataclasses.replace(processor, icache=None), program).time(trace)
+        reference = LRUCacheSimulator(processor.icache)
+        saving = processor.code_fetch_latency() - processor.icache_hit_cycles
+        hits = sum(
+            reference.access(address, INSTRUCTION_SIZE)
+            for address in trace.instruction_addresses
+        )
+        assert timing.cycles == uncached.cycles - hits * saving
+        assert (timing.icache_stats.hits, timing.icache_stats.misses) == (
+            reference.stats.hits,
+            reference.stats.misses,
+        )
+        assert (timing.dcache_stats.hits, timing.dcache_stats.misses) == (
+            uncached.dcache_stats.hits,
+            uncached.dcache_stats.misses,
+        )
+        if line_size == 2:
+            # Every 4-byte fetch spans two lines: the rule never fires.
+            assert len(fetches) == len(trace.instruction_addresses)
+        if line_size == 16:
+            assert len(fetches) < len(trace.instruction_addresses)

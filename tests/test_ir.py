@@ -339,6 +339,50 @@ class TestInterpreter:
         )
         assert Interpreter(program).run().return_value == 77
 
+    def test_branch_outside_every_function_raises_lookup_error(self):
+        program = parse_assembly(".func main\n    mov r4, 64\n    ibr r4\n    halt\n")
+        with pytest.raises(IRError, match="no function contains address 0x40"):
+            Interpreter(program).run()
+
+    def test_only_executed_instructions_are_decoded(self):
+        program = parse_assembly(
+            ".func main\n    mov r3, 1\n    bt r3, done\n    mov r3, 2\n"
+            "done:\n    halt\n.func unused\n    mov r3, 3\n    ret\n"
+        )
+        interpreter = Interpreter(program)
+        result = interpreter.run()
+        assert result.return_value == 1
+        assert set(interpreter._decoded) == set(result.trace.instruction_addresses)
+        assert len(interpreter._decoded) == 3 < program.instruction_count()
+
+    def test_block_counts_count_every_fetch(self):
+        program = parse_assembly(
+            ".func main\n    mov r4, 3\n    mov r9, 0\nloop:\n"
+            "    add r3, r3, 1 ?r9\n    sub r4, r4, 1\n    bt r4, loop\n    halt\n"
+        )
+        traced = Interpreter(program).run().trace
+        untraced = Interpreter(program, trace_instructions=False).run().trace
+        assert not untraced.instruction_addresses
+        assert dict(traced.block_counts) == dict(untraced.block_counts)
+        # The predicated-off add is fetched once per iteration.
+        assert traced.block_counts[CODE_BASE + 2 * INSTRUCTION_SIZE] == 3
+
+    def test_register_moves_and_alu_keep_32_bit_values(self):
+        program = parse_assembly(
+            ".data port 4 region=device\n.func main\n"
+            "    la r4, port\n    mov r5, r4\n    mov r6, 0xFFFFFFFF\n"
+            "    mov r7, 2.5\n    add r8, r7, 1\n    add r9, r8, 1.5\n"
+            "    sub r10, r6, r8\n    halt\n"
+        )
+        registers = Interpreter(program).run().registers
+        # la leaves the device address unwrapped; a copy wraps it.
+        assert registers["r4"] == program.symbol_address("port") >= 2**31
+        assert registers["r5"] == to_signed(registers["r4"])
+        assert registers["r6"] == -1
+        assert registers["r7"] == 2.5
+        assert registers["r8"] == 3 and registers["r9"] == 4
+        assert registers["r10"] == -4
+
     def test_unsigned_comparison(self):
         program = parse_assembly(
             ".func main\n    mov r4, -1\n    mov r5, 1\n    sltu r3, r5, r4\n    halt\n"
