@@ -4,7 +4,7 @@ The solver is parameterised over the abstract domain through three callbacks
 (transfer, join, widen) plus an inclusion check, and is shared by the value
 analysis and by the abstract cache analyses.  Widening is applied at the
 designated *widening points* (loop headers) once a node has been revisited
-``widen_after`` times, which guarantees termination for infinite-height
+:data:`WIDEN_AFTER` times, which guarantees termination for infinite-height
 domains such as intervals.
 
 Scheduling
@@ -43,6 +43,10 @@ _M_JOINS = obs_metrics.REGISTRY.counter(
 _M_WIDENS = obs_metrics.REGISTRY.counter(
     "repro_fixpoint_widens_total", "Widenings applied at loop heads."
 )
+
+#: A widening point widens, rather than joins, from its ``WIDEN_AFTER``-th
+#: changed entry state on.
+WIDEN_AFTER = 2
 
 State = TypeVar("State")
 
@@ -85,8 +89,8 @@ class ForwardSolver(Generic[State]):
         Factory for the unreachable state.
     widening_points:
         Node ids at which widening (rather than join) is applied after
-        ``widen_after`` visits — typically the loop headers.  Defaults to the
-        WTO component heads when a WTO is supplied.
+        :data:`WIDEN_AFTER` visits — typically the loop headers.  Defaults to
+        the WTO component heads when a WTO is supplied.
     wto:
         Precomputed weak topological order used as the scheduling priority;
         computed from the CFG when omitted.
@@ -103,7 +107,6 @@ class ForwardSolver(Generic[State]):
         includes: Callable[[State, State], bool],
         bottom: Callable[[], State],
         widening_points: Optional[Iterable[int]] = None,
-        widen_after: int = 2,
         max_iterations: int = 100_000,
         wto: Optional[WeakTopologicalOrder] = None,
     ):
@@ -117,7 +120,6 @@ class ForwardSolver(Generic[State]):
         if widening_points is None and wto is not None:
             widening_points = wto.heads
         self.widening_points: Set[int] = set(widening_points or ())
-        self.widen_after = widen_after
         self.max_iterations = max_iterations
 
     def solve(self, entry_state: State) -> FixpointResult[State]:
@@ -144,7 +146,6 @@ class ForwardSolver(Generic[State]):
         pending: Set[int] = {entry_block}
 
         widening_points = self.widening_points
-        widen_after = self.widen_after
         includes = self.includes
         transfer = self.transfer
         edge_out = result.edge_out
@@ -183,7 +184,7 @@ class ForwardSolver(Generic[State]):
                         visits[successor] = visits.get(successor, 0) + 1
                         if (
                             successor in widening_points
-                            and visits[successor] >= widen_after
+                            and visits[successor] >= WIDEN_AFTER
                         ):
                             new_state = self.widen(old, out_state)
                             widens += 1

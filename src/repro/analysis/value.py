@@ -185,6 +185,9 @@ _M_INTERPRETED = obs_metrics.REGISTRY.counter(
 _CODE_CACHE: Dict[str, object] = {}
 _CODE_CACHE_LIMIT = 16384
 
+#: Safety limit on one function's fixpoint iterations.
+_MAX_FIXPOINT_ITERATIONS = 50_000
+
 
 class ValueAnalysis:
     """Abstract interpretation of one function.
@@ -213,8 +216,6 @@ class ValueAnalysis:
         loops: Optional[LoopForest] = None,
         initial_registers: Optional[Dict[str, AbstractValue]] = None,
         assume_initial_globals: bool = False,
-        widen_after: int = 2,
-        max_iterations: int = 50_000,
     ):
         program.ensure_layout()
         self.program = program
@@ -222,8 +223,6 @@ class ValueAnalysis:
         self.loops = loops if loops is not None else find_loops(cfg)
         self.initial_registers = dict(initial_registers or {})
         self.assume_initial_globals = assume_initial_globals
-        self.widen_after = widen_after
-        self.max_iterations = max_iterations
         self._recording: Optional[Dict[int, AccessInfo]] = None
         # Per-instruction transfer closures, compiled on first use.  A block
         # is re-interpreted once per fixpoint visit (typically 10-30 times),
@@ -273,8 +272,7 @@ class ValueAnalysis:
             includes=lambda old, new: old.includes(new),
             bottom=AbstractState.unreachable,
             widening_points=self.loops.headers(),
-            widen_after=self.widen_after,
-            max_iterations=self.max_iterations,
+            max_iterations=_MAX_FIXPOINT_ITERATIONS,
             wto=compute_wto(self.cfg, self.loops),
         )
         fixpoint = solver.solve(self.entry_state())

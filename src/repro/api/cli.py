@@ -416,25 +416,20 @@ def cmd_fuzz(args) -> int:
 
 def _cmd_fuzz_chaos(args) -> int:
     """``repro fuzz --chaos``: the seeded fault-injection sweep."""
+    from repro.pool import resolve_jobs
     from repro.testing.fuzz import run_chaos
 
-    if args.jobs < 2:
-        print(
-            "error: --chaos needs --jobs >= 2 (kill/hang injection requires "
-            "the supervised worker pool)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    workers = resolve_jobs(args.jobs)
     _say(
         args,
         f"chaos: {args.chaos_jobs} jobs from seed {args.base_seed} against "
-        f"{args.jobs} supervised worker(s) (kill {args.kill_rate:.0%}, "
+        f"{workers} supervised worker(s) (kill {args.kill_rate:.0%}, "
         f"hang {args.hang_rate:.0%}, drop {args.drop_rate:.0%}, "
         f"queue bound {args.max_queue}, deadline {args.job_timeout:.0f}s)",
     )
     summary = run_chaos(
         jobs_total=args.chaos_jobs,
-        workers=args.jobs,
+        workers=workers,
         seed=args.base_seed,
         kill_rate=args.kill_rate,
         hang_rate=args.hang_rate,
@@ -687,8 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--base-seed", type=int, default=1, help="first seed")
     fuzz.add_argument(
         "--jobs", type=int, default=2,
-        help="worker processes of the embedded analysis server "
-        "(1 = inline, 0 = all cores)",
+        help="supervised worker processes of the embedded analysis server "
+        "(0 = all cores); every job runs in one, at 1 too",
     )
     fuzz.add_argument(
         "--processor", choices=_PROCESSOR_CHOICES, default="simple",
@@ -738,7 +733,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--job-timeout", type=float, default=10.0,
-        help="chaos: per-job wall-clock deadline (seconds)",
+        help="chaos: per-job wall-clock deadline in seconds, enforced by "
+        "killing the worker at every --jobs value",
     )
     fuzz.add_argument(
         "--max-queue", type=int, default=4,
@@ -773,7 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes (1 = analyse in-process, 0 = all cores)",
+        help="supervised worker processes (0 = all cores); every job runs in "
+        "one, at 1 too, for one pipe round trip per job",
     )
     serve.add_argument(
         "--cache-dir", default=None,
@@ -786,8 +783,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--job-timeout", type=float, default=None,
-        help="default per-job wall-clock deadline in seconds; clients can "
-        "tighten it per submission (default 300; enforced with --jobs >= 2)",
+        help="default per-job wall-clock deadline in seconds, enforced by "
+        "killing the worker; clients can tighten it per submission "
+        "(default 300)",
     )
     serve.add_argument(
         "--verbose", action="store_true", help="log every HTTP request"

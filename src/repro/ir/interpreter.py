@@ -184,21 +184,12 @@ class Interpreter:
     max_steps:
         Execution is aborted with :class:`ExecutionError` after this many
         instructions — a safety net for diverging workloads under test.
-    trace_instructions:
-        Set to ``False`` to skip recording the full instruction trace (block
-        counts are still collected); useful for very long runs.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        max_steps: int = 2_000_000,
-        trace_instructions: bool = True,
-    ):
+    def __init__(self, program: Program, max_steps: int = 2_000_000):
         program.validate()
         self.program = program
         self.max_steps = max_steps
-        self.trace_instructions = trace_instructions
         #: address -> (predicate register name or None, step closure), filled
         #: in as instructions first execute.
         self._decoded: Dict[int, tuple] = {}
@@ -280,9 +271,7 @@ class Interpreter:
         decoded = self._decoded
         decode = self._decode
         max_steps = self.max_steps
-        trace_instructions = self.trace_instructions
         record = trace.instruction_addresses.append
-        block_counts = trace.block_counts
         registers = state.registers
         to_int = self._int
 
@@ -297,10 +286,7 @@ class Interpreter:
             steps += 1
             # The trace records every fetched pc, predicated-off ones
             # included, so the block counts are taken from it after the run.
-            if trace_instructions:
-                record(pc)
-            else:
-                block_counts[pc] = block_counts.get(pc, 0) + 1
+            record(pc)
 
             pred_name, step = entry
             if pred_name is not None and to_int(registers[pred_name]) == 0:
@@ -319,8 +305,7 @@ class Interpreter:
             else:
                 pc = control
 
-        if trace_instructions:
-            trace.block_counts = Counter(trace.instruction_addresses)
+        trace.block_counts = Counter(trace.instruction_addresses)
         return ExecutionResult(
             return_value=self._int(state.get_register(RETURN_VALUE_REGISTER)),
             steps=steps,

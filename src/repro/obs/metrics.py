@@ -39,9 +39,9 @@ __all__ = [
     "parse_exposition",
 ]
 
-#: Default histogram buckets: log-scale, three per decade, 100 µs … 100 s.
-#: Fixed (never configurable per process) so bucket series from different
-#: processes and PRs always line up.
+#: Histogram buckets: log-scale, three per decade, 100 µs … 100 s.  Every
+#: histogram uses them, so bucket series from different processes and
+#: versions always line up.
 DEFAULT_BUCKETS = tuple(round(10.0 ** (exp / 3.0), 10) for exp in range(-12, 7))
 
 
@@ -168,16 +168,7 @@ class Histogram(_Metric):
     """Cumulative-bucket histogram with fixed log-scale bounds."""
 
     kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Iterable[str] = (),
-        buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-    ):
-        self.buckets = tuple(sorted(buckets))
-        super().__init__(name, help, labelnames)
+    buckets = DEFAULT_BUCKETS
 
     def _zero(self):
         # per-bucket counts (non-cumulative) + [sum, count] tail
@@ -257,12 +248,8 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "", labelnames=()) -> Gauge:
         return self._get_or_create(Gauge, name, help, labelnames=labelnames)
 
-    def histogram(
-        self, name: str, help: str = "", labelnames=(), buckets=DEFAULT_BUCKETS
-    ) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, help, labelnames=labelnames, buckets=buckets
-        )
+    def histogram(self, name: str, help: str = "", labelnames=()) -> Histogram:
+        return self._get_or_create(Histogram, name, help, labelnames=labelnames)
 
     def get(self, name: str) -> Optional[_Metric]:
         with self._lock:

@@ -1,25 +1,26 @@
 """The server's worker pool: supervised workers, warm services, one store.
 
-Two execution modes behind one interface:
+Every ``--jobs`` value runs its jobs the same way: ``resolve_jobs(jobs)``
+dispatcher threads (one at ``--jobs 1``) run their executions on a
+:class:`repro.pool.SupervisedPool` of as many worker processes.  The pool
+enforces the per-job wall-clock deadline (``Execution.timeout``, defaulting
+to the server's ``--job-timeout``), detects worker death (EOF on the pipe)
+and hung jobs (deadline expiry), kills and respawns the worker, and retries
+infrastructure faults a bounded number of times before the dispatcher fails
+the job with a typed ``ServerError`` (``WorkerCrashed`` / ``JobTimeout``).
+Deterministic :class:`~repro.errors.ReproError`\\ s fail the job at once.
+Every worker keeps its own warm-service table and in-process cache tier; all
+share the server's on-disk :class:`~repro.cache.store.SummaryStore` (safe
+under the store's advisory file locking).  A worker ships each job's spans
+and metric delta back with its outcome, and the dispatcher merges both into
+the server process.
 
-* ``jobs <= 1`` — *inline*: one dispatcher thread executes analyses in the
-  server process, keeping warm :class:`~repro.api.service.AnalysisService`
-  instances (built program + in-process summary cache) across requests.
-  Deadlines are advisory here (there is no process boundary to kill across)
-  and crash supervision does not apply — production deployments that need
-  fault isolation should run ``jobs >= 2``;
-* ``jobs > 1`` — *supervised pool*: ``jobs`` dispatcher threads run their
-  executions on a :class:`repro.pool.SupervisedPool` of as many worker
-  processes.  The pool enforces the per-job wall-clock deadline
-  (``Execution.timeout``, defaulting to the server's ``--job-timeout``),
-  detects worker death (EOF on the pipe) and hung jobs (deadline expiry),
-  kills and respawns the worker, and retries infrastructure faults a bounded
-  number of times before the dispatcher fails the job with a typed
-  ``ServerError`` (``WorkerCrashed`` / ``JobTimeout``).  Deterministic
-  :class:`~repro.errors.ReproError`\\ s fail the job at once.  Every worker
-  keeps its own warm-service table and in-process cache tier; all share the
-  server's on-disk :class:`~repro.cache.store.SummaryStore` (safe under the
-  store's advisory file locking).
+No job runs in the server process, so ``--jobs 1`` pays for a process
+boundary too: one pipe round trip per job (a warm flight-control/leon2
+all-modes job takes about 2.7 ms through one worker against 2.0 ms called
+in-process; docs/server.md, "Scaling notes"), and a worker forked while the
+server's threads run.  A fork that leaves its worker hung is killed at the
+deadline and the job retried, like any other hang.
 
 Work and results cross the process boundary as wire JSON
 (:mod:`repro.server.wire` / :mod:`repro.api.serialize`), which round-trips
@@ -63,9 +64,8 @@ WARM_SERVICES_PER_WORKER = 8
 class _WarmServices:
     """Per-process table of warm services keyed by project-spec digest."""
 
-    def __init__(self, cache_dir: Optional[str], limit: int = WARM_SERVICES_PER_WORKER):
+    def __init__(self, cache_dir: Optional[str]):
         self.cache = SummaryCache(store=SummaryStore(cache_dir) if cache_dir else None)
-        self.limit = limit
         self._services: "OrderedDict[str, AnalysisService]" = OrderedDict()
 
     def service(self, spec: ProjectSpec) -> AnalysisService:
@@ -80,7 +80,7 @@ class _WarmServices:
         project.build()  # compile once, while we're warming up anyway
         service = AnalysisService(project, summary_cache=self.cache)
         self._services[key] = service
-        while len(self._services) > self.limit:
+        while len(self._services) > WARM_SERVICES_PER_WORKER:
             self._services.popitem(last=False)
         return service
 
@@ -101,26 +101,21 @@ def fault_key(spec: ProjectSpec, request: AnalysisRequest) -> str:
     return repr(_Job(serialize.to_json(spec), serialize.to_json(request)))
 
 
-def _serve(warm: _WarmServices, job: _Job, ship_obs: bool = False) -> tuple:
-    """Execute one job.
+def _serve(warm: _WarmServices, job: _Job) -> tuple:
+    """Execute one job in a pool worker.
 
-    Never raises.  Returns ``(result_json, error, seconds, obs)``; with
-    ``ship_obs`` (worker-process mode), ``obs`` carries the job's serialised
-    spans and the process registry's metric delta back over the pipe — the
-    supervisor merges both into the server process.  Inline mode records
-    straight into the server's own tracer/registry and ships ``None``.
+    Never raises.  Returns ``(result_json, error, seconds, obs)``: ``obs``
+    carries the job's serialised spans and the process registry's metric
+    delta back over the pipe — the supervisor merges both into the server
+    process.
     """
-    metrics_before = obs_metrics.REGISTRY.dump() if ship_obs else None
-    local_tracer = None
-    if job.trace is not None and obs_trace.active() is None:
-        # Worker process: a per-job tracer continues the propagated trace.
-        local_tracer = obs_trace.Tracer(trace_id=job.trace.get("trace_id"))
-        obs_trace.install(local_tracer)
-    exec_span = (
-        obs_trace.begin("worker-execute", parent=job.trace)
-        if job.trace is not None
-        else None
-    )
+    metrics_before = obs_metrics.REGISTRY.dump()
+    tracer = exec_span = None
+    if job.trace is not None:
+        # A per-job tracer continues the propagated trace.
+        tracer = obs_trace.Tracer(trace_id=job.trace.get("trace_id"))
+        obs_trace.install(tracer)
+        exec_span = obs_trace.begin("worker-execute", parent=job.trace)
     started = time.perf_counter()
     try:
         spec = serialize.from_json(job.spec, ProjectSpec)
@@ -135,7 +130,7 @@ def _serve(warm: _WarmServices, job: _Job, ship_obs: bool = False) -> tuple:
         result_json = None
         error = (type(exc).__name__, f"{exc}\n{traceback.format_exc(limit=5)}")
     seconds = time.perf_counter() - started
-    flush_span = None if exec_span is None else obs_trace.begin("cache-flush")
+    flush_span = obs_trace.begin("cache-flush")
     try:
         # Persists what a failed analysis staged (a finished one has flushed
         # already).  The store counts and survives its own I/O errors, so
@@ -145,25 +140,20 @@ def _serve(warm: _WarmServices, job: _Job, ship_obs: bool = False) -> tuple:
         pass
     obs_trace.end(flush_span)
     obs_trace.end(exec_span)
-    obs = None
-    if local_tracer is not None:
+    spans = []
+    if tracer is not None:
         obs_trace.install(None)
-    if ship_obs:
-        obs = {
-            "spans": (
-                [span.to_json() for span in local_tracer.drain()]
-                if local_tracer is not None
-                else []
-            ),
-            "metrics": obs_metrics.diff(metrics_before, obs_metrics.REGISTRY.dump()),
-        }
+        spans = [span.to_json() for span in tracer.drain()]
+    obs = {
+        "spans": spans,
+        "metrics": obs_metrics.diff(metrics_before, obs_metrics.REGISTRY.dump()),
+    }
     return result_json, error, seconds, obs
 
 
 def _worker_serve(cache_dir: Optional[str]) -> Callable[[_Job], tuple]:
-    """Pool-worker setup: a warm-service table of the worker's own, serving
-    jobs with their spans and metrics shipped back."""
-    return functools.partial(_serve, _WarmServices(cache_dir), ship_obs=True)
+    """Pool-worker setup: a warm-service table of the worker's own."""
+    return functools.partial(_serve, _WarmServices(cache_dir))
 
 
 # --------------------------------------------------------------------------- #
@@ -181,30 +171,24 @@ class WorkerPool:
     ):
         self.scheduler = scheduler
         self.jobs = resolve_jobs(jobs)
-        self.cache_dir = cache_dir
         self.job_timeout = job_timeout
-        self._pool: Optional[SupervisedPool] = None
-        if self.jobs > 1:
-            self._pool = SupervisedPool(
-                _worker_serve,
-                self.jobs,
-                setup_args=(cache_dir,),
-                crash_retries=crash_retries,
-                timeout_retries=timeout_retries,
-            )
+        self._pool = SupervisedPool(
+            _worker_serve,
+            self.jobs,
+            setup_args=(cache_dir,),
+            crash_retries=crash_retries,
+            timeout_retries=timeout_retries,
+        )
         self._threads: list = []
-        self._inline_warm: Optional[_WarmServices] = None
         self._started = False
-        scheduler.workers = max(self.jobs, 1)
+        scheduler.workers = self.jobs
 
     # ------------------------------------------------------------------ #
     def start(self) -> None:
         if self._started:
             return
         self._started = True
-        if self._pool is None:
-            self._inline_warm = _WarmServices(self.cache_dir)
-        for index in range(max(self.jobs, 1)):
+        for index in range(self.jobs):
             thread = threading.Thread(
                 target=self._dispatch_loop,
                 name=f"repro-worker-{index}",
@@ -260,12 +244,7 @@ class WorkerPool:
                 )
 
         try:
-            if self._pool is None:
-                # Inline mode: ``_serve`` never raises, so there is nothing
-                # to supervise; deadlines are advisory.
-                outcome = _serve(self._inline_warm, job)
-            else:
-                outcome = self._pool.run(job, timeout, on_fault)
+            outcome = self._pool.run(job, timeout, on_fault)
         except (WorkerCrashed, JobTimeout) as exc:
             error = ServerError(error=type(exc).__name__, message=str(exc))
             seconds = 0.0
@@ -303,18 +282,13 @@ class WorkerPool:
         )
 
     @staticmethod
-    def _merge_obs(obs: Optional[dict]) -> None:
-        """Fold a worker's shipped spans/metric deltas into this process."""
-        if not obs:
-            return
-        spans = obs.get("spans")
-        if spans:
-            tracer = obs_trace.active()
-            if tracer is not None:
-                tracer.add(spans)
-        delta = obs.get("metrics")
-        if delta:
-            obs_metrics.REGISTRY.merge(delta)
+    def _merge_obs(obs: dict) -> None:
+        """Fold a worker's shipped spans and metric delta into this process."""
+        tracer = obs_trace.active()
+        if obs["spans"] and tracer is not None:
+            tracer.add(obs["spans"])
+        if obs["metrics"]:
+            obs_metrics.REGISTRY.merge(obs["metrics"])
 
     # ------------------------------------------------------------------ #
     # Introspection (chaos harness + /healthz)
@@ -323,7 +297,7 @@ class WorkerPool:
         return sum(1 for thread in self._threads if thread.is_alive())
 
     def worker_pids(self) -> List[int]:
-        return self._pool.pids() if self._pool is not None else []
+        return self._pool.pids()
 
     # ------------------------------------------------------------------ #
     def shutdown(self, wait: bool = True) -> None:
@@ -336,10 +310,4 @@ class WorkerPool:
         if wait:
             for thread in self._threads:
                 thread.join(timeout=30)
-        if self._pool is not None:
-            self._pool.close()
-        if self._inline_warm is not None:
-            try:
-                self._inline_warm.cache.flush()
-            except Exception:  # noqa: BLE001 - drain must finish regardless
-                pass
+        self._pool.close()

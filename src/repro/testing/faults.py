@@ -21,10 +21,11 @@ The in-process injectors (kill/hang) arm themselves through the
 ``REPRO_FAULTS`` environment variable — a JSON :class:`FaultPlan` — so
 forked worker processes inherit the plan, and fire **only** inside processes
 marked by :func:`mark_worker`: the workers of :class:`repro.pool.SupervisedPool`,
-which serve the analysis server, ``analyze_many`` and ``run_sweep`` alike.
-The server process, inline dispatchers, serial batches and any locally-run
-comparison analysis are never touched, which is what lets the chaos sweep
-compare surviving results bit-for-bit against a direct facade call.
+which serve the analysis server at every ``--jobs`` value, ``analyze_many``
+and ``run_sweep`` alike.  The server process, serial batches and any
+locally-run comparison analysis are never touched, which is what lets the
+chaos sweep compare surviving results bit-for-bit against a direct facade
+call.
 """
 
 from __future__ import annotations

@@ -42,6 +42,7 @@ from repro.api import serialize
 from repro.api.project import PROCESSORS
 from repro.api.service import AnalysisRequest, AnalysisService
 from repro.cache import SummaryStore
+from repro.pool import resolve_jobs
 from repro.server.client import ClientError, JobFailed, RemoteError, ServerClient
 from repro.server.http import AnalysisServer
 from repro.server.wire import ProjectSpec, ServerError, ServerStats, ServerSubmit
@@ -850,12 +851,13 @@ def run_chaos(
     fault tolerance holds (docs/server.md, "Fault tolerance").
 
     The sweep submits ``jobs_total`` distinct generated programs in a burst
-    against a server with ``workers`` supervised workers, a per-lane queue
-    bound of ``max_queue`` and a per-job deadline of ``job_timeout`` seconds,
-    while four seeded injectors fire: worker kills and past-deadline hangs
-    (first attempt only, so a retry deterministically succeeds), dropped or
-    truncated HTTP responses behind a :class:`~repro.testing.faults.
-    FlakyProxy`, and summary-store bucket corruption.
+    against a server with ``workers`` supervised workers (``0`` = one per
+    CPU, as ``--jobs``), a per-lane queue bound of ``max_queue`` and a
+    per-job deadline of ``job_timeout`` seconds, while four seeded injectors
+    fire: worker kills and past-deadline hangs (first attempt only, so a
+    retry deterministically succeeds), dropped or truncated HTTP responses
+    behind a :class:`~repro.testing.faults.FlakyProxy`, and summary-store
+    bucket corruption.
 
     Invariants — each breach is a :class:`FuzzViolation`:
 
@@ -871,11 +873,7 @@ def run_chaos(
       drew over the accepted jobs;
     * no dispatcher thread is lost, and the server drains cleanly.
     """
-    if workers < 2:
-        raise ValueError(
-            "chaos needs workers >= 2: kill/hang injection requires the "
-            "supervised process pool (inline mode runs in the server process)"
-        )
+    workers = resolve_jobs(workers)
     say = progress or (lambda message: None)
     summary = ChaosSummary(jobs=jobs_total, seed=seed, workers=workers)
     started = time.perf_counter()

@@ -581,7 +581,7 @@ class WCETAnalyzer:
         for fn, rep in summary.subtree_reports.items():
             run.reports.setdefault(fn, rep)
         for ctx, rep in summary.contexts:
-            existing = run.context_cache.peek(ctx)
+            existing = run.context_cache.get(ctx)
             if existing is None:
                 run.record_context(ctx, rep)
             else:

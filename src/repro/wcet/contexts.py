@@ -67,15 +67,7 @@ class CallContext:
 
 
 class ContextCache(Generic[Result]):
-    """Memoises per-context analysis results (one analysis run's tier 0).
-
-    Hit/miss accounting happens at *lookup* time: a :meth:`get` that finds
-    nothing is a miss even if the same context is probed again before its
-    first :meth:`put` (repeated probes of an unanalysed context are repeated
-    misses, not free).  :meth:`peek` looks up without touching the counters —
-    used when replaying cached summaries, which must not distort the
-    statistics of the run they are replayed into.
-    """
+    """Memoises per-context analysis results (one analysis run's tier 0)."""
 
     def __init__(self) -> None:
         self._cache: Dict[CallContext, Result] = {}
@@ -83,19 +75,8 @@ class ContextCache(Generic[Result]):
         #: check in ``_callee_report`` is O(1) instead of a scan of every
         #: cached context of every function.
         self._by_function: Dict[str, Dict[CallContext, Result]] = {}
-        self.hits = 0
-        self.misses = 0
 
     def get(self, context: CallContext) -> Optional[Result]:
-        result = self._cache.get(context)
-        if result is not None:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return result
-
-    def peek(self, context: CallContext) -> Optional[Result]:
-        """Lookup without hit/miss accounting."""
         return self._cache.get(context)
 
     def put(self, context: CallContext, result: Result) -> Result:
@@ -107,11 +88,6 @@ class ContextCache(Generic[Result]):
         """All cached contexts of ``function`` (live view; do not mutate)."""
         index = self._by_function.get(function)
         return index if index is not None else {}
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def __len__(self) -> int:
         return len(self._cache)

@@ -13,6 +13,7 @@ The acceptance bar (see docs/testing.md, "The fuzz fleet"):
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -455,3 +456,22 @@ class TestFuzzDriver:
         assert not list(tmp_path.iterdir()), "clean run must file no seeds"
         payload = summary.to_json()
         assert payload["kind"] == "FuzzSummary" and payload["ok"] is True
+
+    @pytest.mark.parametrize("jobs", ["1", "0"])
+    def test_chaos_runs_at_every_jobs_value(self, monkeypatch, jobs):
+        """``--chaos`` drives the supervised pool at every ``--jobs`` value;
+        ``0`` reaches the sweep as one worker per CPU.  The sweep itself is
+        stubbed: CI's chaos smoke runs it live."""
+        from repro.api.cli import main as cli_main
+        from repro.testing import fuzz
+
+        seen = {}
+
+        def fake_run_chaos(jobs_total, workers, **knobs):
+            seen["workers"] = workers
+            return fuzz.ChaosSummary(jobs=jobs_total, seed=knobs["seed"], workers=workers)
+
+        monkeypatch.setattr(fuzz, "run_chaos", fake_run_chaos)
+        status = cli_main(["fuzz", "--chaos", "--chaos-jobs", "2", "--jobs", jobs])
+        assert status == 0
+        assert seen["workers"] == (1 if jobs == "1" else len(os.sched_getaffinity(0)))

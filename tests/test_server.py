@@ -431,10 +431,10 @@ class TestScheduler:
 
 
 # --------------------------------------------------------------------------- #
-# Worker pool (inline mode, no HTTP): results equal the direct facade
+# Worker pool (no HTTP): results equal the direct facade
 # --------------------------------------------------------------------------- #
 class TestWorkerPool:
-    def test_inline_pool_serves_bit_identical_results(self):
+    def test_one_worker_pool_serves_bit_identical_results(self):
         scheduler = Scheduler()
         pool = WorkerPool(scheduler, jobs=1)
         pool.start()
@@ -452,13 +452,15 @@ class TestWorkerPool:
                 spec.to_project(cache="off")
             ).analyze(AnalysisRequest(label="served"))
             assert result_identity(job.result) == result_identity(direct)
+            # The job ran in the one supervised worker, not in this process.
+            assert len(pool.worker_pids()) == 1
         finally:
             scheduler.close()
             pool.shutdown()
 
     def test_process_pool_shares_store_and_matches_direct(self, tmp_path):
-        """jobs>1: analyses run in worker *processes* that share one on-disk
-        summary store, and results stay bit-identical to direct calls."""
+        """jobs=2: two worker processes share one on-disk summary store,
+        and results stay bit-identical to direct calls."""
         import time
 
         scheduler = Scheduler()
@@ -511,7 +513,7 @@ class TestWorkerPool:
 
 
 # --------------------------------------------------------------------------- #
-# Supervised pool (jobs >= 2): crash/deadline fault tolerance
+# Supervised pool: crash/deadline fault tolerance at every jobs value
 # --------------------------------------------------------------------------- #
 class TestSupervisedPool:
     @staticmethod
@@ -521,7 +523,8 @@ class TestSupervisedPool:
             assert time.monotonic() < deadline, "supervised pool stalled"
             time.sleep(0.05)
 
-    def test_worker_killed_mid_job_is_respawned_and_job_retried(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_killed_mid_job_is_respawned_and_job_retried(self, tmp_path, jobs):
         """SIGKILL a pool worker mid-job: the supervisor must observe the
         death, respawn the worker, retry the job, and still serve the
         bit-identical result."""
@@ -532,7 +535,7 @@ class TestSupervisedPool:
             fault_injection.FaultPlan(seed=3, hang_rate=1.0, hang_seconds=60.0)
         )
         scheduler = Scheduler()
-        pool = WorkerPool(scheduler, jobs=2, cache_dir=str(tmp_path), job_timeout=120.0)
+        pool = WorkerPool(scheduler, jobs=jobs, cache_dir=str(tmp_path), job_timeout=120.0)
         pool.start()
         try:
             spec = ProjectSpec(source=MINI_C, name="t.c")
@@ -560,7 +563,8 @@ class TestSupervisedPool:
             scheduler.close()
             pool.shutdown()
 
-    def test_deadline_expiry_surfaces_typed_job_timeout(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deadline_expiry_surfaces_typed_job_timeout(self, tmp_path, jobs):
         """A job hanging past its per-job deadline is killed and — with the
         retry budget exhausted — fails with a typed JobTimeout envelope."""
         fault_injection.install(
@@ -569,7 +573,7 @@ class TestSupervisedPool:
         scheduler = Scheduler()
         pool = WorkerPool(
             scheduler,
-            jobs=2,
+            jobs=jobs,
             cache_dir=str(tmp_path),
             job_timeout=120.0,
             timeout_retries=0,

@@ -3,7 +3,7 @@
 Covers the content-addressed function-summary cache (both tiers), the shared
 mode pipeline of ``analyze_all_modes``, ``AnalysisService.analyze_many``
 (serial and over a process pool), the sweep's ``keep_reports`` handling, the
-``ContextCache`` accounting/index fixes, and the
+``ContextCache`` per-function index, and the
 ``max_contexts_per_function`` capping behaviour — with the overarching
 invariant that cached, shared and parallel paths are bit-identical to the
 cold serial path.
@@ -107,29 +107,9 @@ class TestSummaryStore:
 
 
 # --------------------------------------------------------------------------- #
-# ContextCache accounting and index (satellite fixes)
+# ContextCache index
 # --------------------------------------------------------------------------- #
 class TestContextCache:
-    def test_miss_counted_at_lookup_time(self):
-        cache = ContextCache()
-        context = CallContext.default("f")
-        # Probing an absent context repeatedly is repeatedly a miss.
-        assert cache.get(context) is None
-        assert cache.get(context) is None
-        assert (cache.hits, cache.misses) == (0, 2)
-        cache.put(context, "report")
-        assert cache.get(context) == "report"
-        assert (cache.hits, cache.misses) == (1, 2)
-        assert cache.hit_rate == pytest.approx(1 / 3)
-
-    def test_peek_does_not_touch_counters(self):
-        cache = ContextCache()
-        context = CallContext.default("f")
-        assert cache.peek(context) is None
-        cache.put(context, "report")
-        assert cache.peek(context) == "report"
-        assert (cache.hits, cache.misses) == (0, 0)
-
     def test_contexts_for_uses_per_function_index(self):
         cache = ContextCache()
         f_default = CallContext.default("f")
