@@ -15,7 +15,7 @@ up: floating-point producing instructions map to :meth:`Interval.top`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 #: Smallest / largest signed 32-bit values (used for widening and clamping).
 INT32_MIN = -(2**31)
@@ -70,6 +70,10 @@ class Interval:
         cached = _CONST_POOL.get(value)
         if cached is not None:
             return cached
+        if type(value) is int and CONST_POOL_MIN <= value <= CONST_POOL_MAX:
+            # Int keys only, so a bool never plants Interval(True, True) for
+            # 1; setdefault, so racing threads agree on one instance.
+            return _CONST_POOL.setdefault(value, Interval(value, value))
         return Interval(value, value)
 
     @staticmethod
@@ -77,9 +81,7 @@ class Interval:
         if lo is not None and hi is not None and lo > hi:
             return _BOTTOM
         if lo == hi and lo is not None:
-            cached = _CONST_POOL.get(lo)
-            if cached is not None:
-                return cached
+            return Interval.const(lo)
         return Interval(lo, hi)
 
     @staticmethod
@@ -460,8 +462,10 @@ class Interval:
 
 #: Interned instances handed out by the constructors above.  The pool covers
 #: the constants the analysis materialises constantly (immediates, loop steps,
-#: comparison results, byte offsets); anything outside it allocates as before.
+#: comparison results, byte offsets), each interned on first use; anything
+#: outside [CONST_POOL_MIN, CONST_POOL_MAX] allocates a new instance.
 _TOP = Interval(None, None)
 _BOTTOM = Interval(0, 0, is_bottom=True)
 _ZERO_ONE = Interval(0, 1)
-_CONST_POOL = {value: Interval(value, value) for value in range(-1024, 4097)}
+CONST_POOL_MIN, CONST_POOL_MAX = -1024, 4096
+_CONST_POOL: Dict[int, Interval] = {}

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple, Union
 
-from repro.analysis.domains.interval import Interval
+from repro.analysis.domains.interval import CONST_POOL_MAX, CONST_POOL_MIN, Interval
 from repro.ir.instructions import Opcode
 
 #: Symbolic base representing the incoming stack pointer of the analysed function.
@@ -61,7 +61,11 @@ class AbstractValue:
         cached = _CONST_VALUES.get(value)
         if cached is not None:
             return cached
-        return AbstractValue(Interval.const(value))
+        interval = Interval.const(value)
+        if type(value) is int and CONST_POOL_MIN <= value <= CONST_POOL_MAX:
+            # As Interval.const: int keys only, one instance across threads.
+            return _CONST_VALUES.setdefault(value, AbstractValue(interval))
+        return AbstractValue(interval)
 
     @staticmethod
     def float_value() -> "AbstractValue":
@@ -190,8 +194,9 @@ class AbstractValue:
 _TOP_VALUE = AbstractValue(Interval.top())
 _BOTTOM_VALUE = AbstractValue(Interval.bottom())
 _FLOAT_VALUE = AbstractValue(Interval.top(), is_float=True)
-#: Pooled small constants (same span as the interval constant pool).
-_CONST_VALUES = {value: AbstractValue(Interval.const(value)) for value in range(-1024, 4097)}
+#: Pooled small constants, interned on first use (same span as the interval
+#: constant pool).
+_CONST_VALUES: Dict[int, AbstractValue] = {}
 
 #: A predicate fact operand: a register name or an integer constant.
 FactOperand = Tuple[str, Union[str, int]]

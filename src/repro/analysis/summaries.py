@@ -72,7 +72,14 @@ def _hexdigest(*parts: str) -> str:
 # Key derivation
 # --------------------------------------------------------------------------- #
 def processor_digest(processor: "ProcessorConfig") -> str:
-    """Canonical digest of everything timing-relevant in the platform model."""
+    """Canonical digest of everything timing-relevant in the platform model.
+
+    Computed once per config and kept on it: :class:`ProcessorConfig` is
+    frozen (``MemoryMap.latency_bounds`` memoises on the same immutability).
+    """
+    digest = vars(processor).get("_summary_digest")
+    if digest is not None:
+        return digest
     latencies = ",".join(
         f"{op.value}={cycles}"
         for op, cycles in sorted(
@@ -80,7 +87,7 @@ def processor_digest(processor: "ProcessorConfig") -> str:
         )
     )
     modules = ";".join(str(module) for module in processor.memory_map)
-    return _hexdigest(
+    digest = _hexdigest(
         processor.name,
         latencies,
         f"bp={processor.branch_penalty}",
@@ -89,6 +96,8 @@ def processor_digest(processor: "ProcessorConfig") -> str:
         f"dcache={processor.dcache!r}",
         modules,
     )
+    object.__setattr__(processor, "_summary_digest", digest)
+    return digest
 
 
 def options_digest(options) -> str:

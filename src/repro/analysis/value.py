@@ -26,20 +26,18 @@ from repro.errors import AnalysisError
 from repro.analysis.domains.interval import Interval
 from repro.analysis.domains.memstate import (
     STACK_BASE,
-    AbstractMemory,
     AbstractState,
     AbstractValue,
     PredicateFact,
 )
 from repro.analysis.fixpoint import ForwardSolver
 from repro.analysis.wto import compute_wto
-from repro.cfg.graph import EXIT, BasicBlock, ControlFlowGraph
+from repro.cfg.graph import BasicBlock, ControlFlowGraph
 from repro.cfg.loops import LoopForest, find_loops
 from repro.ir.instructions import (
     CALLER_SAVED_REGISTERS,
     Imm,
     Instruction,
-    Label,
     Opcode,
     Reg,
     Sym,

@@ -10,6 +10,9 @@ Indirect branches and indirect calls (function pointers) cannot generally be
 resolved automatically; resolution hints are supplied through
 :class:`ControlFlowHints`, the machine-level counterpart of the "additional
 knowledge" the paper says is required.
+
+:func:`decode_program` runs all of that once per program, hints and
+strictness, and hands every later phase the same :class:`DecodedProgram`.
 """
 
 from repro.cfg.graph import BasicBlock, ControlFlowGraph, Edge, EdgeKind
@@ -17,6 +20,7 @@ from repro.cfg.reconstruct import ControlFlowHints, reconstruct_cfg, reconstruct
 from repro.cfg.dominators import DominatorInfo, compute_dominators
 from repro.cfg.loops import Loop, LoopForest, find_loops
 from repro.cfg.callgraph import CallGraph, build_callgraph
+from repro.cfg.decode import DecodedProgram, decode_program
 
 __all__ = [
     "BasicBlock",
@@ -33,4 +37,6 @@ __all__ = [
     "find_loops",
     "CallGraph",
     "build_callgraph",
+    "DecodedProgram",
+    "decode_program",
 ]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import ExecutionError, IRError
 from repro.ir.instructions import (
@@ -36,7 +36,6 @@ from repro.ir.instructions import (
     RETURN_VALUE_REGISTER,
     Imm,
     Instruction,
-    Label,
     Opcode,
     Reg,
     Sym,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import IRError
 from repro.ir.instructions import (
@@ -226,6 +226,8 @@ class Program:
         self._data_in_order: List[DataObject] = []
         self._symbol_addresses: Dict[str, int] = {}
         self._content_digest: Optional[str] = None
+        #: Decoded forms (:mod:`repro.cfg.decode`) by hints and strictness.
+        self._decoded: Dict[tuple, object] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -237,6 +239,7 @@ class Program:
         self._laid_out = False
         self._validated = False
         self._content_digest = None
+        self._decoded = {}
         return function
 
     def add_data(self, data: DataObject) -> DataObject:
@@ -246,6 +249,7 @@ class Program:
         self._laid_out = False
         self._validated = False
         self._content_digest = None
+        self._decoded = {}
         return data
 
     # ------------------------------------------------------------------ #
@@ -452,6 +456,18 @@ class Program:
                 )
             self._content_digest = digest.hexdigest()[:32]
         return self._content_digest
+
+    def decoded(self, key: tuple, build: Callable[[], object]) -> object:
+        """The decoded form stored under ``key``, built on first request.
+
+        The memo behind :func:`repro.cfg.decode.decode_program`.  Like the
+        content digest it is reset by any ``add_function``/``add_data``, and
+        a ``build`` that raises stores nothing.
+        """
+        decoded = self._decoded.get(key)
+        if decoded is None:
+            decoded = self._decoded.setdefault(key, build())
+        return decoded
 
     # ------------------------------------------------------------------ #
     # Statistics & rendering

@@ -28,7 +28,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.summaries import SummaryCache
 from repro.api import AnalysisService, Project
@@ -36,12 +36,11 @@ from repro.api import AnalysisRequest as ServiceRequest
 from repro.cache import SummaryStore
 from repro.errors import ReproError
 from repro.hardware import TraceTimer
-from repro.hardware.processor import ProcessorConfig, simple_scalar
+from repro.hardware.processor import simple_scalar
 from repro.ir import Interpreter
-from repro.ir.program import Program
-from repro.cfg.loops import find_loops
-from repro.cfg.reconstruct import reconstruct_program
+from repro.cfg.decode import decode_program
 from repro.testing.generator import GeneratedCase, GlobalVar, RenderedCase, render_case
+from repro.wcet.analyzer import AnalysisOptions
 from repro.wcet.report import WCETReport
 
 #: Safety margin multiplier applied to the product-of-ancestor-bounds when
@@ -86,7 +85,8 @@ class OracleResult:
     report: Optional[WCETReport] = None
     source: str = ""
     #: Wall-clock seconds of the loop-bound and unreachable-block checks, the
-    #: CFG rebuild included, under "check" (perfbench's ``testing.check_ms``).
+    #: decoded-program lookup included, under "check" (perfbench's
+    #: ``testing.check_ms``).
     timings: Dict[str, float] = field(default_factory=dict)
     #: Function-summary cache counters of the analysis (tier1/tier2 hits and
     #: misses); all zero when no caching was in play.
@@ -245,14 +245,13 @@ class DifferentialOracle:
             return result
 
         summary_cache = SummaryCache(store=self._summary_store)
+        options = self.config.analysis_options or AnalysisOptions()
         try:
             # Analyzer construction validates the program: an invalid Program
             # emitted by a compiler bug must surface as an analysis-error
             # violation, not crash the sweep.
             service = AnalysisService(project, summary_cache=summary_cache)
-            request = ServiceRequest(entry=case.entry)
-            if self.config.analysis_options is not None:
-                request.options = self.config.analysis_options
+            request = ServiceRequest(entry=case.entry, options=options)
             report = service.analyze(request).report
         except ReproError as exc:
             result.violations.append(
@@ -271,10 +270,15 @@ class DifferentialOracle:
         # an instruction, or builds its cost row, the first time it runs.
         interpreter = Interpreter(program, max_steps=max_steps)
         timer = TraceTimer(processor, program)
-        # CFGs and loop forests depend only on the program; build them once
-        # for all input vectors.
+        # The structure checks read the analyzer's own CFGs and loop forests:
+        # the analysis just decoded this program under these hints and
+        # strictness, so the lookup is a hit on the program's memo.
         started = time.perf_counter()
-        structure = self._build_structure(program, rendered.annotations)
+        decoded = decode_program(
+            program,
+            hints=rendered.annotations.control_flow_hints,
+            strict=options.strict_indirect,
+        )
         result.timings["check"] = time.perf_counter() - started
         for index, initial_data in enumerate(vectors):
             try:
@@ -321,35 +325,23 @@ class DifferentialOracle:
                         input_index=index,
                     )
                 )
-            if structure is not None:
-                started = time.perf_counter()
-                self._check_structure(structure, report, execution, result, index)
-                result.timings["check"] += time.perf_counter() - started
+            started = time.perf_counter()
+            self._check_structure(decoded, report, execution, result, index)
+            result.timings["check"] += time.perf_counter() - started
         return result
 
     # ------------------------------------------------------------------ #
-    def _build_structure(self, program: Program, annotations):
-        """CFG + loop forest per function, shared by all input vectors."""
-        try:
-            cfgs, _ = reconstruct_program(
-                program, hints=annotations.control_flow_hints, strict=False
-            )
-        except ReproError:
-            return None
-        return {name: (cfg, find_loops(cfg)) for name, cfg in cfgs.items()}
-
-    def _check_structure(self, structure, report, execution, result, index) -> None:
+    def _check_structure(self, decoded, report, execution, result, index) -> None:
         """Loop-bound and unreachable-block checks against one trace."""
         block_counts = execution.trace.block_counts
         call_counts = execution.trace.call_counts
 
         for name, function_report in report.functions.items():
-            if name not in structure:
-                continue
-            cfg, loops = structure[name]
             calls = call_counts.get(name, 0)
             if calls == 0:
                 continue
+            cfg = decoded.cfgs[name]
+            loops = decoded.loops(name)
 
             for block_id in function_report.unreachable_blocks:
                 if not cfg.has_block(block_id):

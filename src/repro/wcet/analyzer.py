@@ -45,10 +45,9 @@ from repro.analysis.summaries import FunctionSummary, SummaryCache
 from repro.analysis.reachability import find_unreachable_code
 from repro.analysis.value import AccessInfo, ValueAnalysis, ValueAnalysisResult
 from repro.annotations.registry import AnnotationSet
-from repro.cfg.callgraph import CallGraph, build_callgraph
+from repro.cfg.decode import DecodedProgram, decode_program
 from repro.cfg.graph import ControlFlowGraph
-from repro.cfg.loops import LoopForest, find_loops
-from repro.cfg.reconstruct import reconstruct_program
+from repro.cfg.loops import LoopForest
 from repro.hardware.cache_analysis import (
     CacheClassification,
     DataCacheAnalysis,
@@ -171,9 +170,9 @@ class WCETAnalyzer:
 
         ``mode`` selects an operating mode (its facts are merged in), and
         ``error_scenario`` applies a documented error-handling scenario.
-        ``_shared`` carries the cross-mode pipeline state
-        :meth:`analyze_all_modes` threads through its per-mode runs so the
-        mode-independent phases (decoding, loop/value analysis) run once.
+        ``_shared`` carries the loop/value memo :meth:`analyze_all_modes`
+        threads through its per-mode runs.  Decoding needs no such plumbing:
+        the program memoises it, so it runs once for any number of runs.
         """
         entry = entry or self.program.entry
         annotations = self.annotations.for_mode(mode)
@@ -193,61 +192,39 @@ class WCETAnalyzer:
         clock = _PhaseClock()
 
         # ----------------------------------------------------------------- #
-        # Phase 1: decoding (CFG reconstruction + call graph).  Decoding is
-        # mode independent (hints and strictness are shared by every mode),
-        # so with a shared pipeline it runs once and later modes replay the
-        # recorded outcome.
+        # Phase 1: decoding (CFG reconstruction + call graph).  Decoding is a
+        # pure function of the program, its hints and the strictness, so the
+        # program memoises it: every analysis, mode and the oracle after the
+        # first reads the same decoded form.
         # ----------------------------------------------------------------- #
         with clock.phase("decoding"):
-            decoded = _shared.decoded if _shared is not None else None
-            if decoded is None:
-                cfgs, issues = reconstruct_program(
-                    self.program,
-                    hints=annotations.control_flow_hints,
-                    strict=self.options.strict_indirect,
-                )
-                callgraph = build_callgraph(
-                    self.program,
-                    hints=annotations.control_flow_hints,
-                    strict=self.options.strict_indirect,
-                )
-                issue_messages = [str(issue) for issue in issues]
-                issue_messages.extend(
-                    f"{caller}@{address:#x}: unresolved indirect call (function pointer)"
-                    for caller, address in callgraph.unresolved_calls
-                )
-                decode_detail = f"{sum(len(c.blocks) for c in cfgs.values())} basic blocks"
-                decoded = (cfgs, callgraph, issue_messages, decode_detail)
-                if _shared is not None:
-                    _shared.decoded = decoded
-                    decode_detail += " (shared across modes)"
-            else:
-                cfgs, callgraph, issue_messages, decode_detail = decoded
-                decode_detail += " (shared across modes)"
-            for message in issue_messages:
+            decoded = decode_program(
+                self.program,
+                hints=annotations.control_flow_hints,
+                strict=self.options.strict_indirect,
+            )
+            for message in decoded.issues:
                 challenges.add_tier_one(message)
+        decode_detail = decoded.detail
+        if _shared is not None:
+            decode_detail += " (shared across modes)"
         phases.append(
             PhaseTiming("decoding", clock.seconds.get("decoding", 0.0), decode_detail)
         )
 
-        reachable = callgraph.reachable_from(entry)
+        reachable = decoded.callgraph.reachable_from(entry)
         analysis_state = _RunState(
             annotations=annotations,
-            cfgs=cfgs,
-            callgraph=callgraph,
+            decoded=decoded,
             challenges=challenges,
             clock=clock,
             reports={},
             context_cache=ContextCache(),
-            recursive_functions=callgraph.recursive_functions(),
             summaries=self.summaries,
             bucket=summary_keys.bucket_digest(
                 self.program.content_digest(), self.processor, self.options
             ),
             hints_dig=summary_keys.hints_digest(annotations),
-            loops_by_function=(
-                _shared.loops_by_function if _shared is not None else {}
-            ),
             value_memo=(_shared.value_memo if _shared is not None else {}),
         )
 
@@ -258,14 +235,11 @@ class WCETAnalyzer:
         # so the per-phase figures sum to the total analysis time.
         # ----------------------------------------------------------------- #
         with clock.phase("orchestration"):
-            for component in callgraph.strongly_connected_components():
+            for component in decoded.components:
                 members = [name for name in component if name in reachable]
                 if not members:
                     continue
-                is_recursive = len(component) > 1 or any(
-                    name in callgraph.callees(name) for name in component
-                )
-                if is_recursive:
+                if not component.isdisjoint(decoded.recursive):
                     self._analyze_recursive_component(members, analysis_state)
                 else:
                     name = members[0]
@@ -312,15 +286,17 @@ class WCETAnalyzer:
     def analyze_all_modes(self, entry: Optional[str] = None) -> Dict[Optional[str], WCETReport]:
         """Analyse the mode-unaware case plus every declared operating mode.
 
-        The per-mode runs share one pipeline state: decoding runs once, and
-        the loop/value analysis of every function is memoised on its actual
-        inputs (entry register values, globals assumption), so a mode that
+        Every per-mode run reads the program's one decoded form (CFGs, call
+        graph, loop forests; :func:`~repro.cfg.decode.decode_program`), and
+        the runs share one loop/value memo keyed on each function's actual
+        inputs (entry register values, globals assumption).  So a mode that
         only adds path-level facts (flow constraints, infeasible paths, loop
         bounds) re-runs none of the mode-independent phases — visible as
         near-zero "decoding" and "loop/value analysis" timings in every
-        report after the first.  Functions whose full analysis inputs are
-        unchanged by a mode are shared wholesale through the function-summary
-        cache.
+        report after the first.  Every report of the family marks its
+        decoding detail "(shared across modes)".  Functions whose full
+        analysis inputs are unchanged by a mode are shared wholesale through
+        the function-summary cache.
         """
         shared = _SharedModeState()
         results: Dict[Optional[str], WCETReport] = {
@@ -356,9 +332,7 @@ class WCETAnalyzer:
         # default-context result is the depth-scaled one installed by
         # _analyze_recursive_component, so they are re-derived every run.
         key = None
-        if recursive_component is None and not (
-            run.recursive_functions and name in run.recursive_functions
-        ):
+        if recursive_component is None and name not in run.decoded.recursive:
             key = (
                 run.bucket,
                 summary_keys.summary_item_key(name, context, run.annotation_digest(name)),
@@ -373,8 +347,8 @@ class WCETAnalyzer:
         cap_mark = run.cap_binding_events
 
         annotations = run.annotations
-        cfg = run.cfgs[name]
-        loops = run.loops_for(name)
+        cfg = run.decoded.cfgs[name]
+        loops = run.decoded.loops(name)
 
         # --- loop/value analysis (memoised on its actual inputs) ---------- #
         with run.clock.phase("loop/value analysis"):
@@ -642,7 +616,7 @@ class WCETAnalyzer:
             )
             body_reports[name] = report
             sites = 0
-            for site in run.callgraph.call_sites_in(name):
+            for site in run.decoded.callgraph.call_sites_in(name):
                 if site.callee in component:
                     sites += 1
             branching = max(branching, sites)
@@ -840,7 +814,7 @@ class WCETAnalyzer:
         # Recursive functions are always charged with their (depth-scaled)
         # default-context bound; analysing them per call-site argument context
         # would sidestep the recursion-depth annotation.
-        if run.recursive_functions and callee in run.recursive_functions:
+        if callee in run.decoded.recursive:
             report = run.context_cache.get(context)
             if report is not None:
                 if callee not in run.reports:
@@ -950,17 +924,13 @@ class WCETAnalyzer:
 class _SharedModeState:
     """Mode-independent pipeline state shared by :meth:`analyze_all_modes`.
 
-    * ``decoded`` — the CFGs, call graph, decoding-issue messages and the
-      phase-detail string, produced once by the first per-mode run;
-    * ``loops_by_function`` — loop forests, a pure function of the CFGs;
-    * ``value_memo`` — converged value analyses and pristine loop-bound
-      results, keyed by ``(function, canonical entry-register values)``:
-      the complete set of inputs the loop/value phase depends on once the
-      CFG is fixed.  Modes that only add path-level facts share every entry.
+    ``value_memo`` holds converged value analyses and pristine loop-bound
+    results, keyed by ``(function, canonical entry-register values)``: the
+    complete set of inputs the loop/value phase depends on once the CFG is
+    fixed.  Modes that only add path-level facts share every entry.  (The
+    decoded program needs no sharing here: the program memoises it.)
     """
 
-    decoded: Optional[tuple] = None
-    loops_by_function: Dict[str, LoopForest] = field(default_factory=dict)
     value_memo: Dict[tuple, tuple] = field(default_factory=dict)
 
 
@@ -969,13 +939,11 @@ class _RunState:
     """Mutable state shared by one :meth:`WCETAnalyzer.analyze` run."""
 
     annotations: AnnotationSet
-    cfgs: Dict[str, ControlFlowGraph]
-    callgraph: CallGraph
+    decoded: DecodedProgram
     challenges: ChallengeReport
     clock: _PhaseClock
     reports: Dict[str, FunctionReport]
     context_cache: ContextCache
-    recursive_functions: Set[str] = None
     #: The analyzer's two-tier function-summary cache plus this run's
     #: content-addressed key material.
     summaries: SummaryCache = None
@@ -984,9 +952,8 @@ class _RunState:
     #: Per-phase work counters (fixpoint iterations, simplex pivots) that
     #: end up on the matching :class:`PhaseTiming` entries.
     counters: Dict[str, int] = field(default_factory=dict)
-    #: Loop forests / loop-value memo (shared across modes when the run is
-    #: part of an ``analyze_all_modes`` pipeline, run-local otherwise).
-    loops_by_function: Dict[str, LoopForest] = field(default_factory=dict)
+    #: Loop/value memo (shared across modes when the run is part of an
+    #: ``analyze_all_modes`` pipeline, run-local otherwise).
     value_memo: Dict[tuple, tuple] = field(default_factory=dict)
     #: Every (context, report) registration of this run, in order; function
     #: summaries record the slice made inside their subtree so a cache hit
@@ -1008,17 +975,10 @@ class _RunState:
         self.context_cache.put(context, report)
         self.context_journal.append((context, report))
 
-    def loops_for(self, name: str) -> LoopForest:
-        loops = self.loops_by_function.get(name)
-        if loops is None:
-            loops = find_loops(self.cfgs[name])
-            self.loops_by_function[name] = loops
-        return loops
-
     def annotation_digest(self, name: str) -> str:
         digest = self._annot_digests.get(name)
         if digest is None:
-            closure = summary_keys.callee_closure(self.callgraph, name)
+            closure = summary_keys.callee_closure(self.decoded.callgraph, name)
             digest = summary_keys.function_annotation_digest(
                 self.annotations, closure, self.hints_dig
             )

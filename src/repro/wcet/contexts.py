@@ -11,7 +11,7 @@ results so identical contexts are analysed once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Generic, Optional, Tuple, TypeVar
 
 from repro.analysis.domains.interval import Interval

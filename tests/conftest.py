@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.hardware.processor import leon2_like, simple_scalar
 from repro.ir.asmparser import parse_assembly
+
+# Every Hypothesis test draws the same examples on every run, so a tier-1
+# failure reproduces from a rerun of the same commit.  ``derandomize`` also
+# turns the example database off; ``max_examples`` stays per test.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 COUNTER_LOOP_ASM = """

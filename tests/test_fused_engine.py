@@ -18,6 +18,10 @@ force each path.  Three layers of evidence:
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis import value as value_analysis
@@ -104,6 +108,26 @@ class TestIntervalInterning:
 
     def test_out_of_pool_constants_still_compare_equal(self):
         assert Interval.const(1 << 20) == Interval(1 << 20, 1 << 20)
+
+    def test_constants_are_interned_on_first_use(self):
+        assert Interval.const(7) is Interval.const(7)
+        assert AbstractValue.const(7) is AbstractValue.const(7)
+        assert AbstractValue.const(7).interval is Interval.const(7)
+        assert Interval.const(5000) is not Interval.const(5000)
+        assert AbstractValue.const(5000) is not AbstractValue.const(5000)
+        assert AbstractValue.const(5000) == AbstractValue.const(5000)
+
+    def test_importing_the_domains_builds_no_pool(self):
+        code = (
+            "from repro.analysis.domains import interval, memstate\n"
+            "print(len(interval._CONST_POOL), len(memstate._CONST_VALUES))"
+        )
+        package = os.path.dirname(os.path.dirname(value_analysis.__file__))
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(package)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["0", "0"]
 
     def test_join_returns_operand_when_result_equals_it(self):
         a = Interval.const(1)
