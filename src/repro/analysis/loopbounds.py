@@ -34,7 +34,7 @@ analysis constrains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.domains.interval import Interval
 from repro.analysis.value import ValueAnalysisResult

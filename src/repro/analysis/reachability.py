@@ -14,7 +14,7 @@ Two notions of unreachability are reported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.analysis.value import ValueAnalysisResult
 from repro.cfg.graph import ControlFlowGraph

@@ -17,7 +17,7 @@ flow facts (infeasible paths / flow constraints) that the IPET system consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.errors import AnnotationError
 from repro.annotations.flowfacts import FlowConstraint, InfeasiblePath, Location

@@ -8,8 +8,8 @@ matching how the IPET system of :mod:`repro.wcet.ipet` normalises frequencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
 from repro.errors import AnnotationError
 

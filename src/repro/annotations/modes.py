@@ -10,7 +10,7 @@ tighter) bound per mode instead of a single bound that mixes all modes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Union
 
 from repro.annotations.flowfacts import (
     ArgumentRange,

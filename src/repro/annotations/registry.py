@@ -10,7 +10,7 @@ the analyzer produces one bound per operating mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import AnnotationError
 from repro.annotations.errors_model import ErrorScenario

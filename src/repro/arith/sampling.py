@@ -11,7 +11,7 @@ the summary statistics the paper quotes in prose ("1 in more than 99.8 %",
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.arith.ldivmod import ldivmod
 

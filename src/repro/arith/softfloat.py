@@ -15,11 +15,9 @@ soft-float libraries) and treats NaN inputs as propagating quiet NaNs.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
-from repro.errors import ReproError
 
 _SIGN_BIT = 0x8000_0000
 _EXP_MASK = 0xFF

@@ -11,10 +11,10 @@ annotation is supplied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import CFGError
-from repro.ir.instructions import Instruction, Opcode
+from repro.ir.instructions import Opcode
 from repro.ir.program import Program
 from repro.cfg.reconstruct import ControlFlowHints
 

@@ -15,10 +15,10 @@ report the issue instead of aborting).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import CFGError
-from repro.ir.instructions import INSTRUCTION_SIZE, Instruction, Opcode
+from repro.ir.instructions import Opcode
 from repro.ir.program import Function, Program
 from repro.cfg.graph import ENTRY, EXIT, BasicBlock, ControlFlowGraph, EdgeKind
 

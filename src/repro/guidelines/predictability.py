@@ -16,19 +16,17 @@ reporting convenience, not a claim from the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import ReproError, UnboundedLoopError, CFGError
-from repro.minic import ast
 from repro.minic.codegen import compile_unit
 from repro.minic.cparser import parse_source
 from repro.annotations.registry import AnnotationSet
 from repro.hardware.processor import ProcessorConfig, simple_scalar
-from repro.wcet.analyzer import AnalysisOptions, WCETAnalyzer
+from repro.wcet.analyzer import WCETAnalyzer
 from repro.wcet.report import WCETReport
 from repro.guidelines.checker import GuidelineChecker, GuidelineReport
-from repro.guidelines.finding import ChallengeTier
 
 
 @dataclass

@@ -9,8 +9,8 @@ must never correspond to an observed miss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.errors import TimingAnalysisError
 

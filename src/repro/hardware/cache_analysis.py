@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional
 
-from repro.analysis.domains.interval import Interval
 from repro.analysis.value import AccessInfo
 from repro.analysis.fixpoint import ForwardSolver
 from repro.analysis.wto import compute_wto

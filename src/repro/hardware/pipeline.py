@@ -20,12 +20,12 @@ The cost of an instruction is::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.value import AccessInfo
 from repro.cfg.graph import BasicBlock
-from repro.hardware.cache import CacheConfig, CacheStatistics, LRUCacheSimulator
+from repro.hardware.cache import CacheStatistics, LRUCacheSimulator
 from repro.hardware.cache_analysis import CacheClassification
 from repro.hardware.processor import ProcessorConfig
 from repro.ir.instructions import INSTRUCTION_SIZE, Instruction, OpClass

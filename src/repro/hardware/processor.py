@@ -17,7 +17,7 @@ paper mentions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from repro.hardware.cache import CacheConfig

@@ -47,7 +47,7 @@ from typing import List, Optional, Tuple
 
 from repro.errors import AssemblyError
 from repro.ir.builder import FunctionBuilder, ProgramBuilder
-from repro.ir.instructions import Imm, Instruction, Label, Opcode, Reg, Sym
+from repro.ir.instructions import Imm, Instruction, Opcode, Reg
 from repro.ir.program import Program
 
 _MEM_RE = re.compile(

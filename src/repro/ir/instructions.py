@@ -22,7 +22,7 @@ assigned when a :class:`~repro.ir.program.Program` is laid out.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from repro.errors import IRError

@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.errors import ExecutionError, IRError
+from repro.errors import ExecutionError
 from repro.ir.instructions import (
     ARGUMENT_REGISTERS,
     INSTRUCTION_SIZE,

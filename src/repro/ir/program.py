@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import IRError
-from repro.ir.instructions import (
-    INSTRUCTION_SIZE,
-    Instruction,
-    Opcode,
-    validate_instruction,
-)
+from repro.ir.instructions import INSTRUCTION_SIZE, Instruction, validate_instruction
 
 #: Base address of the code segment.
 CODE_BASE = 0x0000_1000

@@ -23,8 +23,8 @@ Design decisions that matter for the downstream analyses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import CodegenError
 from repro.ir.builder import FunctionBuilder, ProgramBuilder

@@ -11,7 +11,7 @@ casts.  Preprocessor lines are skipped by the lexer.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import ParseError
 from repro.minic import ast

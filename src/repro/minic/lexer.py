@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List
 
 from repro.errors import ParseError
 

@@ -19,7 +19,7 @@ bodies.  (Their *presence* is what MISRA rules 20.4 / 20.7 flag.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import TypeCheckError
 from repro.minic import ast

@@ -8,9 +8,12 @@ uses (:class:`~repro.api.service.AnalysisRequest` in,
 the exact-round-trip schema of :mod:`repro.api.serialize`).
 
 Each calling thread keeps one HTTP/1.1 connection to the server and reuses
-it for every exchange, so a blocking :meth:`ServerClient.analyze` costs two
-requests on an open socket: the submit, then a long-poll of the result
-(``GET /v1/jobs/<id>/result?wait=S``).
+it for every exchange.  A blocking :meth:`ServerClient.analyze` is one
+request on that open socket when the job finishes within
+:attr:`ServerClient.POLL_WAIT`: it submits with ``POST /v1/jobs?wait=S``,
+whose reply carries the result.  Only a job still running then (or one that
+failed or was cancelled) costs further long-polls of
+``GET /v1/jobs/<id>/result?wait=S``.
 
 Quick start::
 
@@ -43,6 +46,8 @@ from repro.api.service import AnalysisRequest, AnalysisResult
 from repro.errors import ReproError
 from repro.obs import trace as obs_trace
 from repro.server.wire import (
+    DEDUPED_HEADER,
+    JOB_ID_HEADER,
     TERMINAL_STATES,
     ProjectSpec,
     ServerError,
@@ -116,19 +121,30 @@ def _remote_error(
 class RemoteJob:
     """Handle on one submitted job."""
 
-    def __init__(self, client: "ServerClient", reply: ServerSubmitReply):
+    def __init__(
+        self,
+        client: "ServerClient",
+        job_id: str,
+        deduped: bool,
+        result: Optional[AnalysisResult] = None,
+    ):
         self.client = client
-        self.id = reply.job_id
+        self.id = job_id
         #: True when the server joined this submission to an existing
         #: identical execution instead of queueing a new one.
-        self.deduped = reply.deduped
+        self.deduped = deduped
+        #: The result the submit's own reply carried, if any.
+        self._result = result
 
     def status(self) -> ServerJobStatus:
         return self.client.status(self.id)
 
     def result(self, wait: bool = True, timeout: Optional[float] = None) -> AnalysisResult:
         """The job's result; with ``wait`` (default) long-poll until it is
-        terminal, for at most ``timeout`` seconds."""
+        terminal, for at most ``timeout`` seconds.  A result the submit's
+        reply carried is returned without a request."""
+        if self._result is not None:
+            return self._result
         if not wait:
             return self.client.result(self.id)
 
@@ -221,15 +237,15 @@ class ServerClient:
                     f"{type(exc).__name__}: {exc}"
                 ) from None
 
-    def _call(
+    def _request(
         self,
         method: str,
         path: str,
         payload: Optional[dict] = None,
         timeout: Optional[float] = None,
         result_endpoint: bool = False,
-    ) -> dict:
-        """One request/reply exchange.
+    ) -> Tuple[int, http.client.HTTPMessage, bytes]:
+        """One request/reply exchange; a non-2xx reply raises.
 
         ``result_endpoint`` maps the result route's state-signalling status
         codes (409/410/500) to the typed exceptions; everywhere else a
@@ -244,6 +260,22 @@ class ServerClient:
             raise _remote_error(
                 status, headers, raw, _RESULT_ERRORS if result_endpoint else None
             )
+        return status, headers, raw
+
+    def _call(
+        self,
+        method: str,
+        path: str,
+        payload: Optional[dict] = None,
+        timeout: Optional[float] = None,
+        result_endpoint: bool = False,
+    ) -> dict:
+        """:meth:`_request`'s reply body, decoded from JSON."""
+        return self._json(
+            self._request(method, path, payload, timeout, result_endpoint)[2]
+        )
+
+    def _json(self, raw: bytes) -> dict:
         try:
             return json.loads(raw)
         except ValueError as exc:
@@ -272,6 +304,7 @@ class ServerClient:
         lane: str = "interactive",
         job_timeout: Optional[float] = None,
         retries: Optional[int] = None,
+        wait: Optional[float] = None,
     ) -> RemoteJob:
         """Submit one analysis; honors admission-control backpressure.
 
@@ -280,6 +313,11 @@ class ServerClient:
         sleeping the server's Retry-After hint — capped at
         :attr:`RETRY_AFTER_CAP` and jittered so synchronized clients don't
         re-stampede the queue on the same tick.
+
+        ``wait`` asks the server to hold its reply until the job is
+        terminal, for at most ``wait`` seconds: a job done by then comes
+        back with its result, which the returned job's ``result()`` hands
+        over without another request.
         """
         # When this process traces, the span context rides the wire so the
         # server-side queue/dispatch/worker spans join the client's trace.
@@ -294,18 +332,33 @@ class ServerClient:
             trace=span.context() if span is not None else None,
         )
         payload = serialize.to_json(submit)
+        path, timeout = self._long_poll("/v1/jobs", wait)
         budget = self.SUBMIT_RETRIES if retries is None else retries
         attempt = 0
         try:
             while True:
                 try:
-                    reply = serialize.from_json(
-                        self._call("POST", "/v1/jobs", payload), ServerSubmitReply
-                    )
+                    status, headers, raw = self._request("POST", path, payload, timeout)
+                    if status == 200:
+                        job_id = headers.get(JOB_ID_HEADER)
+                        if not job_id:
+                            raise ClientError(
+                                f"malformed reply from {self.url}: a result "
+                                f"without its {JOB_ID_HEADER} header"
+                            )
+                        job = RemoteJob(
+                            self,
+                            job_id,
+                            headers.get(DEDUPED_HEADER) == "true",
+                            serialize.from_json(self._json(raw), AnalysisResult),
+                        )
+                    else:
+                        reply = serialize.from_json(self._json(raw), ServerSubmitReply)
+                        job = RemoteJob(self, reply.job_id, reply.deduped)
                     if span is not None:
-                        span.set("job_id", reply.job_id)
-                        span.set("deduped", reply.deduped)
-                    return RemoteJob(self, reply)
+                        span.set("job_id", job.id)
+                        span.set("deduped", job.deduped)
+                    return job
                 except RemoteError as exc:
                     if exc.status != 429 or attempt >= budget:
                         raise
@@ -470,7 +523,13 @@ class ServerClient:
         :meth:`repro.api.service.AnalysisService.analyze`.
 
         ``timeout`` bounds how long *this client* waits; ``job_timeout`` is
-        the server-side per-attempt execution deadline.
+        the server-side per-attempt execution deadline.  The submit itself
+        waits up to :attr:`POLL_WAIT` for the result, so a job that finishes
+        by then costs one exchange; a later one is long-polled.
         """
-        job = self.submit(spec, request, lane=lane, job_timeout=job_timeout)
+        started = time.monotonic()
+        hold = self.POLL_WAIT if timeout is None else min(self.POLL_WAIT, timeout)
+        job = self.submit(spec, request, lane=lane, job_timeout=job_timeout, wait=hold)
+        if timeout is not None:
+            timeout = max(timeout - (time.monotonic() - started), 0.0)
         return job.result(wait=True, timeout=timeout)

@@ -7,6 +7,10 @@ and docs/server.md):
 method    path                        body / reply
 ========  ==========================  =======================================
 POST      ``/v1/jobs``                ServerSubmit → 202 ServerSubmitReply
+POST      ``/v1/jobs?wait=S``         ServerSubmit → 200 AnalysisResult when
+                                      the job is done within S (its id in
+                                      the ``Repro-Job-Id`` header), else 202
+                                      ServerSubmitReply
 GET       ``/v1/jobs/<id>``           → 200 ServerJobStatus
 GET       ``/v1/jobs/<id>/result``    → 200 AnalysisResult (when done);
                                       409 while queued/running, 410 when
@@ -23,7 +27,11 @@ POST      ``/v1/shutdown``            → 200, then graceful shutdown
 
 Both job GETs take ``?wait=S``: the reply is held until the job is
 terminal, ``S`` seconds have passed (at most :data:`MAX_LONG_POLL`) or the
-server is closing, and is then the same reply as without it.
+server is closing, and is then the same reply as without it.  A submit
+takes it too and is held the same way, so a job that finishes in time is
+answered in one exchange.  A finished result is sent as the bytes its
+worker encoded, relabelled per job (:meth:`~repro.server.queue.Job.
+result_bytes`); the server never decodes it.
 
 Every non-2xx response body is a :class:`~repro.server.wire.ServerError`.
 The server is a :class:`ThreadingHTTPServer`: requests are handled on
@@ -52,6 +60,8 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.server.queue import LANES, QueueFull, Scheduler, SchedulerClosed
 from repro.server.wire import (
+    DEDUPED_HEADER,
+    JOB_ID_HEADER,
     TERMINAL_STATES,
     ServerError,
     ServerStats,
@@ -81,6 +91,10 @@ CACHE_SERIES = {
     "store_corruptions": ("repro_store_quarantines_total", {}),
     "flush_errors": ("repro_store_flush_errors_total", {}),
 }
+
+
+class _BadQuery(Exception):
+    """A query parameter that does not parse; answered with 400 ``BadQuery``."""
 
 
 class _HTTPServer(ThreadingHTTPServer):
@@ -226,6 +240,8 @@ class _Handler(BaseHTTPRequestHandler):
             except WireError as exc:
                 return self._error(400, "WireError", str(exc))
             route(path, query, body)
+        except _BadQuery as exc:
+            self._error(400, "BadQuery", str(exc))
         except (ConnectionError, TimeoutError):  # client went away or stalled
             self.close_connection = True
         except Exception as exc:  # noqa: BLE001
@@ -266,32 +282,35 @@ class _Handler(BaseHTTPRequestHandler):
                 try:
                     since = int(since_raw)
                 except ValueError:
-                    return self._error(
-                        400, "BadQuery", f"since must be an integer: {since_raw!r}"
-                    )
+                    raise _BadQuery(f"since must be an integer: {since_raw!r}") from None
                 return self._events(parts[3], since)
             if tail in ("", "result"):
-                wait_raw = query.get("wait", "0")
-                try:
-                    wait = float(wait_raw)
-                except ValueError:
-                    wait = math.nan
-                if not (math.isfinite(wait) and wait >= 0):
-                    return self._error(
-                        400,
-                        "BadQuery",
-                        f"wait must be a number of seconds >= 0: {wait_raw!r}",
-                    )
+                wait = self._wait(query)
                 job = self._job_or_404(parts[3])
                 if job is None:
                     return
-                self._hold(job, min(wait, MAX_LONG_POLL))
+                self._hold(job, wait or 0.0)
                 return self._result(job) if tail else self._status(job)
         self._error(404, "NotFound", f"no such endpoint: GET {path}")
 
+    @staticmethod
+    def _wait(query: Dict[str, str]) -> Optional[float]:
+        """The long-poll seconds of ``?wait=``, capped at
+        :data:`MAX_LONG_POLL`; ``None`` without one."""
+        raw = query.get("wait")
+        if raw is None:
+            return None
+        try:
+            wait = float(raw)
+        except ValueError:
+            wait = math.nan
+        if not (math.isfinite(wait) and wait >= 0):
+            raise _BadQuery(f"wait must be a number of seconds >= 0: {raw!r}")
+        return min(wait, MAX_LONG_POLL)
+
     def _post(self, path: str, query: Dict[str, str], body: bytes) -> None:
         if path == "/v1/jobs":
-            return self._submit(body)
+            return self._submit(self._wait(query), body)
         if path == "/v1/shutdown":
             return self._shutdown()
         parts = path.split("/")
@@ -302,7 +321,9 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     # Endpoints
     # ------------------------------------------------------------------ #
-    def _submit(self, body: bytes) -> None:
+    def _submit(self, wait: Optional[float], body: bytes) -> None:
+        """Queue one job; with ``wait``, hold the reply as a long-poll and
+        answer with the result if the job is done by then."""
         try:
             submit = serialize.from_json(self._parse_json(body), ServerSubmit)
             submit.validate()
@@ -326,6 +347,21 @@ class _Handler(BaseHTTPRequestHandler):
             )
         except SchedulerClosed as exc:
             return self._error(503, "SchedulerClosed", str(exc))
+        log_fields = {
+            "job_id": job.id,
+            "lane": job.lane,
+            "deduped": job.deduped,
+            "trace_id": (submit.trace or {}).get("trace_id"),
+        }
+        if wait is not None:
+            self._hold(job, wait)
+            encoded = job.result_bytes()
+            if encoded is not None:
+                headers = {
+                    JOB_ID_HEADER: job.id,
+                    DEDUPED_HEADER: "true" if job.deduped else "false",
+                }
+                return self._send(200, encoded, headers=headers, log_fields=log_fields)
         status = scheduler.status(job)
         self._reply(
             202,
@@ -338,12 +374,7 @@ class _Handler(BaseHTTPRequestHandler):
                     position=status.position,
                 )
             ),
-            log_fields={
-                "job_id": job.id,
-                "lane": job.lane,
-                "deduped": job.deduped,
-                "trace_id": (submit.trace or {}).get("trace_id"),
-            },
+            log_fields=log_fields,
         )
 
     def _job_or_404(self, job_id: str):
@@ -371,7 +402,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _result(self, job) -> None:
         state = job.state
         if state == "done":
-            self._reply(200, serialize.to_json(job.result))
+            self._send(200, job.result_bytes())
         elif state == "cancelled":
             self._error(410, "JobCancelled", f"job {job.id} was cancelled", job.id)
         elif state == "failed":
@@ -595,16 +626,20 @@ class AnalysisServer:
                 self._export_leftover_spans()
 
     def _export_leftover_spans(self) -> None:
-        # Spans not claimed by any per-trace file (server-side roots, traces
-        # cut short by shutdown) still get exported.
+        # Spans that ended after their execution's export (an in-process
+        # client's submit, held until the result was sent), joiners' spans
+        # and traces cut short by shutdown are merged into their own trace's
+        # file.
         tracer = obs_trace.active()
         if tracer is not None:
-            leftovers = tracer.drain()
-            if leftovers:
+            by_trace: Dict[str, list] = {}
+            for span in tracer.drain():
+                by_trace.setdefault(span.trace_id, []).append(span)
+            for trace_id, spans in by_trace.items():
                 try:
                     obs_trace.write_chrome_trace(
-                        os.path.join(self.trace_dir, "trace-server.json"),
-                        leftovers,
+                        os.path.join(self.trace_dir, f"trace-{trace_id}.json"),
+                        spans,
                         merge=True,
                     )
                 except OSError:

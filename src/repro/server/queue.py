@@ -7,7 +7,9 @@ an execution is queued or running join it instead of queueing a second run,
 and every subscriber receives the finished result stamped with its own label.
 This is safe for the same reason the summary cache is safe: the key digests
 every input the result depends on, so sharing an execution can only skip
-work, never change a bound.
+work, never change a bound.  An execution keeps its result as the encoded
+bytes its worker sent, and each read splices the subscriber's label in
+(:func:`repro.api.serialize.relabel`): the server never decodes a result.
 
 Scheduling is strict-priority by lane (``interactive`` before ``batch``),
 FIFO within a lane.  A queued batch execution that gains an interactive
@@ -23,9 +25,10 @@ import heapq
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
+from repro.api import serialize
 from repro.api.service import AnalysisRequest, AnalysisResult
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -58,8 +61,6 @@ class Job:
     #: Set when this job was cancelled individually while its (shared)
     #: execution lived on for other subscribers.
     cancelled: bool = False
-    #: The delivered result, stamped with this job's label.
-    result: Optional[AnalysisResult] = None
     events: List[ServerEvent] = field(default_factory=list)
 
     @property
@@ -71,6 +72,16 @@ class Job:
     @property
     def error(self) -> Optional[ServerError]:
         return self.execution.error
+
+    def result_bytes(self) -> Optional[bytes]:
+        """The encoded :class:`AnalysisResult` once this job is done, under
+        its own label, else the creator's (labels are not in the dedup
+        key); ``None`` before that or when it failed or was cancelled."""
+        if self.state != "done":
+            return None
+        if not self.label:
+            return self.execution.result
+        return serialize.relabel(self.execution.result, AnalysisResult, self.label)
 
 
 @dataclass
@@ -85,6 +96,9 @@ class Execution:
     state: str = "queued"
     jobs: List[Job] = field(default_factory=list)
     error: Optional[ServerError] = None
+    #: The worker's encoded result, under the creator's label; set once
+    #: the execution is done.
+    result: Optional[bytes] = None
     started: float = 0.0
     finished: float = 0.0
     seconds: float = 0.0
@@ -390,11 +404,15 @@ class Scheduler:
     def complete(
         self,
         execution: Execution,
-        result: Optional[AnalysisResult] = None,
+        result: Optional[bytes] = None,
         error: Optional[ServerError] = None,
         seconds: float = 0.0,
+        phase_seconds: Optional[Dict[str, float]] = None,
     ) -> None:
-        """Record the outcome and fan it out to every subscribed job."""
+        """Record the outcome and fan it out to every subscribed job.
+
+        ``result`` is the encoded :class:`AnalysisResult`, and
+        ``phase_seconds`` its analysis-phase wall-clock seconds."""
         with self._lock:
             if execution.state in TERMINAL_STATES:
                 # A late outcome for an execution the supervisor already
@@ -412,20 +430,15 @@ class Scheduler:
                     else 0.3 * seconds + 0.7 * self._ema_seconds
                 )
             if result is not None:
+                execution.result = result
                 execution.state = "done"
-                for report in result.reports.values():
-                    for phase, secs in report.phase_seconds().items():
-                        self._m_phase_seconds.inc(secs, phase=phase)
+                for phase, secs in (phase_seconds or {}).items():
+                    self._m_phase_seconds.inc(secs, phase=phase)
                 # A copy: each terminal event may evict an older finished
                 # job, which can be a cancelled subscriber of this very
                 # execution (see ``_emit``).
                 for job in list(execution.jobs):
                     if not job.cancelled:
-                        # Each subscriber gets the shared result under its
-                        # own label (labels are excluded from the dedup key).
-                        job.result = replace(
-                            result, label=job.label or result.label
-                        )
                         self._emit(job, "done")
             else:
                 execution.state = "failed"

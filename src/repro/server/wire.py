@@ -43,6 +43,12 @@ LANES = ("interactive", "batch")
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
+#: Response headers of a submit answered with its result (``POST
+#: /v1/jobs?wait=S``): the job's id, and whether it joined an identical
+#: execution (``true``/``false``).
+JOB_ID_HEADER = "Repro-Job-Id"
+DEDUPED_HEADER = "Repro-Deduped"
+
 
 class WireError(ReproError):
     """A malformed or inconsistent wire message."""

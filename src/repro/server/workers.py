@@ -17,14 +17,17 @@ the server process.
 
 No job runs in the server process, so ``--jobs 1`` pays for a process
 boundary too: one pipe round trip per job (a warm flight-control/leon2
-all-modes job takes about 2.7 ms through one worker against 2.0 ms called
+all-modes job takes about 1.8 ms through one worker against 1.5 ms called
 in-process; docs/server.md, "Scaling notes"), and a worker forked while the
 server's threads run.  A fork that leaves its worker hung is killed at the
 deadline and the job retried, like any other hang.
 
-Work and results cross the process boundary as wire JSON
-(:mod:`repro.server.wire` / :mod:`repro.api.serialize`), which round-trips
-exactly — a served result is bit-identical to a direct facade call.
+Work crosses the process boundary as wire JSON (:mod:`repro.server.wire` /
+:mod:`repro.api.serialize`), which round-trips exactly — a served result is
+bit-identical to a direct facade call.  A worker sends its result back
+already encoded, as the bytes the HTTP layer replies with, together with the
+per-phase seconds the server's metrics need: the server process never
+decodes or re-encodes a result.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.analysis.summaries import SummaryCache
 from repro.api import serialize
-from repro.api.service import AnalysisRequest, AnalysisResult, AnalysisService
+from repro.api.service import AnalysisRequest, AnalysisService
 from repro.cache import SummaryStore
 from repro.errors import ReproError
 from repro.obs import logs as obs_logs
@@ -104,10 +107,13 @@ def fault_key(spec: ProjectSpec, request: AnalysisRequest) -> str:
 def _serve(warm: _WarmServices, job: _Job) -> tuple:
     """Execute one job in a pool worker.
 
-    Never raises.  Returns ``(result_json, error, seconds, obs)``: ``obs``
-    carries the job's serialised spans and the process registry's metric
-    delta back over the pipe — the supervisor merges both into the server
-    process.
+    Never raises.  Returns ``(result, phases, error, seconds, obs)``:
+    ``result`` is the encoded :class:`~repro.api.service.AnalysisResult`
+    (:func:`repro.api.serialize.encode`) and ``phases`` its analysis-phase
+    seconds summed over its reports, both ``None`` when the job failed;
+    ``obs`` carries the job's serialised spans and the process registry's
+    metric delta back over the pipe — the supervisor merges both into the
+    server process.
     """
     metrics_before = obs_metrics.REGISTRY.dump()
     tracer = exec_span = None
@@ -120,14 +126,18 @@ def _serve(warm: _WarmServices, job: _Job) -> tuple:
     try:
         spec = serialize.from_json(job.spec, ProjectSpec)
         request = serialize.from_json(job.request, AnalysisRequest)
-        result = warm.service(spec).analyze(request)
-        result_json = result.to_json()
+        analysed = warm.service(spec).analyze(request)
+        result = serialize.encode(analysed)
+        phases: Dict[str, float] = {}
+        for report in analysed.reports.values():
+            for phase, secs in report.phase_seconds().items():
+                phases[phase] = phases.get(phase, 0.0) + secs
         error = None
     except ReproError as exc:
-        result_json = None
+        result = phases = None
         error = (type(exc).__name__, str(exc))
     except Exception as exc:  # noqa: BLE001 - a worker must never die silently
-        result_json = None
+        result = phases = None
         error = (type(exc).__name__, f"{exc}\n{traceback.format_exc(limit=5)}")
     seconds = time.perf_counter() - started
     flush_span = obs_trace.begin("cache-flush")
@@ -148,7 +158,7 @@ def _serve(warm: _WarmServices, job: _Job) -> tuple:
         "spans": spans,
         "metrics": obs_metrics.diff(metrics_before, obs_metrics.REGISTRY.dump()),
     }
-    return result_json, error, seconds, obs
+    return result, phases, error, seconds, obs
 
 
 def _worker_serve(cache_dir: Optional[str]) -> Callable[[_Job], tuple]:
@@ -249,7 +259,7 @@ class WorkerPool:
             error = ServerError(error=type(exc).__name__, message=str(exc))
             seconds = 0.0
         else:
-            result_json, failure, seconds, obs = outcome
+            result, phases, failure, seconds, obs = outcome
             self._merge_obs(obs)
             # A failure inside the analysis (ReproError or a bug) would
             # repeat exactly on a retry, so it fails the job with its type.
@@ -262,8 +272,9 @@ class WorkerPool:
             dispatch_span.set("attempts", attempts)
             obs_trace.end(dispatch_span)
         if error is None:
-            result: AnalysisResult = serialize.from_json(result_json)
-            self.scheduler.complete(execution, result=result, seconds=seconds)
+            self.scheduler.complete(
+                execution, result=result, seconds=seconds, phase_seconds=phases
+            )
             logger.log(
                 "job_done",
                 execution_key=execution.key,

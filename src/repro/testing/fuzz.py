@@ -66,6 +66,10 @@ FLIGHT_CONTROL_PINS: Dict[Optional[str], Tuple[int, int]] = {
 #: hang it).
 REMOTE_JOB_TIMEOUT = 600.0
 
+#: Seconds the chaos sweep's resubmits hold for their result (the burst
+#: before them must see its 202s and 429s at once, so it does not wait).
+CHAOS_SUBMIT_WAIT = 2.0
+
 
 # --------------------------------------------------------------------------- #
 # Presets: each rotation slot aims the generator at one engine hard spot.
@@ -480,6 +484,9 @@ class _WireRequest:
     #: Raw header override: when set, headers are written verbatim (used to
     #: send broken Content-Length values a well-behaved client never would).
     raw_headers: Optional[List[Tuple[str, str]]] = None
+    #: The ``ServerError.error`` the reply must name, where the strategy
+    #: knows it.
+    error: Optional[str] = None
 
 
 def _mutate_drop_key(rng: random.Random) -> _WireRequest:
@@ -599,8 +606,14 @@ def _mutate_bad_since(rng: random.Random) -> _WireRequest:
 
 def _mutate_bad_wait(rng: random.Random) -> _WireRequest:
     wait = rng.choice(["abc", "nan", "-1", "inf", "1e999"])
-    suffix = rng.choice(["", "/result"])
-    return _WireRequest(method="GET", path=f"/v1/jobs/nope{suffix}?wait={wait}")
+    target = rng.choice(["", "/result", "submit"])
+    if target == "submit":
+        # A valid submit with a bad wait: refused before its job is queued.
+        body = json.dumps(_valid_submit()).encode()
+        return _WireRequest(path=f"/v1/jobs?wait={wait}", body=body, error="BadQuery")
+    return _WireRequest(
+        method="GET", path=f"/v1/jobs/nope{target}?wait={wait}", error="BadQuery"
+    )
 
 
 def _mutate_unknown_job(rng: random.Random) -> _WireRequest:
@@ -724,28 +737,44 @@ def _probe_keep_alive(connection: http.client.HTTPConnection, status: int) -> No
     )
 
 
+def _submitted(host: str, port: int, timeout: float) -> int:
+    """The server's ``/healthz`` count of accepted submissions."""
+    connection = http.client.HTTPConnection(host, port, timeout=timeout)
+    try:
+        connection.request("GET", "/healthz")
+        raw = connection.getresponse().read()
+        return serialize.from_json(json.loads(raw), ServerStats).submitted
+    finally:
+        connection.close()
+
+
 def run_wire_fuzz(
     url: str, iterations: int = 200, seed: int = 0, timeout: float = 15.0
 ) -> WireFuzzSummary:
     """Throw ``iterations`` malformed requests at the server at ``url``.
 
     Every response must be a 4xx with a parseable
-    :class:`~repro.server.wire.ServerError` envelope, and a connection the
-    reply keeps open must still serve ``GET /healthz``; anything else — a
-    5xx, a non-envelope body, a hang (socket timeout), a poisoned
+    :class:`~repro.server.wire.ServerError` envelope (naming the error the
+    strategy expects, where it expects one), a malformed submit must leave
+    ``/healthz`` ``submitted`` where it was, and a connection the reply
+    keeps open must still serve ``GET /healthz``; anything else — a 5xx, a
+    non-envelope body, a queued job, a hang (socket timeout), a poisoned
     kept-alive connection — is recorded as a :class:`WireViolation`.
     """
     split = urlsplit(url)
     host, port = split.hostname, split.port
     rng = random.Random(seed)
     summary = WireFuzzSummary(iterations=iterations, seed=seed)
+    submitted = _submitted(host, port, timeout)
 
     for _ in range(iterations):
         name, build = rng.choice(_STRATEGIES)
         summary.by_strategy[name] = summary.by_strategy.get(name, 0) + 1
         request = build(rng)
+        submits = request.method == "POST" and urlsplit(request.path).path == "/v1/jobs"
         try:
             status, body = _exchange(host, port, request, timeout)
+            now = _submitted(host, port, timeout) if submits else submitted
         except _KeepAliveBroken as exc:
             summary.violations.append(
                 WireViolation(
@@ -772,9 +801,15 @@ def run_wire_fuzz(
             problem = f"expected a 4xx, got {status}"
         else:
             try:
-                serialize.from_json(json.loads(body), ServerError)
+                error = serialize.from_json(json.loads(body), ServerError)
             except Exception as exc:  # noqa: BLE001 - any parse failure counts
                 problem = f"body is not a ServerError envelope: {exc}"
+            else:
+                if request.error is not None and error.error != request.error:
+                    problem = f"expected a {request.error} error, got {error.error}"
+        if problem is None and now != submitted:
+            problem = f"the job was queued (/healthz submitted {submitted} -> {now})"
+        submitted = now
         if problem is not None:
             summary.violations.append(
                 WireViolation(
@@ -964,8 +999,11 @@ def run_chaos(
                     )
 
                 # Phase 2 — resubmit every rejected job through the flaky
-                # proxy: 429s honor the Retry-After hint, dropped/truncated
-                # responses just resubmit (dedup makes that idempotent).
+                # proxy, each held up to CHAOS_SUBMIT_WAIT so that a job
+                # done by then comes back in the submit's own reply and the
+                # proxy's drops and truncations hit result bodies too: 429s
+                # honor the Retry-After hint, dropped/truncated responses
+                # just resubmit (dedup makes that idempotent).
                 for case_seed, spec, request in cases:
                     if handles[case_seed] is not None:
                         continue
@@ -981,7 +1019,11 @@ def run_chaos(
                             break
                         try:
                             handles[case_seed] = flaky.submit(
-                                spec, request, lane="batch", retries=0
+                                spec,
+                                request,
+                                lane="batch",
+                                retries=0,
+                                wait=CHAOS_SUBMIT_WAIT,
                             )
                         except RemoteError as exc:
                             if exc.status == 429:

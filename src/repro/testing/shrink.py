@@ -17,19 +17,16 @@ budget is exhausted.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.testing.generator import (
     GeneratedCase,
-    GFunction,
     SAssign,
-    SCall,
     SFnPtrCall,
     SFor,
     SGotoLoop,
     SIf,
-    SReturn,
     SWhileBreak,
     Stmt,
 )

@@ -23,7 +23,7 @@ the per-block timing tables) across the pool.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.summaries import merge_stats

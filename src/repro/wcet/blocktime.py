@@ -14,7 +14,7 @@ The IPET path analysis then weights each block-count variable with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import TimingAnalysisError
 from repro.hardware.pipeline import BlockTimeBounds

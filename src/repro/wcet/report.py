@@ -20,7 +20,7 @@ methods below are thin conveniences over that module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.hardware.pipeline import BlockTimeBounds
 

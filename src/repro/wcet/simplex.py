@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import InfeasibleILPError, PathAnalysisError, UnboundedILPError
+from repro.errors import PathAnalysisError
 
 _EPSILON = 1e-9
 

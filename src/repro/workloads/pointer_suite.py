@@ -4,7 +4,7 @@ accesses (Section 4.3 "Imprecise Memory Accesses"), non-local jumps (rule
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.annotations import AnnotationSet
 from repro.ir.instructions import Opcode

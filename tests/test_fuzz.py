@@ -33,7 +33,7 @@ from repro.testing import (
     run_wire_fuzz,
 )
 from repro.testing.corpus import annotations_to_text, case_payload, load_case
-from repro.testing.fuzz import _WireRequest, _exchange
+from repro.testing.fuzz import _WireRequest, _exchange, _submitted, _valid_submit
 from repro.testing.generator import (
     GeneratedCase,
     GFunction,
@@ -362,6 +362,10 @@ class TestClientFixes:
 # --------------------------------------------------------------------------- #
 # Wire fuzzing: every malformed request yields a 4xx envelope
 # --------------------------------------------------------------------------- #
+#: A well-formed ``POST /v1/jobs`` body.
+VALID_SUBMIT = json.dumps(_valid_submit()).encode()
+
+
 @pytest.fixture(scope="class")
 def live_server():
     with AnalysisServer(port=0, jobs=1) as server:
@@ -396,24 +400,34 @@ class TestWireFuzz:
             # (``_exchange`` probes the connection afterwards).
             _WireRequest(method="POST", path="/v1/nope", body=b"{}"),
             _WireRequest(method="POST", path="/v1/jobs/missing/cancel", body=b"{}"),
-            _WireRequest(method="GET", path="/v1/jobs/missing?wait=abc"),
+            _WireRequest(
+                method="GET", path="/v1/jobs/missing?wait=abc", error="BadQuery"
+            ),
+            # A valid submit whose only fault is its wait.
+            _WireRequest(path="/v1/jobs?wait=nan", body=VALID_SUBMIT, error="BadQuery"),
         ],
         ids=[
             "bad-since", "invalid-utf8", "empty-body", "non-object",
             "bad-method", "content-length-nan", "content-length-negative",
             "unknown-post-path", "cancel-unknown-job", "bad-wait",
+            "bad-wait-submit",
         ],
     )
     def test_known_regressions_return_4xx_envelopes(self, live_server, request_):
         from repro.api import serialize
         from repro.server.wire import ServerError
 
+        submitted = _submitted(live_server.host, live_server.port, timeout=15.0)
         status, body = _exchange(
             live_server.host, live_server.port, request_, timeout=15.0
         )
         assert 400 <= status < 500, (status, body)
         error = serialize.from_json(json.loads(body), ServerError)
         assert error.error and error.message
+        if request_.error is not None:
+            assert error.error == request_.error
+        # No malformed request is queued.
+        assert _submitted(live_server.host, live_server.port, timeout=15.0) == submitted
 
     def test_type_garbage_project_spec_is_rejected_with_400(self, live_server):
         from repro.api import serialize

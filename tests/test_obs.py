@@ -421,7 +421,7 @@ class TestServerIntegration:
             "repro_simplex_pivots_total",
             "repro_fixpoint_joins_total",
             "repro_kernel_jit_compiles_total",
-            'repro_http_requests_total{method="POST",status="202"}',
+            'repro_http_requests_total{method="POST",status="200"}',
         ):
             assert series in parsed, f"missing series {series!r}"
         assert parsed['repro_jobs_submitted_total{lane="interactive"}'] >= 1.0

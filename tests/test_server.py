@@ -31,7 +31,9 @@ from repro.api import (
     from_json,
     to_json,
 )
+from repro.api import serialize
 from repro.api.cli import main as cli_main
+from repro.api.serialize import encode
 from repro.api.service import AnalysisResult
 from repro.server import (
     AnalysisServer,
@@ -53,9 +55,11 @@ from repro.server import (
 )
 from repro.cache import store as store_module
 from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 from repro.server import http as server_http
 from repro.server import queue as queue_module
 from repro.server.client import ClientError, JobCancelled
+from repro.server.wire import DEDUPED_HEADER, JOB_ID_HEADER
 from repro.testing import faults as fault_injection
 from repro.wcet.analyzer import AnalysisOptions
 
@@ -236,7 +240,27 @@ class TestRequestDigest:
 # Scheduler semantics (no workers: jobs stay queued until popped)
 # --------------------------------------------------------------------------- #
 def _fake_result(label="x"):
-    return AnalysisResult(label=label, entry="main", processor="simple")
+    """An encoded result, as a worker hands it to the scheduler."""
+    return encode(AnalysisResult(label=label, entry="main", processor="simple"))
+
+
+def _served(job):
+    """A scheduler job's delivered result, decoded (``None`` without one)."""
+    encoded = job.result_bytes()
+    return None if encoded is None else from_json(json.loads(encoded))
+
+
+def _until(condition, seconds=30.0):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def _http_count(server, method, status) -> float:
+    return server.scheduler.metrics.value(
+        "repro_http_requests_total", method=method, status=status
+    )
 
 
 class TestScheduler:
@@ -255,8 +279,8 @@ class TestScheduler:
 
         scheduler.complete(execution, result=_fake_result("computed"))
         # Both subscribers got the result, each under its own label.
-        assert first.result.label == "first"
-        assert second.result.label == "second"
+        assert _served(first).label == "first"
+        assert _served(second).label == "second"
         assert first.state == second.state == "done"
 
     def test_invalid_lane_rejected_before_touching_state(self):
@@ -300,8 +324,8 @@ class TestScheduler:
         assert follower.state == "cancelled"
         execution = scheduler.pop(timeout=1)
         scheduler.complete(execution, result=_fake_result())
-        assert keeper.state == "done" and keeper.result is not None
-        assert follower.state == "cancelled" and follower.result is None
+        assert keeper.state == "done" and _served(keeper) is not None
+        assert follower.state == "cancelled" and _served(follower) is None
 
     def test_cancelling_every_subscriber_drops_queued_execution(self):
         scheduler = Scheduler()
@@ -386,7 +410,7 @@ class TestScheduler:
         assert running.jobs == [keeper, joiner]
         scheduler.complete(running, result=_fake_result())
         assert set(scheduler._jobs) == {keeper.id, joiner.id}
-        assert scheduler.job(joiner.id).result.label == "joiner"
+        assert _served(scheduler.job(joiner.id)).label == "joiner"
 
     @pytest.mark.parametrize("outcome", ["done", "failed"])
     def test_eviction_during_fan_out_skips_no_subscriber(self, monkeypatch, outcome):
@@ -411,7 +435,7 @@ class TestScheduler:
             assert joiner.state == outcome
             assert joiner.events[-1].event == outcome
             if outcome == "done":
-                assert joiner.result.label == joiner.label
+                assert _served(joiner).label == joiner.label
         assert scheduler.job(creator.id) is None
         assert set(scheduler._jobs) == {joiners[1].id}
 
@@ -426,7 +450,7 @@ class TestScheduler:
         assert job.state == "failed"
         executed = scheduler.metrics.value("repro_jobs_executed_total")
         scheduler.complete(execution, result=_fake_result())  # straggler
-        assert job.state == "failed" and job.result is None
+        assert job.state == "failed" and _served(job) is None
         assert scheduler.metrics.value("repro_jobs_executed_total") == executed
 
 
@@ -451,7 +475,7 @@ class TestWorkerPool:
             direct = AnalysisService(
                 spec.to_project(cache="off")
             ).analyze(AnalysisRequest(label="served"))
-            assert result_identity(job.result) == result_identity(direct)
+            assert result_identity(_served(job)) == result_identity(direct)
             # The job ran in the one supervised worker, not in this process.
             assert len(pool.worker_pids()) == 1
         finally:
@@ -484,7 +508,7 @@ class TestWorkerPool:
                 direct = AnalysisService(spec.to_project(cache="off")).analyze(
                     AnalysisRequest(label=f"p{index}")
                 )
-                assert result_identity(job.result) == result_identity(direct)
+                assert result_identity(_served(job)) == result_identity(direct)
             # The workers flushed their summaries into the shared store.
             assert list(tmp_path.glob("*.pkl")), "workers did not share the store"
         finally:
@@ -552,7 +576,7 @@ class TestSupervisedPool:
             direct = AnalysisService(spec.to_project(cache="off")).analyze(
                 AnalysisRequest(label="survivor")
             )
-            assert result_identity(job.result) == result_identity(direct)
+            assert result_identity(_served(job)) == result_identity(direct)
             assert scheduler.metrics.value("repro_faults_total", kind="worker_restarts") >= 1
             assert scheduler.metrics.value("repro_faults_total", kind="job_retries") >= 1
             assert any(
@@ -1014,6 +1038,29 @@ class TestAdmissionControlHTTP:
         # ...with a jittered sleep (>= hint/2 each) between attempts.
         assert elapsed >= 1.0
 
+    def test_waited_submit_retries_a_429_then_is_held(self, bounded_idle_server):
+        scheduler = bounded_idle_server.scheduler
+        client = ServerClient(bounded_idle_server.url, timeout=10)
+        client.submit(ProjectSpec(workload="message-handler"), AnalysisRequest())
+
+        def drain():
+            # The lane empties while the rejected submit sleeps on its hint.
+            _until(
+                lambda: scheduler.metrics.value("repro_faults_total", kind="rejections")
+            )
+            scheduler.pop(timeout=1)
+
+        thread = threading.Thread(target=drain)
+        thread.start()
+        job = client.submit(
+            ProjectSpec(workload="flight-control"), AnalysisRequest(), wait=0.3
+        )
+        thread.join(timeout=10)
+        assert scheduler.metrics.value("repro_faults_total", kind="rejections") == 1
+        assert _http_count(bounded_idle_server, "POST", "429") == 1
+        assert _http_count(bounded_idle_server, "POST", "202") == 2
+        assert client.status(job.id).state == "queued"
+
     def test_job_timeout_travels_to_the_execution(self, bounded_idle_server):
         client = ServerClient(bounded_idle_server.url, timeout=10)
         job = client.submit(
@@ -1229,7 +1276,7 @@ def counted_server(monkeypatch):
 
 
 class TestKeepAlive:
-    def test_analyze_calls_share_one_connection_two_requests_each(self, counted_server):
+    def test_analyze_calls_share_one_connection_one_request_each(self, counted_server):
         client = ServerClient(counted_server.url, timeout=60)
         spec = ProjectSpec(source=MINI_C, name="t.c")
         client.analyze(spec, AnalysisRequest(label="cold"), timeout=60)
@@ -1237,7 +1284,7 @@ class TestKeepAlive:
         for index in range(5):
             result = client.analyze(spec, AnalysisRequest(label=f"warm-{index}"), timeout=60)
             assert result.label == f"warm-{index}"
-        assert _http_requests(counted_server) - before == 2 * 5
+        assert _http_requests(counted_server) - before == 5
         assert len(counted_server.accepted) == 1
 
     def test_idle_closed_connection_is_reopened_transparently(
@@ -1448,6 +1495,202 @@ class TestLongPoll:
                 client._call("GET", f"{path}?wait={value}")
             assert excinfo.value.status == 400
             assert excinfo.value.error.error == "BadQuery"
+        # A submit with a bad wait is refused before its job is queued.
+        submitted = client.healthz().submitted
+        body = to_json(ServerSubmit(project=ProjectSpec(source=MINI_C, name="t.c")))
+        with pytest.raises(RemoteError) as excinfo:
+            client._call("POST", f"/v1/jobs?wait={value}", body)
+        assert excinfo.value.status == 400
+        assert excinfo.value.error.error == "BadQuery"
+        assert client.healthz().submitted == submitted
+
+
+# --------------------------------------------------------------------------- #
+# One round trip: POST /v1/jobs?wait=S answers with the result
+# --------------------------------------------------------------------------- #
+class TestSubmitWait:
+    """A submit held as a long-poll carries the result of a job done in time:
+    the bytes its worker encoded, under the submitter's label."""
+
+    SPEC = ProjectSpec(source=MINI_C, name="t.c")
+
+    def _direct(self, label):
+        return AnalysisService(self.SPEC.to_project(cache="off")).analyze(
+            AnalysisRequest(label=label)
+        )
+
+    def test_submit_reply_and_result_get_send_the_same_bytes(self, client):
+        body = to_json(
+            ServerSubmit(project=self.SPEC, request=AnalysisRequest(label="b"))
+        )
+        status, headers, posted = client._request("POST", "/v1/jobs?wait=30", body)
+        assert status == 200
+        job_id = headers[JOB_ID_HEADER]
+        assert headers[DEDUPED_HEADER] == "false"
+        _, _, fetched = client._request("GET", f"/v1/jobs/{job_id}/result")
+        assert posted == fetched
+        assert posted == json.dumps(to_json(from_json(json.loads(posted)))).encode()
+        assert from_json(json.loads(posted)).label == "b"
+
+    def test_each_subscriber_gets_its_own_label(self, idle_server):
+        """Joiners held on one execution get its bytes under their own label
+        (quotes, backslashes and non-ASCII included), or the creator's when
+        they bring none."""
+        scheduler = idle_server.scheduler
+        direct = self._direct("creator")
+        client = ServerClient(idle_server.url, timeout=30)
+        creator = client.submit(self.SPEC, AnalysisRequest(label="creator"))
+        labels = ['say "h\u00e9" \\ \u2708', ""]
+        joined = {}
+
+        def join(label):
+            joined[label] = ServerClient(idle_server.url, timeout=30).submit(
+                self.SPEC, AnalysisRequest(label=label), wait=20
+            )
+
+        threads = [threading.Thread(target=join, args=(label,)) for label in labels]
+        for thread in threads:
+            thread.start()
+        _until(lambda: scheduler.metrics.value("repro_dedup_joins_total") == 2)
+        scheduler.complete(scheduler.pop(timeout=1), result=encode(direct))
+        for thread in threads:
+            thread.join(timeout=30)
+        for label, expected in ((labels[0], labels[0]), ("", "creator")):
+            job = joined[label]
+            assert job.deduped
+            assert job.result(wait=False) == replace(direct, label=expected)
+            _, _, raw = client._request("GET", f"/v1/jobs/{job.id}/result")
+            assert raw == encode(replace(direct, label=expected))
+        assert client.result(creator.id) == direct
+        # Both joiners were answered by their submit.
+        assert _http_count(idle_server, "POST", "200") == 2
+
+    def test_a_job_still_running_at_the_deadline_answers_202(self, idle_server):
+        client = ServerClient(idle_server.url, timeout=30)
+        started = time.monotonic()
+        job = client.submit(self.SPEC, AnalysisRequest(), wait=0.3)
+        assert time.monotonic() - started >= 0.3
+        assert _http_count(idle_server, "POST", "202") == 1
+        assert client.status(job.id).state == "queued"
+        with pytest.raises(ResultNotReady):
+            job.result(wait=False)
+
+    def test_analyze_long_polls_after_a_202(self, idle_server, monkeypatch):
+        monkeypatch.setattr(ServerClient, "POLL_WAIT", 0.3)
+        scheduler = idle_server.scheduler
+        direct = self._direct("slow")
+        results = []
+        client = ServerClient(idle_server.url, timeout=30)
+        thread = threading.Thread(
+            target=lambda: results.append(
+                client.analyze(self.SPEC, AnalysisRequest(label="slow"), timeout=30)
+            )
+        )
+        thread.start()
+        _until(lambda: _http_count(idle_server, "POST", "202") == 1)
+        scheduler.complete(scheduler.pop(timeout=1), result=encode(direct))
+        thread.join(timeout=30)
+        assert results == [direct]
+        assert _http_count(idle_server, "GET", "200") == 1
+
+    def test_a_job_failing_within_the_wait_raises_job_failed(self, client):
+        spec = ProjectSpec(workload="no-such-workload")
+        with pytest.raises(JobFailed) as waited:
+            client.analyze(spec, AnalysisRequest(label="waited"), timeout=60)
+        with pytest.raises(JobFailed) as polled:
+            client.submit(spec, AnalysisRequest(label="polled")).result(timeout=60)
+        assert waited.value.status == polled.value.status == 500
+        assert waited.value.error.message == polled.value.error.message
+        assert "no-such-workload" in waited.value.error.message
+
+    def test_a_job_cancelled_during_the_wait_raises_job_cancelled(self, idle_server):
+        scheduler = idle_server.scheduler
+        client = ServerClient(idle_server.url, timeout=30)
+        errors = []
+
+        def analyze():
+            try:
+                client.analyze(self.SPEC, AnalysisRequest(), timeout=30)
+            except Exception as exc:  # noqa: BLE001 - checked below
+                errors.append(exc)
+
+        thread = threading.Thread(target=analyze)
+        thread.start()
+        _until(lambda: scheduler.job("j000001") is not None)
+        scheduler.cancel("j000001")
+        thread.join(timeout=30)
+        assert [type(error) for error in errors] == [JobCancelled]
+        assert errors[0].status == 410
+        assert _http_count(idle_server, "POST", "202") == 1
+
+    def test_shutdown_during_the_hold_answers_202_and_closes(self, idle_server):
+        threading.Timer(0.3, idle_server.shutdown).start()
+        body = json.dumps(to_json(ServerSubmit(project=self.SPEC))).encode()
+        connection = http.client.HTTPConnection(
+            idle_server.host, idle_server.port, timeout=30
+        )
+        started = time.monotonic()
+        try:
+            connection.request(
+                "POST", "/v1/jobs?wait=20", body, {"Content-Type": "application/json"}
+            )
+            response = connection.getresponse()
+            reply = from_json(json.loads(response.read()), ServerSubmitReply)
+        finally:
+            connection.close()
+        assert time.monotonic() - started < 10
+        assert response.status == 202
+        assert reply.state == "queued"
+        assert response.getheader("Connection") == "close"
+
+    def test_a_traced_analyze_is_one_trace(self):
+        tracer = obs_trace.Tracer()
+        previous = obs_trace.install(tracer)
+        try:
+            with AnalysisServer(port=0, jobs=1) as server:
+                client = ServerClient(server.url, timeout=60)
+                client.analyze(self.SPEC, AnalysisRequest(label="traced"), timeout=60)
+                client.close()
+        finally:
+            obs_trace.install(previous)
+        spans = tracer.drain()
+        (submit,) = [span for span in spans if span.name == "client-submit"]
+        assert submit.attrs["job_id"] == "j000001"
+        names = {span.name for span in spans if span.trace_id == submit.trace_id}
+        assert {
+            "client-submit", "queue-wait", "dispatch", "worker-execute", "analyze"
+        } <= names
+
+    def test_the_server_process_neither_decodes_nor_encodes_a_result(
+        self, monkeypatch
+    ):
+        """With the server in this process, one warm analyze builds one
+        AnalysisResult here (the client's decode) and encodes none: the
+        worker encodes, and the server sends its bytes."""
+        built, encoded = [], []
+        init, dump = AnalysisResult.__init__, serialize.to_json
+
+        def counting_init(result, *args, **kwargs):
+            built.append(threading.current_thread().name)
+            init(result, *args, **kwargs)
+
+        def counting_dump(obj):
+            if isinstance(obj, AnalysisResult):
+                encoded.append(threading.current_thread().name)
+            return dump(obj)
+
+        with AnalysisServer(port=0, jobs=1) as server:
+            client = ServerClient(server.url, timeout=60)
+            client.analyze(self.SPEC, AnalysisRequest(label="warm-up"), timeout=60)
+            monkeypatch.setattr(AnalysisResult, "__init__", counting_init)
+            monkeypatch.setattr(serialize, "to_json", counting_dump)
+            result = client.analyze(
+                self.SPEC, AnalysisRequest(label="counted"), timeout=60
+            )
+            client.close()
+        assert result.label == "counted"
+        assert built == [threading.current_thread().name]
+        assert encoded == []
 
 
 # --------------------------------------------------------------------------- #
