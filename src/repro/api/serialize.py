@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 import json
 import operator
 import types
@@ -297,39 +296,6 @@ def _build(kind: _Kind) -> _Kind:
 def encode(obj: Any) -> bytes:
     """``obj``'s wire form: ``json.dumps(to_json(obj))``, ASCII bytes."""
     return json.dumps(to_json(obj)).encode()
-
-
-@functools.lru_cache(maxsize=None)
-def _label_head(cls: Type) -> bytes:
-    """The bytes every :func:`encode` of a ``cls`` object starts with, up to
-    and including the opening quote of its ``label``.
-
-    A dumper writes the envelope, then the fields in declaration order, and
-    ``json.dumps`` keeps that order with fixed separators; so when ``cls``
-    declares ``label`` first, the label's JSON string starts at a fixed
-    offset."""
-    first = dataclasses.fields(cls)[0].name
-    if first != "label":
-        raise SchemaError(f"{cls.__name__} declares {first!r} first, not 'label'")
-    envelope = {"schema": SCHEMA_VERSION, "kind": cls.__name__, "label": ""}
-    return json.dumps(envelope).encode()[: -len('"}')]
-
-
-def relabel(encoded: bytes, cls: Type, label: str) -> bytes:
-    """``encoded`` (an :func:`encode` of a ``cls`` object ``obj``) with its
-    label set to ``label``, byte for byte ``encode(replace(obj,
-    label=label))``, without decoding the rest; ``encoded`` itself when the
-    label is already ``label``."""
-    head = _label_head(cls)
-    if not encoded.startswith(head):
-        raise SchemaError(f"not an encoded {cls.__name__}")
-    try:
-        old, end = json.decoder.scanstring(encoded.decode("ascii"), len(head))
-    except ValueError as exc:  # UnicodeDecodeError is a ValueError
-        raise SchemaError(f"not an encoded {cls.__name__}: {exc}") from None
-    if old == label:
-        return encoded
-    return head[:-1] + json.dumps(label).encode() + encoded[end:]
 
 
 # --------------------------------------------------------------------------- #

@@ -30,8 +30,8 @@ terminal, ``S`` seconds have passed (at most :data:`MAX_LONG_POLL`) or the
 server is closing, and is then the same reply as without it.  A submit
 takes it too and is held the same way, so a job that finishes in time is
 answered in one exchange.  A finished result is sent as the bytes its
-worker encoded, relabelled per job (:meth:`~repro.server.queue.Job.
-result_bytes`); the server never decodes it.
+worker encoded (:meth:`~repro.server.queue.Job.result_bytes`), decoded and
+encoded again only for a dedup joiner with a label of its own.
 
 Every non-2xx response body is a :class:`~repro.server.wire.ServerError`.
 The server is a :class:`ThreadingHTTPServer`: requests are handled on

@@ -8,8 +8,9 @@ and every subscriber receives the finished result stamped with its own label.
 This is safe for the same reason the summary cache is safe: the key digests
 every input the result depends on, so sharing an execution can only skip
 work, never change a bound.  An execution keeps its result as the encoded
-bytes its worker sent, and each read splices the subscriber's label in
-(:func:`repro.api.serialize.relabel`): the server never decodes a result.
+bytes its worker sent, under the creator's label, and sends them as they are
+to every subscriber with that label or none; only a joiner with a label of
+its own has them decoded and encoded again under it.
 
 Scheduling is strict-priority by lane (``interactive`` before ``batch``),
 FIFO within a lane.  A queued batch execution that gains an interactive
@@ -23,9 +24,10 @@ from __future__ import annotations
 import collections
 import heapq
 import itertools
+import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional
 
 from repro.api import serialize
@@ -76,12 +78,17 @@ class Job:
     def result_bytes(self) -> Optional[bytes]:
         """The encoded :class:`AnalysisResult` once this job is done, under
         its own label, else the creator's (labels are not in the dedup
-        key); ``None`` before that or when it failed or was cancelled."""
+        key); ``None`` before that or when it failed or was cancelled.
+
+        The worker's bytes carry the creator's label, so only a joiner that
+        brought a different label costs a decode and an encode."""
         if self.state != "done":
             return None
-        if not self.label:
-            return self.execution.result
-        return serialize.relabel(self.execution.result, AnalysisResult, self.label)
+        execution = self.execution
+        if not self.label or self.label == execution.request.label:
+            return execution.result
+        result = serialize.from_json(json.loads(execution.result), AnalysisResult)
+        return serialize.encode(replace(result, label=self.label))
 
 
 @dataclass
@@ -411,7 +418,8 @@ class Scheduler:
     ) -> None:
         """Record the outcome and fan it out to every subscribed job.
 
-        ``result`` is the encoded :class:`AnalysisResult`, and
+        ``result`` is the encoded :class:`AnalysisResult` of the execution's
+        request, so it carries that request's label when it has one, and
         ``phase_seconds`` its analysis-phase wall-clock seconds."""
         with self._lock:
             if execution.state in TERMINAL_STATES:

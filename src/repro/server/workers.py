@@ -26,8 +26,9 @@ Work crosses the process boundary as wire JSON (:mod:`repro.server.wire` /
 :mod:`repro.api.serialize`), which round-trips exactly — a served result is
 bit-identical to a direct facade call.  A worker sends its result back
 already encoded, as the bytes the HTTP layer replies with, together with the
-per-phase seconds the server's metrics need: the server process never
-decodes or re-encodes a result.
+per-phase seconds the server's metrics need: the server process decodes
+and re-encodes a result only for a dedup joiner that brings a label of its
+own (:meth:`repro.server.queue.Job.result_bytes`).
 """
 
 from __future__ import annotations

@@ -13,11 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
-from repro.api import serialize
 from repro.api import (
     CACHE_ENV_VAR,
     AnalysisRequest,
@@ -319,44 +317,6 @@ class TestSchemaValidation:
         del data["message"]
         with pytest.raises(SchemaError, match="missing field"):
             from_json(data)
-
-
-class TestRelabel:
-    """``serialize.relabel`` splices a label into an encoded result without
-    decoding it; it rests on the key order the codec writes."""
-
-    LABELS = ["creator", "", 'a "quoted" \\ label', "mode a\u00e9rien \u2708", "x" * 300]
-
-    @staticmethod
-    def _result(label):
-        return AnalysisResult(
-            label=label,
-            entry="main",
-            processor="simple-scalar",
-            reports={None: make_wcet_report(random.Random(3))},
-        )
-
-    def test_label_is_the_first_field_after_the_envelope(self):
-        assert list(to_json(self._result("x")))[:3] == ["schema", "kind", "label"]
-
-    @pytest.mark.parametrize("old", LABELS)
-    @pytest.mark.parametrize("new", LABELS)
-    def test_relabel_equals_encoding_the_relabelled_result(self, old, new):
-        result = self._result(old)
-        relabelled = serialize.relabel(serialize.encode(result), AnalysisResult, new)
-        assert relabelled == serialize.encode(replace(result, label=new))
-        assert relabelled == json.dumps(to_json(replace(result, label=new))).encode()
-
-    def test_an_unchanged_label_returns_the_same_bytes(self):
-        encoded = serialize.encode(self._result("creator"))
-        assert serialize.relabel(encoded, AnalysisResult, "creator") is encoded
-
-    def test_foreign_bytes_are_refused(self):
-        report = serialize.encode(make_wcet_report(random.Random(4)))
-        with pytest.raises(SchemaError, match="not an encoded AnalysisResult"):
-            serialize.relabel(report, AnalysisResult, "x")
-        with pytest.raises(SchemaError, match="not 'label'"):
-            serialize.relabel(report, WCETReport, "x")
 
 
 # --------------------------------------------------------------------------- #

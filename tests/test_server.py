@@ -277,10 +277,14 @@ class TestScheduler:
         assert execution is first.execution
         assert scheduler.pop(timeout=0.05) is None  # only ONE execution queued
 
-        scheduler.complete(execution, result=_fake_result("computed"))
-        # Both subscribers got the result, each under its own label.
+        # A worker's result carries the creator's label.
+        encoded = _fake_result("first")
+        scheduler.complete(execution, result=encoded)
+        # Both subscribers got the result, each under its own label; the
+        # creator gets the worker's bytes as they are.
         assert _served(first).label == "first"
         assert _served(second).label == "second"
+        assert first.result_bytes() is encoded
         assert first.state == second.state == "done"
 
     def test_invalid_lane_rejected_before_touching_state(self):
