@@ -3,7 +3,7 @@
 This package provides:
 
 * numeric abstract domains (:mod:`repro.analysis.domains`): intervals with
-  widening, congruences (stride information);
+  widening, and the abstract register/memory state built on them;
 * a generic worklist fixpoint solver (:mod:`repro.analysis.fixpoint`);
 * the register/memory value analysis (:mod:`repro.analysis.value`) that
   computes abstract register contents, abstract addresses of every memory
@@ -11,21 +11,17 @@ This package provides:
 * the data-flow based loop bound analysis (:mod:`repro.analysis.loopbounds`),
   modelled on the counter-loop detection the paper relies on (rules 13.4 and
   13.6 discussion);
-* unreachable-code detection (:mod:`repro.analysis.reachability`, rule 14.1);
-* classic liveness analysis (:mod:`repro.analysis.liveness`).
+* unreachable-code detection (:mod:`repro.analysis.reachability`, rule 14.1).
 """
 
 from repro.analysis.domains.interval import Interval
-from repro.analysis.domains.congruence import Congruence
 from repro.analysis.domains.memstate import AbstractValue, AbstractMemory, AbstractState
 from repro.analysis.value import ValueAnalysis, ValueAnalysisResult
 from repro.analysis.loopbounds import LoopBound, LoopBoundAnalysis, LoopBoundResult
 from repro.analysis.reachability import ReachabilityResult, find_unreachable_code
-from repro.analysis.liveness import LivenessResult, compute_liveness
 
 __all__ = [
     "Interval",
-    "Congruence",
     "AbstractValue",
     "AbstractMemory",
     "AbstractState",
@@ -36,6 +32,4 @@ __all__ = [
     "LoopBoundResult",
     "ReachabilityResult",
     "find_unreachable_code",
-    "LivenessResult",
-    "compute_liveness",
 ]

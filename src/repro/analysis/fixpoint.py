@@ -25,13 +25,12 @@ bit-identical while removing the re-sort.)
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generic, Iterable, List, Optional, Set, TypeVar
 
 from repro.errors import AnalysisError
 from repro.analysis.wto import WeakTopologicalOrder
-from repro.cfg.graph import ENTRY, EXIT, ControlFlowGraph
+from repro.cfg.graph import EXIT, ControlFlowGraph
 from repro.obs import metrics as obs_metrics
 
 _M_ITERATIONS = obs_metrics.REGISTRY.counter(
@@ -211,36 +210,3 @@ class ForwardSolver(Generic[State]):
             _M_WIDENS.inc(widens)
         return result
 
-
-def solve_backward(
-    cfg: ControlFlowGraph,
-    transfer: Callable[[int, State], State],
-    join: Callable[[State, State], State],
-    equal: Callable[[State, State], bool],
-    initial: Callable[[], State],
-    max_iterations: int = 100_000,
-) -> Dict[int, State]:
-    """Simple backward fixpoint (used by liveness); returns per-block IN states."""
-    block_in: Dict[int, State] = {node: initial() for node in cfg.node_ids()}
-    worklist = deque(reversed(cfg.reverse_postorder()))
-    in_worklist = set(worklist)
-    iterations = 0
-    while worklist:
-        block = worklist.popleft()
-        in_worklist.discard(block)
-        iterations += 1
-        if iterations > max_iterations:
-            raise AnalysisError("backward fixpoint did not stabilise")
-        out_state = initial()
-        for successor in cfg.successors(block):
-            if successor == EXIT:
-                continue
-            out_state = join(out_state, block_in[successor])
-        new_in = transfer(block, out_state)
-        if not equal(new_in, block_in[block]):
-            block_in[block] = new_in
-            for predecessor in cfg.predecessors(block):
-                if predecessor != ENTRY and predecessor not in in_worklist:
-                    worklist.append(predecessor)
-                    in_worklist.add(predecessor)
-    return block_in

@@ -190,6 +190,9 @@ _MAX_FIXPOINT_ITERATIONS = 50_000
 class ValueAnalysis:
     """Abstract interpretation of one function.
 
+    At entry, read-only data objects hold their initial values; mutable
+    globals are unknown, since an earlier activation may have written them.
+
     Parameters
     ----------
     program:
@@ -201,10 +204,6 @@ class ValueAnalysis:
     initial_registers:
         Abstract values of registers at function entry (e.g. argument ranges
         supplied by an annotation); unspecified registers start as top.
-    assume_initial_globals:
-        If True, mutable global data objects are assumed to still hold their
-        initial values on entry (valid only when analysing the reset entry
-        task); read-only objects are always preloaded.
     """
 
     def __init__(
@@ -213,14 +212,12 @@ class ValueAnalysis:
         cfg: ControlFlowGraph,
         loops: Optional[LoopForest] = None,
         initial_registers: Optional[Dict[str, AbstractValue]] = None,
-        assume_initial_globals: bool = False,
     ):
         program.ensure_layout()
         self.program = program
         self.cfg = cfg
         self.loops = loops if loops is not None else find_loops(cfg)
         self.initial_registers = dict(initial_registers or {})
-        self.assume_initial_globals = assume_initial_globals
         self._recording: Optional[Dict[int, AccessInfo]] = None
         # Per-instruction transfer closures, compiled on first use.  A block
         # is re-interpreted once per fixpoint visit (typically 10-30 times),
@@ -253,9 +250,7 @@ class ValueAnalysis:
             state.set(register, value)
         memory = state.memory
         for obj in self.program.data_objects.values():
-            if not obj.initial:
-                continue
-            if obj.readonly or self.assume_initial_globals:
+            if obj.readonly:
                 for index, word in enumerate(obj.initial):
                     memory.store_strong(obj.name, index * WORD_SIZE, AbstractValue.const(word))
         return state

@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from repro.errors import ParseError
+from repro.errors import AnnotationError, ParseError
 from repro.annotations.errors_model import ErrorScenario
 from repro.annotations.flowfacts import Location
 from repro.annotations.modes import OperatingMode
@@ -60,7 +60,7 @@ def _parse_location(text: str, line_no: int) -> Tuple[str, Location]:
     if not function or not location:
         raise ParseError(f"bad location {text!r}", line_no)
     if location.startswith("0x") or location.isdigit():
-        return function, int(location, 0)
+        return function, _parse_int(location, line_no)
     return function, location
 
 
@@ -92,6 +92,20 @@ class _Parser:
         return line.strip()
 
     def _parse_statement(
+        self, index: int, target: AnnotationSet, mode: Optional[OperatingMode]
+    ) -> int:
+        """Parse the statement at ``index``; returns the next line's index.
+
+        A fact the annotation model refuses (a negative bound, an empty
+        range, a second mode of one name) is a :class:`ParseError` naming
+        the statement's line.
+        """
+        try:
+            return self._statement(index, target, mode)
+        except AnnotationError as exc:
+            raise ParseError(str(exc), index + 1) from exc
+
+    def _statement(
         self, index: int, target: AnnotationSet, mode: Optional[OperatingMode]
     ) -> int:
         line_no = index + 1

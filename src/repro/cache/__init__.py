@@ -11,7 +11,9 @@ to reproduce the cold path's results bit for bit.
 
 A store is always wired in explicitly:
 
-* per analyzer: ``WCETAnalyzer(..., summary_store=SummaryStore(p))``;
+* per analyzer:
+  ``WCETAnalyzer(..., summary_cache=SummaryCache(store=SummaryStore(p)))``
+  (:class:`repro.analysis.summaries.SummaryCache`);
 * per project: ``Project(..., cache=p)``, or ``cache="auto"`` (the default),
   which opens ``REPRO_CACHE_DIR`` when that is set
   (:func:`repro.api.resolve_summary_store`);

@@ -45,7 +45,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from repro.errors import AssemblyError
+from repro.errors import AssemblyError, IRError
 from repro.ir.builder import FunctionBuilder, ProgramBuilder
 from repro.ir.instructions import Imm, Instruction, Opcode, Reg
 from repro.ir.program import Program
@@ -111,17 +111,31 @@ class _AsmParser:
         self.current: Optional[FunctionBuilder] = None
 
     def parse(self) -> Program:
+        """The program, or an :class:`AssemblyError` for any malformed text.
+
+        An :class:`IRError` of the builder (a bad register name, an undefined
+        label) becomes an assembly error too, with the line number when one
+        line is at fault.
+        """
         for index, raw in enumerate(self.lines, start=1):
             line = _strip_comment(raw)
             if not line:
                 continue
-            if line.startswith(".data"):
-                self._parse_data(line, index)
-            elif line.startswith(".func"):
-                self._parse_func(line, index)
-            else:
-                self._parse_instruction(line, index)
-        return self.builder.build()
+            try:
+                if line.startswith(".data"):
+                    self._parse_data(line, index)
+                elif line.startswith(".func"):
+                    self._parse_func(line, index)
+                else:
+                    self._parse_instruction(line, index)
+            except AssemblyError:
+                raise
+            except IRError as exc:
+                raise AssemblyError(str(exc), index) from exc
+        try:
+            return self.builder.build()
+        except IRError as exc:
+            raise AssemblyError(str(exc)) from exc
 
     # ------------------------------------------------------------------ #
     def _parse_data(self, line: str, line_no: int) -> None:
@@ -190,6 +204,8 @@ class _AsmParser:
             line = line[: pred_match.start()].strip()
 
         parts = line.split(None, 1)
+        if not parts:
+            raise AssemblyError(f"predicate ?{pred} has no instruction", line_no)
         mnemonic = parts[0].lower()
         operand_text = parts[1] if len(parts) > 1 else ""
         try:

@@ -283,13 +283,15 @@ serialize.register(ServerSubmitReply)
 serialize.register(ServerJobStatus)
 serialize.register(ServerEvent)
 # Every knob may be omitted; an unknown knob is an error, except the retired
-# knobs of older clients, which chose between execution engines and between
-# ILP solvers: this code has one of each.
+# knobs of older clients.  Those chose between execution engines and between
+# ILP solvers, switched the BCET solve off and preloaded mutable globals at
+# entry: this code has one engine and one solver, always bounds the BCET and
+# never assumes a global's initial value.
 serialize.register(
     AnalysisOptions,
     optional=[f.name for f in fields(AnalysisOptions)],
     reject_unknown=True,
-    retired=("engine", "ilp_backend"),
+    retired=("engine", "ilp_backend", "compute_bcet", "assume_initial_globals"),
 )
 serialize.register(ServerSubmit, optional=("timeout", "trace"))
 serialize.register(ServerError, optional=("retry_after",))

@@ -34,6 +34,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import socket
 import threading
 import time
@@ -182,24 +183,46 @@ def corrupt_store(cache_dir: str, seed: int, fraction: float = 1.0) -> int:
 # --------------------------------------------------------------------------- #
 # Flaky HTTP proxy
 # --------------------------------------------------------------------------- #
+_CONTENT_LENGTH = re.compile(
+    rb"^content-length:[ \t]*(\d+)", re.IGNORECASE | re.MULTILINE
+)
+
+
+def _truncation_point(response: bytes) -> Optional[int]:
+    """How many bytes of ``response`` a ``truncate`` verdict forwards.
+
+    The whole head passes, through its blank line, then half the body: at
+    least one byte short of the declared ``Content-Length``, so the client
+    reads a complete status line and headers and then a short body.  A reply
+    with an empty body is cut one byte short of its head instead.  ``None``
+    while the head is still incomplete.
+    """
+    end = response.find(b"\r\n\r\n")
+    if end < 0:
+        return None
+    end += 4
+    match = _CONTENT_LENGTH.search(response, 0, end)
+    length = int(match.group(1)) if match else 0
+    return end + length // 2 if length else end - 1
+
+
 class FlakyProxy:
     """Seeded TCP proxy that drops or truncates upstream responses.
 
     Sits between a :class:`~repro.server.client.ServerClient` and the
     server.  Each HTTP exchange draws one deterministic verdict — ``pass``,
     ``drop`` (connection closes before any response bytes) or ``truncate``
-    (response cut after a bounded prefix) — when the first byte of its
-    request arrives, so a kept-alive connection carrying many exchanges
-    draws one verdict for each of them.  A new request starts with the first
-    client byte after the previous response began, which holds for any
-    client that does not pipeline.  Requests always reach the server intact:
+    (the whole head and part of the body pass, then the connection closes
+    short of the declared ``Content-Length``; see :func:`_truncation_point`)
+    — when the first byte of its request arrives, so a kept-alive
+    connection carrying many exchanges draws one verdict for each of them.
+    A new request starts with the first client byte after the previous
+    response began, which holds for any client that does not pipeline.
+    Requests always reach the server intact:
     the chaos sweep needs the *server* state to advance (job accepted) while
     the *client* observes a network failure — the retry/idempotency path
     under test.
     """
-
-    #: Bytes of response forwarded before a ``truncate`` verdict cuts it.
-    TRUNCATE_AFTER = 64
 
     def __init__(
         self,
@@ -307,7 +330,9 @@ class FlakyProxy:
             target=self._pump_requests, args=(client, upstream, exchange), daemon=True
         )
         pump.start()
-        budget = None
+        verdict = None
+        # A truncated response's bytes, held until its head is complete.
+        held = b""
         try:
             while True:
                 chunk = upstream.recv(65536)
@@ -316,16 +341,17 @@ class FlakyProxy:
                 with self._lock:
                     if not exchange[1]:
                         exchange[1] = True
-                        budget = {"drop": 0, "truncate": self.TRUNCATE_AFTER}.get(
-                            exchange[0]
-                        )
-                if budget is not None:
-                    chunk = chunk[:budget]
-                    budget -= len(chunk)
-                if chunk:
-                    client.sendall(chunk)
-                if budget == 0:
+                        verdict = exchange[0]
+                if verdict == "drop":
                     break
+                if verdict == "truncate":
+                    held += chunk
+                    cut = _truncation_point(held)
+                    if cut is None:
+                        continue
+                    client.sendall(held[:cut])
+                    break
+                client.sendall(chunk)
         except OSError:
             pass
         finally:

@@ -535,7 +535,7 @@ _BAD_FIELDS: List[Tuple[Tuple[str, ...], object]] = [
     (("request", "options"), {"schema": 1, "kind": "AnalysisOptions",
                               "use_data_cache": "false"}),
     (("request", "options"), {"schema": 1, "kind": "AnalysisOptions",
-                              "compute_bcet": 0}),
+                              "context_sensitive_calls": 0}),
     (("request", "options"), {"schema": 1, "kind": "AnalysisOptions",
                               "strict_indirect": "no"}),
     (("request", "options"), {"schema": 1, "kind": "AnalysisOptions",

@@ -6,7 +6,8 @@
 * :mod:`repro.wcet.ipet` — the Implicit Path Enumeration Technique: block and
   edge counts, structural flow conservation, loop-bound and annotation
   constraints, presolved into one integer column per class of equal counts,
-  maximisation of total execution time;
+  and total execution time maximised (WCET) and minimised (BCET) as one
+  pair;
 * :mod:`repro.wcet.blocktime` — per-block timing tables combining pipeline,
   cache and memory-map information;
 * :mod:`repro.wcet.contexts` — call-site context sensitivity;

@@ -119,12 +119,8 @@ class AnalysisOptions:
     use_instruction_cache: bool = True
     #: Use the abstract data cache analysis (if the processor has one).
     use_data_cache: bool = True
-    #: Assume mutable globals still hold their initial values at task entry.
-    assume_initial_globals: bool = False
     #: Raise immediately on unresolved indirect branches/calls (tier-one).
     strict_indirect: bool = True
-    #: Also compute BCET bounds (cheap; disable for large sweeps).
-    compute_bcet: bool = True
     #: Cap on distinct argument contexts analysed per callee.
     max_contexts_per_function: int = 16
 
@@ -138,7 +134,6 @@ class WCETAnalyzer:
         processor: ProcessorConfig,
         annotations: Optional[AnnotationSet] = None,
         options: Optional[AnalysisOptions] = None,
-        summary_store=None,
         summary_cache: Optional[SummaryCache] = None,
     ):
         program.validate()
@@ -148,13 +143,10 @@ class WCETAnalyzer:
         self.options = options or AnalysisOptions()
         self.pipeline = PipelineModel(processor)
         # Two-tier function-summary cache.  ``summary_cache`` shares an
-        # in-process tier between analyzers (the batch API uses this);
-        # ``summary_store`` attaches a persistent on-disk tier.  With neither,
-        # the analyzer caches in process only.
-        if summary_cache is not None:
-            self.summaries = summary_cache
-        else:
-            self.summaries = SummaryCache(store=summary_store)
+        # in-process tier between analyzers (the batch API uses this) and
+        # may carry a persistent on-disk tier (``SummaryCache(store=...)``).
+        # Without one, the analyzer caches in process only.
+        self.summaries = summary_cache if summary_cache is not None else SummaryCache()
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -289,12 +281,12 @@ class WCETAnalyzer:
         Every per-mode run reads the program's one decoded form (CFGs, call
         graph, loop forests; :func:`~repro.cfg.decode.decode_program`), and
         the runs share one loop/value memo keyed on each function's actual
-        inputs (entry register values, globals assumption).  So a mode that
-        only adds path-level facts (flow constraints, infeasible paths, loop
-        bounds) re-runs none of the mode-independent phases — visible as
-        near-zero "decoding" and "loop/value analysis" timings in every
-        report after the first.  Every report of the family marks its
-        decoding detail "(shared across modes)".  Functions whose full
+        inputs (its entry register values).  So a mode that only adds
+        path-level facts (flow constraints, infeasible paths, loop bounds)
+        re-runs none of the mode-independent phases — visible as near-zero
+        "decoding" and "loop/value analysis" timings in every report after
+        the first.  Every report of the family marks its decoding detail
+        "(shared across modes)".  Functions whose full
         analysis inputs are unchanged by a mode are shared wholesale through
         the function-summary cache.
         """
@@ -365,11 +357,7 @@ class WCETAnalyzer:
             memo_entry = run.value_memo.get(memo_key)
             if memo_entry is None:
                 value_analysis = ValueAnalysis(
-                    self.program,
-                    cfg,
-                    loops,
-                    initial_registers=initial_registers,
-                    assume_initial_globals=self.options.assume_initial_globals,
+                    self.program, cfg, loops, initial_registers=initial_registers
                 )
                 values = value_analysis.run()
                 pristine_bounds = LoopBoundAnalysis(cfg, loops, values).run()
@@ -449,32 +437,18 @@ class WCETAnalyzer:
                 header: bound.max_back_edges for header, bound in bounds.bounds.items()
             }
 
-            ipet = IPETBuilder(cfg, loops)
             solve_span = obs_trace.begin("simplex-solve", attrs={"function": name})
-            if self.options.compute_bcet:
-                # Both objectives share one presolved constraint system and
-                # one phase-1 feasibility basis.
-                wcet_result, bcet_result = ipet.solve_pair(
-                    table.wcet_weights(),
-                    table.bcet_weights(),
-                    loop_bound_map,
-                    infeasible_blocks=infeasible_blocks,
-                    infeasible_edges=infeasible_edges,
-                    flow_constraints=flow_constraints,
-                )
-                bcet_cycles = bcet_result.bound_cycles
-                pivots = wcet_result.ilp_pivots + bcet_result.ilp_pivots
-            else:
-                wcet_result = ipet.solve(
-                    table.wcet_weights(),
-                    loop_bound_map,
-                    infeasible_blocks=infeasible_blocks,
-                    infeasible_edges=infeasible_edges,
-                    flow_constraints=flow_constraints,
-                    maximise=True,
-                )
-                bcet_cycles = 0
-                pivots = wcet_result.ilp_pivots
+            # Both objectives share one presolved constraint system and one
+            # phase-1 feasibility basis.
+            wcet_result, bcet_result = IPETBuilder(cfg, loops).solve_pair(
+                table.wcet_weights(),
+                table.bcet_weights(),
+                loop_bound_map,
+                infeasible_blocks=infeasible_blocks,
+                infeasible_edges=infeasible_edges,
+                flow_constraints=flow_constraints,
+            )
+            pivots = wcet_result.ilp_pivots + bcet_result.ilp_pivots
             if solve_span is not None:
                 solve_span.set("pivots", pivots)
             obs_trace.end(solve_span)
@@ -502,7 +476,7 @@ class WCETAnalyzer:
         report = FunctionReport(
             name=name,
             wcet_cycles=wcet_result.bound_cycles,
-            bcet_cycles=bcet_cycles,
+            bcet_cycles=bcet_result.bound_cycles,
             loop_reports=loop_reports,
             block_times=dict(table.times),
             block_counts=wcet_result.block_counts,

@@ -48,7 +48,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from repro.errors import InfeasibleILPError, PathAnalysisError, UnboundedILPError
 from repro.cfg.graph import ENTRY, EXIT, ControlFlowGraph
 from repro.cfg.loops import LoopForest
-from repro.wcet.ilp import ILPSolution, ILPSystem, solve_ilp, solve_ilp_pair
+from repro.wcet.ilp import ILPSolution, ILPSystem, solve_ilp_pair
 
 _RELATIONS = ("<=", "==", ">=")
 
@@ -73,8 +73,8 @@ class PathAnalysisResult:
     block_counts: Dict[int, int] = field(default_factory=dict)
     edge_counts: Dict[Tuple[int, int], int] = field(default_factory=dict)
     ilp_nodes: int = 1
-    #: Simplex pivots spent on this objective; when both objectives are
-    #: solved together, the shared phase 1 is counted on the WCET result.
+    #: Simplex pivots spent on this objective; the phase 1 both objectives
+    #: share is counted on the WCET result.
     ilp_pivots: int = 0
 
     def worst_case_blocks(self) -> List[int]:
@@ -320,32 +320,6 @@ class IPETBuilder:
         self.cfg = cfg
         self.loops = loops
 
-    def solve(
-        self,
-        block_weights: Dict[int, int],
-        loop_bounds: Dict[int, int],
-        infeasible_blocks: Iterable[int] = (),
-        infeasible_edges: Iterable[Tuple[int, int]] = (),
-        flow_constraints: Sequence[ResolvedFlowConstraint] = (),
-        maximise: bool = True,
-    ) -> PathAnalysisResult:
-        """Solve one objective (WCET when ``maximise``, else BCET).
-
-        ``loop_bounds`` maps loop headers to the maximum number of back-edge
-        executions per loop entry.  A missing bound surfaces as an
-        :class:`UnboundedILPError` naming the loops without one.
-        """
-        presolve = _Presolve(
-            self.cfg, self.loops, loop_bounds, infeasible_blocks, infeasible_edges,
-            flow_constraints,
-        )
-        objective, constant = presolve.objective(block_weights)
-        try:
-            solution = solve_ilp(presolve.system(), objective, maximise)
-        except UnboundedILPError as exc:
-            raise self._unbounded(loop_bounds) from exc
-        return presolve.result(solution, constant, maximise)
-
     def solve_pair(
         self,
         wcet_weights: Dict[int, int],
@@ -358,8 +332,10 @@ class IPETBuilder:
         """Solve the WCET (maximise) and BCET (minimise) objectives together.
 
         Both objectives run over one presolved system and share one phase-1
-        feasibility basis (see :func:`repro.wcet.ilp.solve_ilp_pair`); results
-        are identical to two separate :meth:`solve` calls.
+        feasibility basis (see :func:`repro.wcet.ilp.solve_ilp_pair`).
+        ``loop_bounds`` maps loop headers to the maximum number of back-edge
+        executions per loop entry.  A missing bound surfaces as an
+        :class:`UnboundedILPError` naming the loops without one.
         """
         presolve = _Presolve(
             self.cfg, self.loops, loop_bounds, infeasible_blocks, infeasible_edges,

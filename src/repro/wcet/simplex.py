@@ -27,20 +27,11 @@ row and the rows that actually contain the pivot column.  The arithmetic per
 touched entry is exactly the dense update ``row[c] -= factor * pivot[c]``, so
 results are bit-identical to the dense implementation — including fill-in and
 the tiny cancellation residues the epsilon comparisons were tuned for.
-
-In a tableau at least ``_DENSE_MIN_COLUMNS`` wide, a row whose fill-in
-crosses a quarter of the width is promoted to a flat float list ("dense
-row"): pivot updates then index straight into the list with no hashing or
-fill-in bookkeeping.  The arithmetic sequence is unchanged — a dict's absent
-entry and a list's stored ``0.0`` produce the same update (at most the sign
-of a zero differs, which no epsilon comparison, Bland scan or ratio test can
-observe) — so pivot sequences and results are bit-identical to keeping every
-row sparse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PathAnalysisError
@@ -49,12 +40,6 @@ _EPSILON = 1e-9
 
 #: A sparse tableau row: column index -> nonzero coefficient.
 SparseRow = Dict[int, float]
-
-#: Promote a sparse row to dense list storage when it carries entries in more
-#: than 1/_DENSE_FILL_RATIO of the tableau's columns.
-_DENSE_FILL_RATIO = 4
-#: Never densify tiny tableaus; the dict overhead is irrelevant there.
-_DENSE_MIN_COLUMNS = 64
 
 
 @dataclass
@@ -88,77 +73,27 @@ def _build_column_index(rows: List[SparseRow]) -> Dict[int, set]:
     return index
 
 
-def _densify(
-    rows: List,
-    col_rows: Dict[int, set],
-    dense_rows: set,
-    r: int,
-    total_columns: int,
-) -> None:
-    """Promote sparse row ``r`` to a flat float list and drop its column index."""
-    row = rows[r]
-    dense = [0.0] * total_columns
-    for column, value in row.items():
-        dense[column] = value
-    rows[r] = dense
-    dense_rows.add(r)
-    # A sparse row never loses a key, so it is registered exactly under the
-    # columns it holds.
-    for column in row:
-        col_rows[column].discard(r)
-
-
 def _pivot(
-    rows: List,
+    rows: List[SparseRow],
     rhs: List[float],
     basis: List[int],
     col_rows: Dict[int, set],
     row: int,
     col: int,
-    dense_rows: set,
-    total_columns: int,
 ) -> None:
-    """Pivot on ``(row, col)``: normalise the pivot row, eliminate elsewhere.
-
-    ``dense_rows`` is the set of list-backed row indices.  Rows it names are
-    not tracked in ``col_rows``; elimination visits them unconditionally.
-    """
+    """Pivot on ``(row, col)``: normalise the pivot row, eliminate elsewhere."""
     pivot_row = rows[row]
-    dense_pivot = type(pivot_row) is list
     pivot_value = pivot_row[col]
     if pivot_value != 1.0:
-        if dense_pivot:
-            for column, value in enumerate(pivot_row):
-                if value != 0.0:
-                    pivot_row[column] = value / pivot_value
-        else:
-            for column in pivot_row:
-                pivot_row[column] /= pivot_value
+        for column in pivot_row:
+            pivot_row[column] /= pivot_value
         rhs[row] /= pivot_value
-    if dense_pivot:
-        pivot_items = [
-            (column, value) for column, value in enumerate(pivot_row) if value != 0.0
-        ]
-    else:
-        pivot_items = list(pivot_row.items())
+    pivot_items = list(pivot_row.items())
     pivot_rhs = rhs[row]
-    targets = list(col_rows.get(col, ()))
-    if dense_rows:
-        targets.extend(dense_rows)
-    densify_floor = 0
-    if total_columns >= _DENSE_MIN_COLUMNS:
-        densify_floor = total_columns // _DENSE_FILL_RATIO
-    for r in targets:
+    for r in list(col_rows.get(col, ())):
         if r == row:
             continue
         current = rows[r]
-        if type(current) is list:
-            factor = current[col]
-            if factor > _EPSILON or factor < -_EPSILON:
-                for column, value in pivot_items:
-                    current[column] -= factor * value
-                rhs[r] -= factor * pivot_rhs
-            continue
         factor = current.get(col)
         if factor is not None and (factor > _EPSILON or factor < -_EPSILON):
             get = current.get
@@ -170,21 +105,17 @@ def _pivot(
                 else:
                     current[column] = existing - factor * value
             rhs[r] -= factor * pivot_rhs
-            if densify_floor and len(current) > densify_floor:
-                _densify(rows, col_rows, dense_rows, r, total_columns)
     basis[row] = col
 
 
 def _run_simplex(
-    rows: List,
+    rows: List[SparseRow],
     rhs: List[float],
     objective: SparseRow,
     objective_rhs: List[float],
     basis: List[int],
     col_rows: Dict[int, set],
     num_columns: int,
-    dense_rows: set,
-    total_columns: int,
 ) -> Tuple[str, int]:
     """Run primal simplex; ``objective``/``objective_rhs[0]`` is the cost row.
 
@@ -206,20 +137,11 @@ def _run_simplex(
         if pivot_col < 0:
             return "optimal", pivots
         # Ratio test over the rows that actually carry the pivot column
-        # (ascending row index, so Bland tie-breaking matches a full scan;
-        # dense rows carry every column and always participate — and are
-        # never in col_rows, so plain concatenation has no duplicates).
-        candidates = col_rows.get(pivot_col, ())
-        if dense_rows:
-            candidates = [*candidates, *dense_rows]
+        # (ascending row index, so Bland tie-breaking matches a full scan).
         pivot_row = -1
         best_ratio = None
-        for row in sorted(candidates):
-            current = rows[row]
-            if type(current) is list:
-                coefficient = current[pivot_col]
-            else:
-                coefficient = current.get(pivot_col, 0.0)
+        for row in sorted(col_rows.get(pivot_col, ())):
+            coefficient = rows[row].get(pivot_col, 0.0)
             if coefficient > _EPSILON:
                 ratio = rhs[row] / coefficient
                 if best_ratio is None or ratio < best_ratio - _EPSILON or (
@@ -230,21 +152,12 @@ def _run_simplex(
                     pivot_row = row
         if pivot_row < 0:
             return "unbounded", pivots
-        _pivot(
-            rows, rhs, basis, col_rows, pivot_row, pivot_col,
-            dense_rows, total_columns,
-        )
+        _pivot(rows, rhs, basis, col_rows, pivot_row, pivot_col)
         # Eliminate the pivot column from the objective row as well.
         factor = objective.get(pivot_col, 0.0)
         if abs(factor) > _EPSILON:
-            chosen = rows[pivot_row]
-            if type(chosen) is list:
-                for column, value in enumerate(chosen):
-                    if value != 0.0:
-                        objective[column] = objective.get(column, 0.0) - factor * value
-            else:
-                for column, value in chosen.items():
-                    objective[column] = objective.get(column, 0.0) - factor * value
+            for column, value in rows[pivot_row].items():
+                objective[column] = objective.get(column, 0.0) - factor * value
             objective_rhs[0] -= factor * rhs[pivot_row]
         # else: like the dense implementation, a sub-epsilon residue in the
         # objective row is left untouched (it can never be chosen by Bland's
@@ -283,17 +196,12 @@ class PreparedTableau:
 
     num_vars: int
     num_slack: int
-    rows: List
+    rows: List[SparseRow]
     rhs: List[float]
     basis: List[int]
     col_rows: Dict[int, set]
     artificial_columns: List[int]
     feasible: bool
-    #: Total column count (vars + slack + artificial); dense rows are lists
-    #: of this length.
-    total_columns: int = 0
-    #: Indices of list-backed rows.
-    dense_rows: set = field(default_factory=set)
     #: Pivots spent by phase 1 (including driving artificials out).
     pivots: int = 0
 
@@ -373,7 +281,6 @@ def prepare_sparse_tableau(
         rhs.append(bound)
 
     col_rows = _build_column_index(rows)
-    dense_rows: set = set()
     pivots = 0
 
     # ------------------------------------------------------------------ #
@@ -390,8 +297,7 @@ def prepare_sparse_tableau(
                     phase1[column] = phase1.get(column, 0.0) - value
                 phase1_rhs[0] -= bound
         status, pivots = _run_simplex(
-            rows, rhs, phase1, phase1_rhs, basis, col_rows, total_columns,
-            dense_rows, total_columns,
+            rows, rhs, phase1, phase1_rhs, basis, col_rows, total_columns
         )
         if status == "unbounded":
             raise PathAnalysisError("phase-1 simplex reported an unbounded problem")
@@ -399,30 +305,21 @@ def prepare_sparse_tableau(
         if phase1_value > 1e-6:
             return PreparedTableau(
                 num_vars, num_slack, rows, rhs, basis, col_rows,
-                artificial_columns, feasible=False,
-                total_columns=total_columns, dense_rows=dense_rows, pivots=pivots,
+                artificial_columns, feasible=False, pivots=pivots,
             )
         # Drive any artificial variable still in the basis out of it.
         for row_index, basic_column in enumerate(list(basis)):
             if basic_column in artificial_set:
                 current = rows[row_index]
                 for column in range(num_vars + num_slack):
-                    if type(current) is list:
-                        coefficient = current[column]
-                    else:
-                        coefficient = current.get(column, 0.0)
-                    if abs(coefficient) > _EPSILON:
-                        _pivot(
-                            rows, rhs, basis, col_rows, row_index, column,
-                            dense_rows, total_columns,
-                        )
+                    if abs(current.get(column, 0.0)) > _EPSILON:
+                        _pivot(rows, rhs, basis, col_rows, row_index, column)
                         pivots += 1
                         break
 
     return PreparedTableau(
         num_vars, num_slack, rows, rhs, basis, col_rows,
-        artificial_columns, feasible=True,
-        total_columns=total_columns, dense_rows=dense_rows, pivots=pivots,
+        artificial_columns, feasible=True, pivots=pivots,
     )
 
 
@@ -444,19 +341,15 @@ def optimise_prepared(
     num_vars = prepared.num_vars
     num_slack = prepared.num_slack
     if clone:
-        rows = [
-            list(row) if type(row) is list else dict(row) for row in prepared.rows
-        ]
+        rows = [dict(row) for row in prepared.rows]
         rhs = list(prepared.rhs)
         basis = list(prepared.basis)
         col_rows = {column: set(members) for column, members in prepared.col_rows.items()}
-        dense_rows = set(prepared.dense_rows)
     else:
         rows = prepared.rows
         rhs = prepared.rhs
         basis = prepared.basis
         col_rows = prepared.col_rows
-        dense_rows = prepared.dense_rows
     sign = 1.0 if maximise else -1.0
 
     # Optimise the real objective (artificials pinned to zero).
@@ -472,22 +365,14 @@ def optimise_prepared(
     for row, bound, basic_column in zip(rows, rhs, basis):
         coefficient = objective_row.get(basic_column, 0.0)
         if abs(coefficient) > _EPSILON:
-            if type(row) is list:
-                for column, value in enumerate(row):
-                    if value != 0.0:
-                        objective_row[column] = (
-                            objective_row.get(column, 0.0) - coefficient * value
-                        )
-            else:
-                for column, value in row.items():
-                    objective_row[column] = (
-                        objective_row.get(column, 0.0) - coefficient * value
-                    )
+            for column, value in row.items():
+                objective_row[column] = (
+                    objective_row.get(column, 0.0) - coefficient * value
+                )
             objective_rhs[0] -= coefficient * bound
 
     status, pivots = _run_simplex(
-        rows, rhs, objective_row, objective_rhs, basis, col_rows,
-        num_vars + num_slack, dense_rows, prepared.total_columns,
+        rows, rhs, objective_row, objective_rhs, basis, col_rows, num_vars + num_slack
     )
     if status == "unbounded":
         return SimplexResult(status="unbounded", pivots=pivots)

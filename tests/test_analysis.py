@@ -1,4 +1,4 @@
-"""Tests for the value analysis, loop-bound analysis, reachability and liveness."""
+"""Tests for the value analysis, loop-bound analysis and reachability."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.analysis import (
     LoopBoundAnalysis,
     ValueAnalysis,
-    compute_liveness,
     find_unreachable_code,
 )
 from repro.analysis.domains.interval import Interval
@@ -250,7 +249,7 @@ class TestLoopBounds:
         assert list(bounds.failures.values())[0].reason == "diverging"
 
 
-class TestReachabilityAndLiveness:
+class TestReachability:
     def test_structurally_dead_block(self):
         asm = (
             ".func main\n    br end\n    mov r3, 1\nend:\n    halt\n"
@@ -277,17 +276,3 @@ class TestReachabilityAndLiveness:
         cfg, _ = reconstruct_cfg(counter_loop_program, "main")
         report = find_unreachable_code(cfg)
         assert not report.has_unreachable_code
-
-    def test_liveness_of_loop_counter(self):
-        program = parse_assembly(COUNTER_LOOP)
-        cfg, _ = reconstruct_cfg(program, "main")
-        liveness = compute_liveness(cfg)
-        loop_header = find_loops(cfg).loops[0].header
-        assert "r4" in liveness.live_in[loop_header]
-
-    def test_dead_store_detection(self):
-        asm = ".func main\n    mov r9, 42\n    mov r3, 1\n    halt\n"
-        program = parse_assembly(asm)
-        cfg, _ = reconstruct_cfg(program, "main")
-        liveness = compute_liveness(cfg)
-        assert any(i.defined_register() == "r9" for i in liveness.dead_stores)

@@ -155,6 +155,31 @@ class TestAnnotationParser:
         with pytest.raises(ParseError):
             parse_annotations("mode ground {\nloopbound f.l 3\n")
 
+    @pytest.mark.parametrize(
+        "text, token",
+        [
+            ("loopbound main.0xzz 16", "0xzz"),
+            ("infeasible main.0x", "0x"),
+            ("loopbound main.08 3", "08"),
+        ],
+    )
+    def test_malformed_numeric_location_is_a_parse_error(self, text, token):
+        expected = f"1:0: expected an integer, got '{token}'"
+        with pytest.raises(ParseError, match=expected):
+            parse_annotations(text)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("loopbound f.loop -1", 1),
+            ("\nargrange f r3 5 1", 2),
+            ("mode m {\n}\nmode m {\n}", 3),
+        ],
+    )
+    def test_refused_facts_are_parse_errors_naming_the_line(self, text, line):
+        with pytest.raises(ParseError, match=f"^{line}:0: "):
+            parse_annotations(text)
+
     def test_bad_location_rejected(self):
         with pytest.raises(ParseError):
             parse_annotations("loopbound justafunction 3")

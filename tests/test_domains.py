@@ -1,4 +1,4 @@
-"""Property-based tests of the abstract domains (intervals, congruences, state)."""
+"""Property-based tests of the abstract domains (intervals, abstract state)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.domains.congruence import Congruence
 from repro.analysis.domains.interval import Interval
 from repro.analysis.domains.memstate import (
     STACK_BASE,
@@ -139,54 +138,6 @@ class TestIntervalArithmeticSoundness:
     def test_refinement_ne_trims_endpoints(self):
         assert Interval(0, 10).refine_ne(Interval.const(10)) == Interval(0, 9)
         assert Interval(0, 10).refine_ne(Interval.const(0)) == Interval(1, 10)
-
-
-# --------------------------------------------------------------------------- #
-# Congruence domain
-# --------------------------------------------------------------------------- #
-congruences = st.builds(
-    lambda m, o: Congruence(m, o), st.integers(0, 64), st.integers(-64, 64)
-)
-
-
-class TestCongruence:
-    @given(congruences, congruences)
-    @settings(max_examples=200, deadline=None)
-    def test_join_is_upper_bound(self, a, b):
-        joined = a.join(b)
-        assert joined.includes(a) and joined.includes(b)
-
-    @given(congruences, congruences, st.integers(-20, 20), st.integers(-20, 20))
-    @settings(max_examples=200, deadline=None)
-    def test_add_sound(self, A, B, ka, kb):
-        a = A.offset + ka * A.modulus if not A.is_bottom else 0
-        b = B.offset + kb * B.modulus if not B.is_bottom else 0
-        if A.contains(a) and B.contains(b):
-            assert A.add(B).contains(a + b)
-
-    @given(congruences, congruences, st.integers(-10, 10), st.integers(-10, 10))
-    @settings(max_examples=200, deadline=None)
-    def test_mul_sound(self, A, B, ka, kb):
-        a = A.offset + ka * A.modulus if not A.is_bottom else 0
-        b = B.offset + kb * B.modulus if not B.is_bottom else 0
-        if A.contains(a) and B.contains(b):
-            assert A.mul(B).contains(a * b)
-
-    def test_constants(self):
-        c = Congruence.const(7)
-        assert c.is_constant and c.contains(7) and not c.contains(8)
-
-    def test_stride_membership(self):
-        stride4 = Congruence(4, 2)
-        assert stride4.contains(2) and stride4.contains(6) and not stride4.contains(4)
-
-    def test_meet_incompatible_is_bottom(self):
-        assert Congruence(4, 0).meet(Congruence(4, 1)).is_bottom
-
-    def test_meet_compatible_crt(self):
-        met = Congruence(4, 1).meet(Congruence(6, 3))
-        assert not met.is_bottom
-        assert met.contains(9) and met.contains(21)
 
 
 # --------------------------------------------------------------------------- #

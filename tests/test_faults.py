@@ -311,6 +311,21 @@ class TestFlakyProxy:
             assert client._local.connection.sock is sock, "one connection"
             assert proxy.verdicts == ["pass"] * 3
 
+    def test_truncate_cuts_inside_the_body(self, analysis_server):
+        """A truncated reply keeps its whole head and stops short of its
+        Content-Length, so the client reads a short body, not a dead
+        connection."""
+        from repro.server import ServerClient
+        from repro.server.client import ClientError
+
+        with faults.FlakyProxy(
+            analysis_server.host, analysis_server.port, truncate_rate=1.0
+        ) as proxy:
+            client = ServerClient(proxy.url, timeout=10)
+            with pytest.raises(ClientError, match="IncompleteRead"):
+                client.healthz()
+            assert proxy.verdicts == ["truncate"]
+
     def test_drop_fails_every_exchange_of_a_keep_alive_client(self, analysis_server):
         from repro.server import ServerClient
         from repro.server.client import ClientError

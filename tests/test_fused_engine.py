@@ -1,19 +1,18 @@
-"""Fast-path equivalence: block kernels, interning, dense simplex rows.
+"""Fast-path equivalence: block kernels, interning, the prepared tableau.
 
 The analyzer's fast paths (block-compiled transfer kernels, interned lattice
-values, dense simplex rows) must be *bit-identical* to the plain paths they
-replace — not merely close.  The kernel JIT compiles a block once its run
-count crosses ``value._KERNEL_JIT_THRESHOLD``, and a simplex row goes dense
-once its fill crosses the threshold in a tableau at least
-``simplex._DENSE_MIN_COLUMNS`` wide; the tests move those two constants to
-force each path.  Three layers of evidence:
+values) must be *bit-identical* to the plain paths they replace — not merely
+close.  The kernel JIT compiles a block once its run count crosses
+``value._KERNEL_JIT_THRESHOLD``; the tests move that constant to force each
+path.  Three layers of evidence:
 
 * a differential sweep: generator seeds 1-100, rotating through all six fuzz
-  presets, full-report identity with every block compiled and dense rows on
-  vs no block compiled and every row sparse;
+  presets, full-report identity with every block compiled vs no block
+  compiled;
 * unit tests for the interval/abstract-value interning invariants the fast
   paths rely on;
-* the dict-tableau vs dense-row-tableau pivot sequence of the simplex.
+* the pivot accounting of a simplex tableau whose phase 1 serves two
+  objectives (the WCET and BCET solves of one function share it).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from repro.wcet import simplex
 #: context caps) at least 16 times each.
 SWEEP_SEEDS = list(range(1, 101))
 PRESETS = default_presets()
-#: A threshold no block run count or tableau width reaches.
+#: A threshold no block run count reaches.
 NEVER = 1 << 30
 
 
@@ -72,24 +71,23 @@ class TestFastPathSweep:
         compiles = value_analysis._M_COMPILES.value()
         interpreted = value_analysis._M_INTERPRETED.value()
 
-        # Every block compiled on its first run, dense rows at the default.
+        # Every block compiled on its first run.
         monkeypatch.setattr(value_analysis, "_KERNEL_JIT_THRESHOLD", 1)
         monkeypatch.setattr(value_analysis, "_KERNEL_CACHE", {})
         compiled = _identity(project, preset.options)
         assert value_analysis._M_INTERPRETED.value() == interpreted
         assert value_analysis._M_COMPILES.value() > compiles
 
-        # No block compiled, every simplex row sparse.
+        # No block compiled.
         compiles = value_analysis._M_COMPILES.value()
         monkeypatch.setattr(value_analysis, "_KERNEL_JIT_THRESHOLD", NEVER)
         monkeypatch.setattr(value_analysis, "_KERNEL_CACHE", {})
-        monkeypatch.setattr(simplex, "_DENSE_MIN_COLUMNS", NEVER)
         interpreted_only = _identity(project, preset.options)
         assert value_analysis._M_COMPILES.value() == compiles
 
         assert compiled == interpreted_only, (
-            f"seed {seed} preset {preset.name}: compiled kernels/dense rows "
-            "and interpreted blocks/sparse rows diverged"
+            f"seed {seed} preset {preset.name}: compiled kernels and "
+            "interpreted blocks diverged"
         )
 
 
@@ -189,12 +187,11 @@ class TestIntervalInterning:
         assert not AbstractState.join_all([unreachable]).reachable
 
 
-def _dense_heavy_lp():
-    """An LP whose equality rows exceed the densification threshold.
+def _wide_lp():
+    """An LP whose phase 1 takes many pivots.
 
     48 variables, three full-width equality constraints and per-variable
-    upper bounds: the equality rows carry ~49 of ~99 columns, so the tableau
-    promotes them to dense lists on the first pivot that updates them.
+    upper bounds: a tableau of ~99 columns.
     """
     n = 48
     objective = [1.0 + (i % 5) * 0.25 for i in range(n)]
@@ -209,51 +206,9 @@ def _dense_heavy_lp():
     return objective, a_ub, b_ub, a_eq, b_eq
 
 
-class TestDenseTableau:
-    def _trace(self, monkeypatch):
-        """Solve the dense-heavy LP recording every (row, col) pivot."""
-        trace = []
-        original = simplex._pivot
-
-        def recording(rows, rhs, basis, col_rows, row, col, *args, **kwargs):
-            trace.append((row, col))
-            return original(rows, rhs, basis, col_rows, row, col, *args, **kwargs)
-
-        monkeypatch.setattr(simplex, "_pivot", recording)
-        objective, a_ub, b_ub, a_eq, b_eq = _dense_heavy_lp()
-        result = simplex.solve_sparse_lp(
-            objective, a_ub, b_ub, a_eq, b_eq, maximise=True
-        )
-        return trace, result
-
-    def test_pivot_sequences_identical(self, monkeypatch):
-        with monkeypatch.context() as patch:
-            dense_trace, dense = self._trace(patch)
-        with monkeypatch.context() as patch:
-            patch.setattr(simplex, "_DENSE_MIN_COLUMNS", NEVER)
-            sparse_trace, sparse = self._trace(patch)
-        assert dense_trace == sparse_trace
-        assert dense.status == sparse.status == "optimal"
-        assert dense.objective == sparse.objective
-        assert dense.values == sparse.values
-        assert dense.pivots == sparse.pivots > 0
-
-    def test_wide_tableau_actually_densifies(self, monkeypatch):
-        objective, a_ub, b_ub, a_eq, b_eq = _dense_heavy_lp()
-        prepared = simplex.prepare_sparse_tableau(
-            len(objective), a_ub, b_ub, a_eq, b_eq
-        )
-        assert prepared.dense_rows, "expected dense-row promotion on this LP"
-        assert any(type(row) is list for row in prepared.rows)
-        monkeypatch.setattr(simplex, "_DENSE_MIN_COLUMNS", NEVER)
-        sparse = simplex.prepare_sparse_tableau(
-            len(objective), a_ub, b_ub, a_eq, b_eq
-        )
-        assert not sparse.dense_rows
-        assert all(type(row) is dict for row in sparse.rows)
-
+class TestPreparedTableau:
     def test_prepared_tableau_reuse_counts_phase1_once(self):
-        objective, a_ub, b_ub, a_eq, b_eq = _dense_heavy_lp()
+        objective, a_ub, b_ub, a_eq, b_eq = _wide_lp()
         prepared = simplex.prepare_sparse_tableau(
             len(objective), a_ub, b_ub, a_eq, b_eq
         )

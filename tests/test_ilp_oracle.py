@@ -201,14 +201,6 @@ def check_pair(builder: IPETBuilder, args, kwargs, results) -> List[str]:
     )
 
 
-def check_single(builder: IPETBuilder, args, kwargs, result) -> List[str]:
-    """:func:`check_against_highs` for a recorded ``solve`` call."""
-    weights, loop_bounds = args
-    facts = dict(kwargs)
-    maximise = facts.pop("maximise", True)
-    return check_against_highs(builder, loop_bounds, facts, [(result, weights, maximise)])
-
-
 def record(patch: pytest.MonkeyPatch, method: str, calls: list) -> None:
     """Append ``(builder, args, kwargs, results)`` of every
     ``IPETBuilder.<method>`` call to ``calls``."""

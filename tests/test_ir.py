@@ -250,6 +250,18 @@ class TestAssembler:
         with pytest.raises(AssemblyError, match=r"line 2: bad number '08'"):
             parse_assembly(".func main\n    mov r4, 08\n    halt\n")
 
+    @pytest.mark.parametrize("line", ["?r4", "loop: ? r4"])
+    def test_predicate_without_instruction_is_an_assembly_error(self, line):
+        expected = r"line 2: predicate \?r4 has no instruction"
+        with pytest.raises(AssemblyError, match=expected):
+            parse_assembly(f".func main\n{line}\n    halt\n")
+
+    def test_builder_errors_are_assembly_errors_with_a_line(self):
+        with pytest.raises(AssemblyError, match=r"line 2: not a register name"):
+            parse_assembly(".func main\n    mov r3 r4, 0\n    halt\n")
+        with pytest.raises(AssemblyError, match="nowhere"):
+            parse_assembly(".func main\n    br nowhere\n    halt\n")
+
     def test_instruction_outside_function_rejected(self):
         with pytest.raises(AssemblyError):
             parse_assembly("mov r1, 2\n")

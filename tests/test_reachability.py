@@ -1,14 +1,12 @@
-"""Coverage for :mod:`repro.analysis.liveness` and
-:mod:`repro.analysis.reachability` — hand-written edge cases plus structural
-invariants checked on CFGs of *generated* programs (the differential
-harness's generator doubles as a CFG fuzzer here).
+"""Coverage for :mod:`repro.analysis.reachability` — hand-written edge cases
+plus structural invariants checked on CFGs of *generated* programs (the
+differential harness's generator doubles as a CFG fuzzer here).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.liveness import compute_liveness
 from repro.analysis.reachability import find_unreachable_code
 from repro.analysis.value import ValueAnalysis
 from repro.cfg.loops import find_loops
@@ -31,107 +29,6 @@ def _generated_cfgs(seed):
     )
     assert not issues, f"seed {seed}: generated programs decode without hints"
     return program, cfgs
-
-
-def _use_def(block):
-    uses, defs = set(), set()
-    for instr in block.instructions:
-        for register in instr.used_registers():
-            if register not in defs:
-                uses.add(register)
-        defined = instr.defined_register()
-        if defined is not None:
-            defs.add(defined)
-    return uses, defs
-
-
-class TestLivenessInvariants:
-    @pytest.mark.parametrize("seed", CFG_SEEDS)
-    def test_dataflow_equations_hold_on_generated_cfgs(self, seed):
-        """live_in = use ∪ (live_out − def); live_out = ∪ live_in(succ)."""
-        _, cfgs = _generated_cfgs(seed)
-        for name, cfg in cfgs.items():
-            result = compute_liveness(cfg)
-            for block_id in cfg.node_ids():
-                expected_out = set()
-                for successor in cfg.successors(block_id):
-                    expected_out |= set(result.live_in.get(successor, frozenset()))
-                assert result.live_out[block_id] == frozenset(expected_out), (
-                    f"{name}:{block_id:#x}"
-                )
-                uses, defs = _use_def(cfg.block(block_id))
-                expected_in = uses | (set(result.live_out[block_id]) - defs)
-                assert result.live_in[block_id] == frozenset(expected_in), (
-                    f"{name}:{block_id:#x}"
-                )
-
-    @pytest.mark.parametrize("seed", CFG_SEEDS)
-    def test_dead_stores_define_registers_and_are_not_loads_or_calls(self, seed):
-        _, cfgs = _generated_cfgs(seed)
-        for cfg in cfgs.values():
-            result = compute_liveness(cfg)
-            for instr in result.dead_stores:
-                assert instr.defined_register() is not None
-                assert not instr.is_call
-                assert not instr.is_load
-
-
-class TestLivenessHandWritten:
-    def test_overwritten_register_is_a_dead_store(self):
-        program = parse_assembly(
-            """
-            .func main
-                mov r3, 5
-                mov r3, 7
-                add r4, r3, 1
-                halt
-            """
-        )
-        cfgs, _ = reconstruct_program(program)
-        result = compute_liveness(cfgs["main"])
-        dead = [
-            (i.opcode.value, getattr(i.operands[0], "value", None))
-            for i in result.dead_stores
-        ]
-        assert ("mov", 5) in dead, "the overwritten value is a dead store"
-        assert ("mov", 7) not in dead, "the value consumed by the add is live"
-
-    def test_value_live_across_a_diamond(self):
-        program = parse_assembly(
-            """
-            .func main
-                mov r3, 1
-                mov r4, 0
-                seq r5, r3, 1
-                bt r5, take
-                add r4, r4, 1
-                br join
-            take:
-                add r4, r4, 2
-            join:
-                mov r3, r4
-                halt
-            """
-        )
-        cfgs, _ = reconstruct_program(program)
-        cfg = cfgs["main"]
-        result = compute_liveness(cfg)
-        join_block = cfg.block_containing(
-            next(i.address for i in program.functions["main"].instructions if i.label == "join")
-        )
-        # r4 flows into the join from both arms.
-        for pred in cfg.predecessors(join_block.id):
-            assert "r4" in result.live_out.get(pred, frozenset())
-        assert result.is_live_at_entry(join_block.id, "r4")
-
-    def test_loop_counter_is_live_around_the_back_edge(self, counter_loop_program):
-        cfgs, _ = reconstruct_program(counter_loop_program)
-        cfg = cfgs["main"]
-        loops = find_loops(cfg)
-        assert loops.loops, "the fixture program has a loop"
-        result = compute_liveness(cfg)
-        header = loops.loops[0].header
-        assert result.is_live_at_entry(header, "r4"), "the counter register"
 
 
 class TestReachabilityHandWritten:

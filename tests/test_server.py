@@ -92,7 +92,7 @@ class TestWireRoundTrips:
         ProjectSpec(source=MINI_C, annotations="recursion f 4\n", name="t.c"),
         ProjectSpec(assembly=".func main\n    halt", processor="hcs12x"),
         AnalysisOptions(),
-        AnalysisOptions(compute_bcet=False, max_contexts_per_function=3),
+        AnalysisOptions(use_data_cache=False, max_contexts_per_function=3),
         AnalysisRequest(),
         AnalysisRequest(entry="task", mode="air", error_scenario="single_fault",
                         options=AnalysisOptions(strict_indirect=False),
@@ -154,27 +154,22 @@ class TestWireRoundTrips:
         with pytest.raises(SchemaError, match="malformed"):
             from_json(payload)
 
-    def test_retired_engine_knob_dropped(self):
-        """Envelopes from clients that still send the removed engine field
-        load, and equal the same options without it."""
+    @pytest.mark.parametrize(
+        "knob", ["engine", "ilp_backend", "compute_bcet", "assume_initial_globals"]
+    )
+    @pytest.mark.parametrize("value", ["reference", "scipy", 5, True, False, None])
+    def test_retired_knob_dropped(self, knob, value):
+        """Older clients write every field, so their envelopes carry the
+        retired knobs.  Each loads, whatever its value and type, and equals
+        the same options without it; it lets no unknown knob through."""
         options = AnalysisOptions(max_contexts_per_function=4)
         payload = to_json(options)
-        payload["engine"] = "reference"
+        payload[knob] = value
         assert from_json(payload) == options
+        assert knob not in to_json(from_json(payload))
         payload["warp_speed"] = True
         with pytest.raises(SchemaError, match="malformed"):
             from_json(payload)
-
-    @pytest.mark.parametrize("value", ["auto", "scipy", 5])
-    def test_retired_ilp_backend_knob_dropped(self, value):
-        """Every envelope an older client sends carries ``ilp_backend``
-        (the codec writes every field); it loads, whatever the value's type,
-        and equals the same options without it."""
-        options = AnalysisOptions(compute_bcet=False)
-        payload = to_json(options)
-        payload["ilp_backend"] = value
-        assert from_json(payload) == options
-        assert "ilp_backend" not in to_json(from_json(payload))
 
     def test_result_payload_is_plain_analysis_result(self):
         """A finished job's payload is the existing AnalysisResult kind."""
@@ -202,7 +197,9 @@ class TestRequestDigest:
         assert (
             request_digest(
                 self.SPEC,
-                AnalysisRequest(options=AnalysisOptions(compute_bcet=False)),
+                AnalysisRequest(
+                    options=AnalysisOptions(context_sensitive_calls=False)
+                ),
             )
             != base
         )
@@ -841,7 +838,7 @@ class TestHTTPEndToEnd:
         "knob, value",
         [
             ("use_data_cache", "false"),
-            ("compute_bcet", 0),
+            ("context_sensitive_calls", 0),
             ("strict_indirect", "no"),
             ("max_contexts_per_function", "x"),
         ],

@@ -2,8 +2,8 @@
 
 * :mod:`repro.wcet.simplex` — the dependency-free two-phase simplex solver:
   optimal, degenerate, unbounded and infeasible problems, equality handling,
-  negative right-hand sides, minimisation, and a cross-check against the IPET
-  results on a real CFG.
+  negative right-hand sides and minimisation.  The IPET results on real CFGs
+  are checked against HiGHS in ``test_ilp_oracle.py``.
 * :mod:`repro.wcet.report` — report construction and text rendering.
 """
 
@@ -22,7 +22,6 @@ from repro.wcet.report import (
     WCETReport,
 )
 from repro.wcet.simplex import SimplexResult, solve_lp
-from test_ilp_oracle import check_single, record
 
 
 class TestSimplexOptimal:
@@ -119,28 +118,6 @@ class TestSimplexUnboundedInfeasible:
         result = SimplexResult(status="infeasible")
         assert result.objective == 0.0
         assert result.values is None
-
-
-class TestSimplexCrossCheck:
-    def test_wcet_only_path_matches_highs_oracle(
-        self, counter_loop_program, monkeypatch
-    ):
-        """With ``compute_bcet=False`` the analyzer takes ``IPETBuilder.solve``
-        on the same presolved system; its bound must equal HiGHS's on the
-        unreduced formulation."""
-        from repro.wcet import AnalysisOptions
-
-        calls = []
-        record(monkeypatch, "solve", calls)
-        report = WCETAnalyzer(
-            counter_loop_program,
-            simple_scalar(),
-            options=AnalysisOptions(compute_bcet=False),
-        ).analyze()
-        full = WCETAnalyzer(counter_loop_program, simple_scalar()).analyze()
-        assert report.wcet_cycles == full.wcet_cycles and calls
-        for call in calls:
-            assert check_single(*call) == []
 
 
 class TestReportRendering:

@@ -15,7 +15,7 @@ import pickle
 
 import pytest
 
-from repro.analysis.summaries import merge_stats
+from repro.analysis.summaries import SummaryCache, merge_stats
 from repro.analysis.value import ValueAnalysis
 from repro.annotations import AnnotationSet
 from repro.api import CACHE_ENV_VAR, AnalysisRequest, AnalysisService, Project
@@ -62,8 +62,7 @@ def _flight_analyzer(store=None, cache=None, options=None):
         leon2_like(),
         annotations=flight_control.annotations(),
         options=options,
-        summary_store=store,
-        summary_cache=cache,
+        summary_cache=cache if cache is not None else SummaryCache(store=store),
     )
 
 
@@ -151,7 +150,7 @@ class TestSummaryCacheIdentity:
                 message_handler.program(),
                 leon2_like(),
                 annotations=message_handler.annotations(),
-                summary_store=store,
+                summary_cache=SummaryCache(store=store),
             )
 
         cold = build(SummaryStore(str(tmp_path))).analyze()
@@ -167,7 +166,7 @@ class TestSummaryCacheIdentity:
             flight_control.program(),
             simple_scalar(),
             annotations=flight_control.annotations(),
-            summary_store=SummaryStore(str(tmp_path)),
+            summary_cache=SummaryCache(store=SummaryStore(str(tmp_path))),
         )
         assert simple_analyzer.summaries.stats()["tier2_hits"] == 0
         simple = simple_analyzer.analyze()
@@ -371,7 +370,7 @@ class TestContextCapping:
             simple_scalar(),
             annotations=annotations,
             options=options,
-            summary_store=store,
+            summary_cache=SummaryCache(store=store),
         ).analyze()
 
     @pytest.mark.parametrize("cap", [0, 1, 16])
@@ -419,7 +418,7 @@ class TestContextCapping:
                 program,
                 simple_scalar(),
                 annotations=rendered.annotations,
-                summary_store=store,
+                summary_cache=SummaryCache(store=store),
             ).analyze(entry=case.entry)
 
         store_dir = str(tmp_path / "deep")
@@ -444,7 +443,7 @@ class TestContextCapping:
                 compile_source(source, entry=entry),
                 simple_scalar(),
                 annotations=annotations,
-                summary_store=store,
+                summary_cache=SummaryCache(store=store),
             ).analyze(entry=entry)
 
         store_dir = str(tmp_path / "entries")
@@ -479,7 +478,7 @@ class TestContextCapping:
             simple_scalar(),
             annotations=annotations,
             options=AnalysisOptions(max_contexts_per_function=0),
-            summary_store=SummaryStore(store_dir),
+            summary_cache=SummaryCache(store=SummaryStore(store_dir)),
         )
         analyzer.analyze()
         assert analyzer.summaries.stats()["tier2_hits"] == 0

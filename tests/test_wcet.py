@@ -165,26 +165,27 @@ class TestIPET:
 
     def test_entry_block_executes_once(self):
         cfg, loops, weights, bounds = self._build()
-        result = IPETBuilder(cfg, loops).solve(weights, bounds)
-        assert result.block_counts[cfg.entry_block] == 1
+        for result in IPETBuilder(cfg, loops).solve_pair(weights, weights, bounds):
+            assert result.block_counts[cfg.entry_block] == 1
 
     def test_loop_header_respects_bound(self):
         cfg, loops, weights, bounds = self._build()
-        result = IPETBuilder(cfg, loops).solve(weights, bounds)
+        wcet, _ = IPETBuilder(cfg, loops).solve_pair(weights, weights, bounds)
         header = loops.loops[0].header
-        assert result.block_counts[header] <= 11
+        assert wcet.block_counts[header] <= 11
 
     def test_missing_loop_bound_is_unbounded(self):
         cfg, loops, weights, _ = self._build()
-        with pytest.raises(UnboundedILPError):
-            IPETBuilder(cfg, loops).solve(weights, {})
+        header = f"{loops.loops[0].header:#x}"
+        with pytest.raises(UnboundedILPError, match=header):
+            IPETBuilder(cfg, loops).solve_pair(weights, weights, {})
 
     def test_infeasible_block_constraint(self):
         cfg, loops, weights, bounds = self._build()
         branch_block = cfg.node_ids()[2]
-        with_block = IPETBuilder(cfg, loops).solve(weights, bounds)
-        without_block = IPETBuilder(cfg, loops).solve(
-            weights, bounds, infeasible_blocks=[branch_block]
+        with_block, _ = IPETBuilder(cfg, loops).solve_pair(weights, weights, bounds)
+        without_block, _ = IPETBuilder(cfg, loops).solve_pair(
+            weights, weights, bounds, infeasible_blocks=[branch_block]
         )
         assert without_block.block_counts[branch_block] == 0
         assert without_block.bound_cycles <= with_block.bound_cycles
@@ -195,22 +196,21 @@ class TestIPET:
         constraint = ResolvedFlowConstraint(
             terms=((branch_block, 1),), relation="<=", bound=3, name="cap"
         )
-        result = IPETBuilder(cfg, loops).solve(
-            weights, bounds, flow_constraints=[constraint]
+        wcet, _ = IPETBuilder(cfg, loops).solve_pair(
+            weights, weights, bounds, flow_constraints=[constraint]
         )
-        assert result.block_counts[branch_block] <= 3
+        assert wcet.block_counts[branch_block] <= 3
 
     def test_bcet_minimisation_is_below_wcet(self):
         cfg, loops, weights, bounds = self._build()
-        builder = IPETBuilder(cfg, loops)
-        wcet = builder.solve(weights, bounds, maximise=True)
-        bcet = builder.solve(weights, bounds, maximise=False)
+        wcet, bcet = IPETBuilder(cfg, loops).solve_pair(weights, weights, bounds)
+        assert (wcet.objective, bcet.objective) == ("wcet", "bcet")
         assert bcet.bound_cycles <= wcet.bound_cycles
 
     def test_worst_case_path_blocks_have_positive_counts(self):
         cfg, loops, weights, bounds = self._build()
-        result = IPETBuilder(cfg, loops).solve(weights, bounds)
-        assert cfg.entry_block in result.worst_case_blocks()
+        wcet, _ = IPETBuilder(cfg, loops).solve_pair(weights, weights, bounds)
+        assert cfg.entry_block in wcet.worst_case_blocks()
 
     def test_counts_cover_every_block_and_edge(self):
         cfg, loops, weights, bounds = self._build()
@@ -241,19 +241,9 @@ class TestIPET:
         builder = IPETBuilder(cfg, loops)
         with pytest.raises(InfeasibleILPError):
             builder.solve_pair(weights, weights, bounds, **facts(cfg))
-        with pytest.raises(InfeasibleILPError):
-            builder.solve(weights, bounds, **facts(cfg))
         system, variables = full_ipet(builder, bounds, **facts(cfg))
         with pytest.raises(InfeasibleILPError):
             highs(system, [0.0] * len(variables), True)
-
-    def test_missing_bound_names_the_loop_in_both_entry_points(self):
-        cfg, loops, weights, _ = self._build()
-        header = f"{loops.loops[0].header:#x}"
-        with pytest.raises(UnboundedILPError, match=header):
-            IPETBuilder(cfg, loops).solve_pair(weights, weights, {})
-        with pytest.raises(UnboundedILPError, match=header):
-            IPETBuilder(cfg, loops).solve(weights, {})
 
     def test_flow_fact_outside_the_cfg_is_a_path_analysis_error(self):
         cfg, loops, weights, bounds = self._build()
@@ -266,7 +256,9 @@ class TestIPET:
             terms=((cfg.entry_block, 1),), relation="<", bound=1
         )
         with pytest.raises(PathAnalysisError, match="relation"):
-            IPETBuilder(cfg, loops).solve(weights, bounds, flow_constraints=[bad_relation])
+            IPETBuilder(cfg, loops).solve_pair(
+                weights, weights, bounds, flow_constraints=[bad_relation]
+            )
 
 
 # --------------------------------------------------------------------------- #
