@@ -3,9 +3,9 @@
 The solver is parameterised over the abstract domain through three callbacks
 (transfer, join, widen) plus an inclusion check, and is shared by the value
 analysis and by the abstract cache analyses.  Widening is applied at the
-designated *widening points* (loop headers) once a node has been revisited
-:data:`WIDEN_AFTER` times, which guarantees termination for infinite-height
-domains such as intervals.
+heads of the weak topological order (the decoded loop headers) once a node
+has been revisited :data:`WIDEN_AFTER` times, which guarantees termination
+for infinite-height domains such as intervals.
 
 Scheduling
 ----------
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generic, Iterable, List, Optional, Set, TypeVar
+from typing import Callable, Dict, Generic, List, Set, TypeVar
 
 from repro.errors import AnalysisError
 from repro.analysis.wto import WeakTopologicalOrder
@@ -67,7 +67,7 @@ class FixpointResult(Generic[State]):
 
 
 class ForwardSolver(Generic[State]):
-    """Forward worklist solver with widening at selected nodes.
+    """Forward worklist solver with widening at the WTO's component heads.
 
     Parameters
     ----------
@@ -84,15 +84,12 @@ class ForwardSolver(Generic[State]):
     includes:
         ``includes(old, new)`` must return True when ``old`` already
         over-approximates ``new`` (fixpoint reached for that node).
-    bottom:
-        Factory for the unreachable state.
-    widening_points:
-        Node ids at which widening (rather than join) is applied after
-        :data:`WIDEN_AFTER` visits — typically the loop headers.  Defaults to
-        the WTO component heads when a WTO is supplied.
     wto:
-        Precomputed weak topological order used as the scheduling priority;
-        computed from the CFG when omitted.
+        Weak topological order of ``cfg``, built from its decoded loop forest
+        (:func:`~repro.analysis.wto.compute_wto`).  Its positions are the
+        scheduling priority, and its heads (the loop headers) are where
+        widening, rather than join, is applied after :data:`WIDEN_AFTER`
+        visits.
     max_iterations:
         Hard safety limit on total node evaluations.
     """
@@ -104,21 +101,16 @@ class ForwardSolver(Generic[State]):
         join: Callable[[State, State], State],
         widen: Callable[[State, State], State],
         includes: Callable[[State, State], bool],
-        bottom: Callable[[], State],
-        widening_points: Optional[Iterable[int]] = None,
+        wto: WeakTopologicalOrder,
         max_iterations: int = 100_000,
-        wto: Optional[WeakTopologicalOrder] = None,
     ):
         self.cfg = cfg
         self.transfer = transfer
         self.join = join
         self.widen = widen
         self.includes = includes
-        self.bottom = bottom
         self.wto = wto
-        if widening_points is None and wto is not None:
-            widening_points = wto.heads
-        self.widening_points: Set[int] = set(widening_points or ())
+        self.widening_points: Set[int] = set(wto.heads)
         self.max_iterations = max_iterations
 
     def solve(self, entry_state: State) -> FixpointResult[State]:
@@ -131,12 +123,7 @@ class ForwardSolver(Generic[State]):
         block_in[entry_block] = entry_state
 
         # Scheduling priority: WTO position (reverse postorder linearization).
-        if self.wto is not None:
-            position = self.wto.positions
-        else:
-            position = {
-                node: index for index, node in enumerate(cfg.reverse_postorder())
-            }
+        position = self.wto.positions
         fallback = len(position)
 
         # Min-heap of (position, node); `pending` mirrors heap membership so a

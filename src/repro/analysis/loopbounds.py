@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.domains.interval import Interval
 from repro.analysis.value import ValueAnalysisResult
-from repro.cfg.dominators import DominatorInfo, compute_dominators
 from repro.cfg.graph import ControlFlowGraph, EdgeKind
 from repro.cfg.loops import Loop, LoopForest
 from repro.ir.instructions import Imm, Instruction, Opcode, Reg
@@ -145,12 +144,10 @@ class LoopBoundAnalysis:
         cfg: ControlFlowGraph,
         loops: LoopForest,
         values: ValueAnalysisResult,
-        dominators: Optional[DominatorInfo] = None,
     ):
         self.cfg = cfg
         self.loops = loops
         self.values = values
-        self.dominators = dominators or compute_dominators(cfg)
 
     # ------------------------------------------------------------------ #
     def run(self) -> LoopBoundResult:
@@ -345,7 +342,7 @@ class LoopBoundAnalysis:
         # block has to dominate every latch block.
         latches = loop.latch_blocks()
         if not any(
-            all(self.dominators.dominates(u.block, latch) for latch in latches)
+            all(self.loops.dominators.dominates(u.block, latch) for latch in latches)
             for u in updates
         ):
             return LoopBoundFailure(

@@ -189,8 +189,8 @@ class FunctionSummary:
     #: registration order — replayed so the ``max_contexts_per_function``
     #: bookkeeping sees the same population a cold run would build.
     contexts: Tuple = ()
-    #: Challenge messages emitted inside this subtree.
-    tier_one: Tuple[str, ...] = ()
+    #: Tier-two challenge messages emitted inside this subtree (a tier-one
+    #: challenge raises, so no summary is recorded for it).
     tier_two: Tuple[str, ...] = ()
 
 

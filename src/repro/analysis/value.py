@@ -33,7 +33,7 @@ from repro.analysis.domains.memstate import (
 from repro.analysis.fixpoint import ForwardSolver
 from repro.analysis.wto import compute_wto
 from repro.cfg.graph import BasicBlock, ControlFlowGraph
-from repro.cfg.loops import LoopForest, find_loops
+from repro.cfg.loops import LoopForest
 from repro.ir.instructions import (
     CALLER_SAVED_REGISTERS,
     Imm,
@@ -135,14 +135,6 @@ class ValueAnalysisResult:
             edge for edge, state in self.edge_out.items() if not state.reachable
         ]
 
-    def semantically_unreachable_blocks(self) -> List[int]:
-        """Blocks whose entry state never became reachable during the analysis."""
-        return [
-            block
-            for block, state in self.block_in.items()
-            if not state.reachable
-        ]
-
 
 #: Compiled per-block transfer kernels, shared process-wide and keyed by
 #: (program content digest, function name).  Kernels close over instruction
@@ -200,7 +192,8 @@ class ValueAnalysis:
     cfg:
         The function's control-flow graph.
     loops:
-        Loop forest (for widening points); computed if omitted.
+        The function's decoded loop forest (its headers are the widening
+        points).
     initial_registers:
         Abstract values of registers at function entry (e.g. argument ranges
         supplied by an annotation); unspecified registers start as top.
@@ -210,13 +203,13 @@ class ValueAnalysis:
         self,
         program: Program,
         cfg: ControlFlowGraph,
-        loops: Optional[LoopForest] = None,
+        loops: LoopForest,
         initial_registers: Optional[Dict[str, AbstractValue]] = None,
     ):
         program.ensure_layout()
         self.program = program
         self.cfg = cfg
-        self.loops = loops if loops is not None else find_loops(cfg)
+        self.loops = loops
         self.initial_registers = dict(initial_registers or {})
         self._recording: Optional[Dict[int, AccessInfo]] = None
         # Per-instruction transfer closures, compiled on first use.  A block
@@ -263,10 +256,8 @@ class ValueAnalysis:
             join=lambda a, b: a.join(b),
             widen=lambda a, b: a.widen(b),
             includes=lambda old, new: old.includes(new),
-            bottom=AbstractState.unreachable,
-            widening_points=self.loops.headers(),
-            max_iterations=_MAX_FIXPOINT_ITERATIONS,
             wto=compute_wto(self.cfg, self.loops),
+            max_iterations=_MAX_FIXPOINT_ITERATIONS,
         )
         fixpoint = solver.solve(self.entry_state())
 

@@ -28,10 +28,10 @@ The heads double as the widening points of the fixpoint iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.cfg.graph import ControlFlowGraph
-from repro.cfg.loops import LoopForest, find_loops
+from repro.cfg.loops import LoopForest
 
 
 @dataclass
@@ -75,11 +75,8 @@ class WeakTopologicalOrder:
         return " ".join(parts)
 
 
-def compute_wto(
-    cfg: ControlFlowGraph, loops: Optional[LoopForest] = None
-) -> WeakTopologicalOrder:
-    """Compute the WTO of ``cfg`` from its (possibly precomputed) loop forest."""
-    loops = loops if loops is not None else find_loops(cfg)
+def compute_wto(cfg: ControlFlowGraph, loops: LoopForest) -> WeakTopologicalOrder:
+    """Compute the WTO of ``cfg`` from its decoded loop forest."""
     order = cfg.reverse_postorder()
     positions = {node: index for index, node in enumerate(order)}
     components = {

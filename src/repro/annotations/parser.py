@@ -6,8 +6,10 @@ code parts" — this module provides the file format for doing so.  Example::
     # loop bounds:  function.label  max-iterations
     loopbound handle_message.copy_loop 16
 
-    # linear flow constraints over block execution counts (per invocation)
+    # linear flow constraints over block execution counts (per invocation);
+    # a term names a block by label or by address
     flow handle_message: read_path + write_path <= 1
+    flow handle_message: 2*0x1014 + retry <= 5
 
     # blocks that can never execute
     infeasible main.debug_dump
@@ -47,7 +49,9 @@ from repro.annotations.flowfacts import Location
 from repro.annotations.modes import OperatingMode
 from repro.annotations.registry import AnnotationSet
 
-_TERM_RE = re.compile(r"^(?:(\d+)\s*\*\s*)?([A-Za-z_.][\w.]*)$")
+#: A flow-constraint term: an optional ``N *`` coefficient, then a label or
+#: a block address (``0x1014`` or decimal; an address term starts with a digit).
+_TERM_RE = re.compile(r"^(?:(\d+)\s*\*\s*)?([A-Za-z_.][\w.]*|\d\w*)$")
 
 
 def _parse_location(text: str, line_no: int) -> Tuple[str, Location]:
@@ -220,8 +224,8 @@ class _Parser:
                 raise ParseError(f"bad flow-constraint term {part!r}", line_no)
             coefficient = int(term_match.group(1) or 1)
             location: Location = term_match.group(2)
-            if isinstance(location, str) and (location.startswith("0x") or location.isdigit()):
-                location = int(location, 0)
+            if location[0].isdigit():
+                location = _parse_int(location, line_no)
             terms.append((location, coefficient))
         return FlowConstraint(function, tuple(terms), relation, bound)
 

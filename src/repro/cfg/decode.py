@@ -1,7 +1,7 @@
 """One decode per program: the decoding phase of Figure 1, memoised.
 
-Decoding is a pure function of the laid-out program, its control-flow hints
-and the strictness flag.  :func:`decode_program` therefore runs it once per
+Decoding is a pure function of the laid-out program and its control-flow
+hints.  :func:`decode_program` therefore runs it once per
 :class:`~repro.ir.program.Program` and key, and every later analysis,
 operating mode and oracle check reads the same :class:`DecodedProgram`.  The
 memo lives on the program and dies with it; ``add_function``/``add_data``
@@ -11,7 +11,7 @@ reset it.  A decode that raises is not stored, so it raises the same
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from repro.cfg.callgraph import CallGraph, build_callgraph
 from repro.cfg.graph import ControlFlowGraph
@@ -24,22 +24,16 @@ class DecodedProgram:
     """The read-only product of decoding one program under one key.
 
     ``cfgs`` and ``callgraph`` are what :func:`reconstruct_program` and
-    :func:`build_callgraph` return; ``issues`` the tier-one messages of a
-    permissive decode; ``detail`` the ``"N basic blocks"`` phase detail;
-    ``components`` the call graph's SCCs in Tarjan order (callees before
-    callers) and ``recursive`` the members of its recursion cycles.  Loop
-    forests are built on first request.  Nothing here may be mutated.
+    :func:`build_callgraph` return; ``detail`` the ``"N basic blocks"`` phase
+    detail; ``components`` the call graph's SCCs in Tarjan order (callees
+    before callers) and ``recursive`` the members of its recursion cycles.
+    Loop forests, each with its function's dominator tree, are built on
+    first request.  Nothing here may be mutated.
     """
 
-    def __init__(
-        self,
-        cfgs: Dict[str, ControlFlowGraph],
-        callgraph: CallGraph,
-        issues: Tuple[str, ...],
-    ):
+    def __init__(self, cfgs: Dict[str, ControlFlowGraph], callgraph: CallGraph):
         self.cfgs = cfgs
         self.callgraph = callgraph
-        self.issues = issues
         self.detail = f"{sum(len(cfg.blocks) for cfg in cfgs.values())} basic blocks"
         self.components: Tuple[Set[str], ...] = tuple(
             callgraph.strongly_connected_components()
@@ -62,34 +56,29 @@ class DecodedProgram:
 
 
 def decode_program(
-    program: Program, hints: Optional[ControlFlowHints] = None, strict: bool = True
+    program: Program, hints: Optional[ControlFlowHints] = None
 ) -> DecodedProgram:
-    """The decoded form of ``program`` under ``hints`` and ``strict``.
+    """The decoded form of ``program`` under ``hints``.
 
     Keyed by the hints' content, since :class:`ControlFlowHints` is mutable:
     two equal hint sets share one entry, two different ones get two.
+    Reconstruction runs before the call graph, so an unresolved indirect
+    transfer raises the reconstruction's :class:`~repro.errors.CFGError`.
     """
     hints = hints or ControlFlowHints()
     key = (
         _content(hints.indirect_call_targets),
         _content(hints.indirect_branch_targets),
-        strict,
     )
-    return program.decoded(key, lambda: _decode(program, hints, strict))
+    return program.decoded(
+        key,
+        lambda: DecodedProgram(
+            reconstruct_program(program, hints=hints), build_callgraph(program, hints=hints)
+        ),
+    )
 
 
 def _content(targets_by_address: Dict[int, Sequence[str]]) -> tuple:
     return tuple(
         sorted((address, tuple(targets)) for address, targets in targets_by_address.items())
     )
-
-
-def _decode(program: Program, hints: ControlFlowHints, strict: bool) -> DecodedProgram:
-    cfgs, issues = reconstruct_program(program, hints=hints, strict=strict)
-    callgraph = build_callgraph(program, hints=hints, strict=strict)
-    messages: List[str] = [str(issue) for issue in issues]
-    messages.extend(
-        f"{caller}@{address:#x}: unresolved indirect call (function pointer)"
-        for caller, address in callgraph.unresolved_calls
-    )
-    return DecodedProgram(cfgs, callgraph, tuple(messages))

@@ -2,14 +2,15 @@
 
 Implements the classic iterative dominator algorithm (Cooper/Harvey/Kennedy
 style, on reverse postorder).  Dominators are the backbone of natural-loop
-detection (:mod:`repro.cfg.loops`) and of the virtual-loop-unrolling contexts
-used by the WCET analyzer.
+detection: :func:`~repro.cfg.loops.find_loops` computes them once per function
+and keeps them on the :class:`~repro.cfg.loops.LoopForest`, where the
+loop-bound analysis (:mod:`repro.analysis.loopbounds`) reads them too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional
 
 from repro.errors import CFGError
 from repro.cfg.graph import ENTRY, EXIT, ControlFlowGraph
@@ -17,9 +18,8 @@ from repro.cfg.graph import ENTRY, EXIT, ControlFlowGraph
 
 @dataclass
 class DominatorInfo:
-    """Immediate dominators and derived queries for one CFG."""
+    """Immediate dominators of one CFG (``None`` marks the root)."""
 
-    cfg: ControlFlowGraph
     idom: Dict[int, Optional[int]] = field(default_factory=dict)
 
     def dominates(self, a: int, b: int) -> bool:
@@ -30,34 +30,6 @@ class DominatorInfo:
                 return True
             node = self.idom.get(node)
         return False
-
-    def immediate_dominator(self, node: int) -> Optional[int]:
-        return self.idom.get(node)
-
-    def dominator_tree_children(self) -> Dict[int, List[int]]:
-        children: Dict[int, List[int]] = {}
-        for node, parent in self.idom.items():
-            if parent is not None:
-                children.setdefault(parent, []).append(node)
-        for child_list in children.values():
-            child_list.sort()
-        return children
-
-    def dominance_frontier(self) -> Dict[int, Set[int]]:
-        """Dominance frontiers (useful for SSA-style analyses and tests)."""
-        frontier: Dict[int, Set[int]] = {node: set() for node in self.idom}
-        for node in self.idom:
-            predecessors = [
-                p for p in self.cfg.predecessors(node) if p in self.idom
-            ]
-            if len(predecessors) < 2:
-                continue
-            for pred in predecessors:
-                runner: Optional[int] = pred
-                while runner is not None and runner != self.idom.get(node):
-                    frontier.setdefault(runner, set()).add(node)
-                    runner = self.idom.get(runner)
-        return frontier
 
 
 def compute_dominators(cfg: ControlFlowGraph) -> DominatorInfo:
@@ -108,5 +80,4 @@ def compute_dominators(cfg: ControlFlowGraph) -> DominatorInfo:
                 idom[node] = new_idom
                 changed = True
 
-    info = DominatorInfo(cfg=cfg, idom=idom)
-    return info
+    return DominatorInfo(idom=idom)

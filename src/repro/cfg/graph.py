@@ -4,13 +4,17 @@ A :class:`ControlFlowGraph` is per-function: its nodes are
 :class:`BasicBlock` objects identified by the address of their first
 instruction, plus two virtual nodes :data:`ENTRY` and :data:`EXIT` used by
 analyses (dominators, IPET) that need unique source/sink nodes.
+
+:func:`strongly_connected_components` is the one SCC pass of the decoding
+phase: the call graph's recursion cycles and the CFG's irreducible cycles
+both come from it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, TypeVar
 
 from repro.errors import CFGError
 from repro.ir.instructions import Instruction, Opcode
@@ -19,6 +23,8 @@ from repro.ir.instructions import Instruction, Opcode
 ENTRY = -1
 #: Identifier of the virtual exit node.
 EXIT = -2
+
+Node = TypeVar("Node")
 
 
 class EdgeKind(enum.Enum):
@@ -277,3 +283,61 @@ class ControlFlowGraph:
             f"ControlFlowGraph({self.function_name!r}, blocks={self.num_blocks}, "
             f"edges={self.num_edges})"
         )
+
+
+def strongly_connected_components(
+    roots: Iterable[Node], successors: Callable[[Node], Iterable[Node]]
+) -> List[Set[Node]]:
+    """Tarjan's strongly connected components, iteratively.
+
+    Roots are visited in the order given and each node's successors in the
+    order ``successors`` returns them, so the result is deterministic for a
+    deterministic caller.  Components are emitted in reverse topological
+    order of the condensation: a component comes after every component it
+    reaches (callees before callers on a call graph).
+    """
+    counter = 0
+    stack: List[Node] = []
+    lowlink: Dict[Node, int] = {}
+    index: Dict[Node, int] = {}
+    on_stack: Set[Node] = set()
+    result: List[Set[Node]] = []
+
+    for root in roots:
+        if root in index:
+            continue
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors(root)))]
+        while work:
+            node, pending = work[-1]
+            advanced = False
+            for succ in pending:
+                if succ not in index:
+                    index[succ] = lowlink[succ] = counter
+                    counter += 1
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(successors(succ))))
+                    advanced = True
+                    break
+                if succ in on_stack:
+                    lowlink[node] = min(lowlink[node], index[succ])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[node])
+            if lowlink[node] == index[node]:
+                component: Set[Node] = set()
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.add(member)
+                    if member == node:
+                        break
+                result.append(component)
+    return result

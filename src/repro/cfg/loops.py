@@ -13,6 +13,9 @@ Two of the tier-one challenges of Section 3.2 live here:
   applicable.  We detect them with the classic criterion: the CFG is reducible
   iff every retreating edge (DFS edge to an ancestor) targets a dominator of
   its source.
+
+The dominator tree computed for that criterion stays on the
+:class:`LoopForest`, so each function's dominators are computed once.
 """
 
 from __future__ import annotations
@@ -21,7 +24,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cfg.dominators import DominatorInfo, compute_dominators
-from repro.cfg.graph import ENTRY, EXIT, ControlFlowGraph, Edge
+from repro.cfg.graph import (
+    ENTRY,
+    EXIT,
+    ControlFlowGraph,
+    Edge,
+    strongly_connected_components,
+)
 
 
 @dataclass
@@ -84,6 +93,8 @@ class LoopForest:
     """All loops of one function plus derived queries."""
 
     function_name: str
+    #: The function's dominator tree, which decided the back edges.
+    dominators: DominatorInfo
     loops: List[Loop] = field(default_factory=list)
     #: True if the whole CFG is reducible (no multi-entry cycles).
     reducible: bool = True
@@ -104,9 +115,6 @@ class LoopForest:
                 if best is None or loop.depth > best.depth:
                     best = loop
         return best
-
-    def headers(self) -> List[int]:
-        return [loop.header for loop in self.loops]
 
     def max_depth(self) -> int:
         return max((loop.depth for loop in self.loops), default=0)
@@ -139,63 +147,11 @@ def _natural_loop_body(cfg: ControlFlowGraph, header: int, tail: int) -> Set[int
     return body
 
 
-def _scc_of(cfg: ControlFlowGraph, nodes: Set[int]) -> List[Set[int]]:
-    """Strongly connected components of the subgraph induced by ``nodes``."""
-    index_counter = [0]
-    stack: List[int] = []
-    lowlink: Dict[int, int] = {}
-    index: Dict[int, int] = {}
-    on_stack: Set[int] = set()
-    result: List[Set[int]] = []
-
-    def strongconnect(root: int) -> None:
-        work = [(root, iter([s for s in cfg.successors(root) if s in nodes]))]
-        index[root] = lowlink[root] = index_counter[0]
-        index_counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, successors = work[-1]
-            advanced = False
-            for succ in successors:
-                if succ not in index:
-                    index[succ] = lowlink[succ] = index_counter[0]
-                    index_counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter([s for s in cfg.successors(succ) if s in nodes])))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if not advanced:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index[node]:
-                    component: Set[int] = set()
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.add(member)
-                        if member == node:
-                            break
-                    result.append(component)
-
-    for node in sorted(nodes):
-        if node not in index:
-            strongconnect(node)
-    return result
-
-
-def find_loops(
-    cfg: ControlFlowGraph, dominators: Optional[DominatorInfo] = None
-) -> LoopForest:
+def find_loops(cfg: ControlFlowGraph) -> LoopForest:
     """Detect all loops of ``cfg`` and classify reducibility."""
-    dominators = dominators or compute_dominators(cfg)
+    dominators = compute_dominators(cfg)
     reachable = cfg.reachable_from_entry()
-    forest = LoopForest(function_name=cfg.function_name)
+    forest = LoopForest(function_name=cfg.function_name, dominators=dominators)
 
     # --- classify retreating edges via iterative DFS ---------------------- #
     color: Dict[int, int] = {}  # 0 unvisited / 1 on stack / 2 done
@@ -243,7 +199,11 @@ def find_loops(
     # --- irreducible cycles as SCC-based pseudo-loops ---------------------- #
     if not forest.reducible:
         heads_of_irreducible = {head for _, head in forest.irreducible_edges}
-        for component in _scc_of(cfg, reachable):
+        components = strongly_connected_components(
+            sorted(reachable),
+            lambda node: [s for s in cfg.successors(node) if s in reachable],
+        )
+        for component in components:
             if len(component) < 2:
                 continue
             entries = {

@@ -6,16 +6,14 @@ control-flow edges.  Direct branches are resolved from their label operands.
 footprint of function pointers and computed gotos — cannot be resolved from
 the instruction stream alone (Section 3.2, "Function Pointers"); they must be
 resolved through :class:`ControlFlowHints`.  If no hint is available the
-reconstruction raises :class:`~repro.errors.CFGError` (strict mode, the
-default, mirroring that a WCET bound cannot be computed at all) or records the
-problem and drops the edge (permissive mode, used by the guideline checker to
-report the issue instead of aborting).
+reconstruction raises :class:`~repro.errors.CFGError`: an unresolved indirect
+transfer is a tier-one challenge, and no WCET bound can be computed at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.errors import CFGError
 from repro.ir.instructions import Opcode
@@ -54,19 +52,6 @@ class ControlFlowHints:
         self.indirect_call_targets[address] = tuple(functions)
 
 
-@dataclass
-class ReconstructionIssue:
-    """A control-flow reconstruction problem (unresolved indirect transfer)."""
-
-    function: str
-    address: int
-    kind: str
-    message: str
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.function}@{self.address:#x}: {self.message}"
-
-
 def _find_leaders(function: Function, hints: Optional[ControlFlowHints]) -> Set[int]:
     """Compute the set of basic-block leader addresses of ``function``."""
     labels = function.label_addresses()
@@ -94,13 +79,11 @@ def reconstruct_cfg(
     program: Program,
     function_name: str,
     hints: Optional[ControlFlowHints] = None,
-    strict: bool = True,
-) -> Tuple[ControlFlowGraph, List[ReconstructionIssue]]:
+) -> ControlFlowGraph:
     """Reconstruct the CFG of one function.
 
-    Returns the graph and the list of issues encountered.  With
-    ``strict=True`` (default) an unresolved indirect branch raises
-    :class:`CFGError` instead of being recorded.
+    An unresolved indirect branch or call, or a conditional branch that ends
+    the function, raises :class:`CFGError`.
     """
     program.ensure_layout()
     function = program.function(function_name)
@@ -108,7 +91,6 @@ def reconstruct_cfg(
         raise CFGError(f"function {function_name!r} has no instructions")
 
     hints = hints or ControlFlowHints()
-    issues: List[ReconstructionIssue] = []
     labels = function.label_addresses()
     leaders = sorted(_find_leaders(function, hints))
     cfg = ControlFlowGraph(function_name, entry_block=function.entry_address)
@@ -151,36 +133,25 @@ def reconstruct_cfg(
             if fallthrough is not None:
                 cfg.add_edge(block_id, fallthrough, EdgeKind.FALLTHROUGH)
             else:
-                issue = ReconstructionIssue(
-                    function_name,
-                    last.address,
-                    "falloff",
-                    "conditional branch at end of function with no fall-through",
+                raise CFGError(
+                    f"{function_name}@{last.address:#x}: conditional branch at end "
+                    "of function with no fall-through"
                 )
-                if strict:
-                    raise CFGError(str(issue))
-                issues.append(issue)
         elif last.opcode is Opcode.IBR:
             targets = hints.branch_targets(last.address)
             if targets is None:
-                issue = ReconstructionIssue(
-                    function_name,
-                    last.address,
-                    "indirect-branch",
-                    "indirect branch with no target hints "
-                    "(function pointer / computed goto, tier-one challenge)",
+                raise CFGError(
+                    f"{function_name}@{last.address:#x}: indirect branch with no "
+                    "target hints (function pointer / computed goto, tier-one "
+                    "challenge)"
                 )
-                if strict:
-                    raise CFGError(str(issue))
-                issues.append(issue)
-            else:
-                for label in targets:
-                    if label not in labels:
-                        raise CFGError(
-                            f"indirect branch hint targets unknown label {label!r} "
-                            f"in {function_name!r}"
-                        )
-                    cfg.add_edge(block_id, labels[label], EdgeKind.INDIRECT)
+            for label in targets:
+                if label not in labels:
+                    raise CFGError(
+                        f"indirect branch hint targets unknown label {label!r} "
+                        f"in {function_name!r}"
+                    )
+                cfg.add_edge(block_id, labels[label], EdgeKind.INDIRECT)
         elif last.opcode in (Opcode.RET, Opcode.HALT):
             cfg.add_edge(block_id, EXIT, EdgeKind.EXIT)
         else:
@@ -190,34 +161,22 @@ def reconstruct_cfg(
             else:
                 cfg.add_edge(block_id, EXIT, EdgeKind.EXIT)
 
-        # Record unresolved indirect calls (they do not affect intraprocedural
-        # edges but make the interprocedural analysis impossible).
+        # Unresolved indirect calls do not affect intraprocedural edges but
+        # make the interprocedural analysis impossible.
         for instr in block.instructions:
             if instr.opcode is Opcode.ICALL and hints.call_targets(instr.address) is None:
-                issue = ReconstructionIssue(
-                    function_name,
-                    instr.address,
-                    "indirect-call",
-                    "indirect call with no callee hints (function pointer, "
-                    "tier-one challenge)",
+                raise CFGError(
+                    f"{function_name}@{instr.address:#x}: indirect call with no "
+                    "callee hints (function pointer, tier-one challenge)"
                 )
-                if strict:
-                    raise CFGError(str(issue))
-                issues.append(issue)
 
-    return cfg, issues
+    return cfg
 
 
 def reconstruct_program(
-    program: Program,
-    hints: Optional[ControlFlowHints] = None,
-    strict: bool = True,
-) -> Tuple[Dict[str, ControlFlowGraph], List[ReconstructionIssue]]:
+    program: Program, hints: Optional[ControlFlowHints] = None
+) -> Dict[str, ControlFlowGraph]:
     """Reconstruct the CFGs of all functions of ``program``."""
-    cfgs: Dict[str, ControlFlowGraph] = {}
-    issues: List[ReconstructionIssue] = []
-    for name in program.functions:
-        cfg, function_issues = reconstruct_cfg(program, name, hints=hints, strict=strict)
-        cfgs[name] = cfg
-        issues.extend(function_issues)
-    return cfgs, issues
+    return {
+        name: reconstruct_cfg(program, name, hints=hints) for name in program.functions
+    }

@@ -62,10 +62,6 @@ class CacheStatistics:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
     def merge(self, other: "CacheStatistics") -> "CacheStatistics":
         return CacheStatistics(self.hits + other.hits, self.misses + other.misses)
 

@@ -28,7 +28,7 @@ from repro.analysis.value import AccessInfo
 from repro.analysis.fixpoint import ForwardSolver
 from repro.analysis.wto import compute_wto
 from repro.cfg.graph import ControlFlowGraph
-from repro.cfg.loops import LoopForest, find_loops
+from repro.cfg.loops import LoopForest
 from repro.hardware.cache import CacheConfig
 from repro.hardware.memory import MemoryMap
 
@@ -200,10 +200,10 @@ class CacheAnalysisResult:
 class _AbstractCacheAnalysis:
     """Shared fixpoint machinery for instruction and data cache analysis."""
 
-    def __init__(self, cfg: ControlFlowGraph, config: CacheConfig, loops: Optional[LoopForest]):
+    def __init__(self, cfg: ControlFlowGraph, config: CacheConfig, loops: LoopForest):
         self.cfg = cfg
         self.config = config
-        self.loops = loops if loops is not None else find_loops(cfg)
+        self.loops = loops
         self._recording: Optional[Dict[int, CacheClassification]] = None
 
     def _transfer(self, block_id: int, state: MustMayCacheState) -> Dict[int, MustMayCacheState]:
@@ -222,8 +222,6 @@ class _AbstractCacheAnalysis:
             join=lambda a, b: a.join(b),
             widen=lambda a, b: a.join(b),
             includes=lambda old, new: old.includes(new),
-            bottom=lambda: MustMayCacheState(self.config),
-            widening_points=self.loops.headers(),
             wto=compute_wto(self.cfg, self.loops),
         )
         fixpoint = solver.solve(MustMayCacheState(self.config))
@@ -247,7 +245,7 @@ class InstructionCacheAnalysis(_AbstractCacheAnalysis):
         self,
         cfg: ControlFlowGraph,
         config: CacheConfig,
-        loops: Optional[LoopForest] = None,
+        loops: LoopForest,
         calls_clobber: bool = True,
     ):
         super().__init__(cfg, config, loops)
@@ -288,7 +286,7 @@ class DataCacheAnalysis(_AbstractCacheAnalysis):
         config: CacheConfig,
         accesses: Dict[int, AccessInfo],
         memory_map: MemoryMap,
-        loops: Optional[LoopForest] = None,
+        loops: LoopForest,
         calls_clobber: bool = True,
     ):
         super().__init__(cfg, config, loops)

@@ -284,14 +284,17 @@ serialize.register(ServerJobStatus)
 serialize.register(ServerEvent)
 # Every knob may be omitted; an unknown knob is an error, except the retired
 # knobs of older clients.  Those chose between execution engines and between
-# ILP solvers, switched the BCET solve off and preloaded mutable globals at
-# entry: this code has one engine and one solver, always bounds the BCET and
-# never assumes a global's initial value.
+# ILP solvers, switched the BCET solve off, preloaded mutable globals at entry
+# and let an unresolved indirect transfer through: this code has one engine
+# and one solver, always bounds the BCET, never assumes a global's initial
+# value and stops at every tier-one challenge.
 serialize.register(
     AnalysisOptions,
     optional=[f.name for f in fields(AnalysisOptions)],
     reject_unknown=True,
-    retired=("engine", "ilp_backend", "compute_bcet", "assume_initial_globals"),
+    retired=(
+        "engine", "ilp_backend", "compute_bcet", "assume_initial_globals", "strict_indirect"
+    ),
 )
 serialize.register(ServerSubmit, optional=("timeout", "trace"))
 serialize.register(ServerError, optional=("retry_after",))

@@ -537,7 +537,7 @@ _BAD_FIELDS: List[Tuple[Tuple[str, ...], object]] = [
     (("request", "options"), {"schema": 1, "kind": "AnalysisOptions",
                               "context_sensitive_calls": 0}),
     (("request", "options"), {"schema": 1, "kind": "AnalysisOptions",
-                              "strict_indirect": "no"}),
+                              "use_instruction_cache": "no"}),
     (("request", "options"), {"schema": 1, "kind": "AnalysisOptions",
                               "max_contexts_per_function": "x"}),
 ]

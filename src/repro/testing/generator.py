@@ -43,9 +43,9 @@ fleet (:mod:`repro.testing.fuzz`) rotates presets that switch them on:
 * ``allow_function_pointers`` — indirect calls through ``int *`` handler
   variables; :func:`render_case` compiles the rendered source to discover
   the ``icall`` instruction addresses and emits the matching ``calltargets``
-  control-flow hints (the strict CFG reconstruction path).  It keeps that
-  compiled program on the :class:`RenderedCase`, so the oracle analyses and
-  replays it instead of compiling the source a second time.
+  control-flow hints, without which CFG reconstruction refuses them.  It
+  keeps that compiled program on the :class:`RenderedCase`, so the oracle
+  analyses and replays it instead of compiling the source a second time.
 """
 
 from __future__ import annotations
@@ -194,8 +194,8 @@ class SFnPtrCall:
 
     Compiles to an ``icall`` instruction; :func:`render_case` discovers its
     address post-compile and emits the matching ``calltargets`` hint with
-    ``{primary, alternate}`` as the candidate set (strict CFG reconstruction
-    refuses unhinted indirect calls).  ``alternate``/``cond`` are optional —
+    ``{primary, alternate}`` as the candidate set (CFG reconstruction refuses
+    unhinted indirect calls).  ``alternate``/``cond`` are optional —
     ``None`` renders a single-target pointer call.
     """
 
@@ -516,8 +516,8 @@ class FeatureMix:
     allow_goto_loops: bool = False
     p_goto_loop: float = 0.10
     #: Indirect calls through function-pointer variables, resolved by
-    #: ``calltargets`` hints discovered at render time (exercises strict CFG
-    #: reconstruction of ``icall``).
+    #: ``calltargets`` hints discovered at render time (exercises the hinted
+    #: CFG reconstruction of ``icall``).
     allow_function_pointers: bool = False
     p_fnptr_call: float = 0.10
     fnptr_handlers: int = 2

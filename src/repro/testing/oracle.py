@@ -271,14 +271,10 @@ class DifferentialOracle:
         interpreter = Interpreter(program, max_steps=max_steps)
         timer = TraceTimer(processor, program)
         # The structure checks read the analyzer's own CFGs and loop forests:
-        # the analysis just decoded this program under these hints and
-        # strictness, so the lookup is a hit on the program's memo.
+        # the analysis just decoded this program under these hints, so the
+        # lookup is a hit on the program's memo.
         started = time.perf_counter()
-        decoded = decode_program(
-            program,
-            hints=rendered.annotations.control_flow_hints,
-            strict=options.strict_indirect,
-        )
+        decoded = decode_program(program, hints=rendered.annotations.control_flow_hints)
         result.timings["check"] = time.perf_counter() - started
         for index, initial_data in enumerate(vectors):
             try:

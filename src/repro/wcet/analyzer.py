@@ -119,8 +119,6 @@ class AnalysisOptions:
     use_instruction_cache: bool = True
     #: Use the abstract data cache analysis (if the processor has one).
     use_data_cache: bool = True
-    #: Raise immediately on unresolved indirect branches/calls (tier-one).
-    strict_indirect: bool = True
     #: Cap on distinct argument contexts analysed per callee.
     max_contexts_per_function: int = 16
 
@@ -185,18 +183,12 @@ class WCETAnalyzer:
 
         # ----------------------------------------------------------------- #
         # Phase 1: decoding (CFG reconstruction + call graph).  Decoding is a
-        # pure function of the program, its hints and the strictness, so the
-        # program memoises it: every analysis, mode and the oracle after the
-        # first reads the same decoded form.
+        # pure function of the program and its hints, so the program memoises
+        # it: every analysis, mode and the oracle after the first reads the
+        # same decoded form.  An unresolved indirect transfer raises here.
         # ----------------------------------------------------------------- #
         with clock.phase("decoding"):
-            decoded = decode_program(
-                self.program,
-                hints=annotations.control_flow_hints,
-                strict=self.options.strict_indirect,
-            )
-            for message in decoded.issues:
-                challenges.add_tier_one(message)
+            decoded = decode_program(self.program, hints=annotations.control_flow_hints)
         decode_detail = decoded.detail
         if _shared is not None:
             decode_detail += " (shared across modes)"
@@ -333,7 +325,7 @@ class WCETAnalyzer:
             if summary is not None:
                 with obs_trace.span("summary-replay", attrs={"function": name}):
                     return self._install_summary(summary, context, run)
-        challenge_marks = (len(run.challenges.tier_one), len(run.challenges.tier_two))
+        challenge_mark = len(run.challenges.tier_two)
         known_reports = set(run.reports)
         journal_mark = len(run.context_journal)
         cap_mark = run.cap_binding_events
@@ -382,9 +374,6 @@ class WCETAnalyzer:
             details = "; ".join(
                 f"loop {header:#x}: {failure.reason} — {failure.message}"
                 for header, failure in sorted(bounds.failures.items())
-            )
-            run.challenges.add_tier_one(
-                f"{name}: unbounded loops remain after annotations ({details})"
             )
             raise UnboundedLoopError(
                 f"cannot compute a WCET bound for {name!r}: {details}. "
@@ -504,8 +493,7 @@ class WCETAnalyzer:
                         if fn not in known_reports
                     },
                     contexts=tuple(run.context_journal[journal_mark:]),
-                    tier_one=tuple(run.challenges.tier_one[challenge_marks[0]:]),
-                    tier_two=tuple(run.challenges.tier_two[challenge_marks[1]:]),
+                    tier_two=tuple(run.challenges.tier_two[challenge_mark:]),
                 ),
             )
         run.record_context(context, report)
@@ -517,13 +505,11 @@ class WCETAnalyzer:
         """Replay a cached analysis subtree into this run's state.
 
         Reconstructs exactly what a cold analysis of the subtree would have
-        left behind: the challenge messages it emitted, the callee reports it
-        added, and the callee contexts it registered (the latter keeps the
-        ``max_contexts_per_function`` cap deterministic between cold and warm
-        runs).
+        left behind: the tier-two challenge messages it emitted, the callee
+        reports it added, and the callee contexts it registered (the latter
+        keeps the ``max_contexts_per_function`` cap deterministic between cold
+        and warm runs).
         """
-        for message in summary.tier_one:
-            run.challenges.add_tier_one(message)
         for message in summary.tier_two:
             run.challenges.add_tier_two(message)
         for fn, rep in summary.subtree_reports.items():
@@ -566,9 +552,6 @@ class WCETAnalyzer:
                 if depth_annotation is None or annotation.max_depth > depth_annotation:
                     depth_annotation = annotation.max_depth
         if depth_annotation is None:
-            run.challenges.add_tier_one(
-                f"recursion cycle {sorted(component)} has no recursion-depth annotation"
-            )
             raise CFGError(
                 f"functions {sorted(component)} are (mutually) recursive and no "
                 "'recursion' annotation bounds the depth; no WCET bound can be "
@@ -752,15 +735,11 @@ class WCETAnalyzer:
         for block_id, block in cfg.blocks.items():
             for instr in block.call_sites():
                 if instr.opcode is Opcode.CALL:
-                    targets = [instr.call_target()]
+                    targets = (instr.call_target(),)
                 else:
-                    targets = list(hints.call_targets(instr.address) or ())
-                    if not targets:
-                        # Unresolved indirect call in permissive mode: charge
-                        # the most expensive known function as a fallback.
-                        targets = []
+                    # Decoding refused every indirect call without hints.
+                    targets = hints.call_targets(instr.address)
                 worst = 0
-                best = 0 if targets else 0
                 best_candidates: List[int] = []
                 for target in targets:
                     if recursive_component and target in recursive_component:

@@ -58,13 +58,15 @@ class PhaseTiming:
 
 @dataclass
 class ChallengeReport:
-    """Tier-one / tier-two analysis challenges encountered (Section 3.2)."""
+    """Tier-one / tier-two analysis challenges encountered (Section 3.2).
+
+    A tier-one challenge stops the analysis with a
+    :class:`~repro.errors.ReproError`, so ``tier_one`` is empty in every
+    report the analyzer returns; the field stays for schema 1.
+    """
 
     tier_one: List[str] = field(default_factory=list)
     tier_two: List[str] = field(default_factory=list)
-
-    def add_tier_one(self, message: str) -> None:
-        self.tier_one.append(message)
 
     def add_tier_two(self, message: str) -> None:
         self.tier_two.append(message)

@@ -165,25 +165,6 @@ def _run_simplex(
     raise PathAnalysisError("simplex did not terminate (pivot limit reached)")
 
 
-def solve_lp(
-    objective: Sequence[float],
-    a_ub: Sequence[Sequence[float]],
-    b_ub: Sequence[float],
-    a_eq: Sequence[Sequence[float]],
-    b_eq: Sequence[float],
-    maximise: bool = True,
-) -> SimplexResult:
-    """Solve the LP with dense constraint rows (convenience wrapper)."""
-    return solve_sparse_lp(
-        objective,
-        [_sparse(row) for row in a_ub],
-        b_ub,
-        [_sparse(row) for row in a_eq],
-        b_eq,
-        maximise=maximise,
-    )
-
-
 @dataclass
 class PreparedTableau:
     """A tableau after phase 1: a feasible basis, independent of objective.
@@ -385,14 +366,6 @@ def optimise_prepared(
     return SimplexResult(
         status="optimal", objective=objective_value, values=values, pivots=pivots
     )
-
-
-def _sparse(coefficients: Sequence[float]) -> SparseRow:
-    return {
-        index: float(value)
-        for index, value in enumerate(coefficients)
-        if float(value) != 0.0
-    }
 
 
 def _nonzero(row: SparseRow) -> SparseRow:

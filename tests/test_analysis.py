@@ -17,7 +17,7 @@ from repro.ir import Interpreter, parse_assembly
 
 def analyse(asm: str, function: str = "main", initial_registers=None):
     program = parse_assembly(asm)
-    cfg, _ = reconstruct_cfg(program, function)
+    cfg = reconstruct_cfg(program, function)
     loops = find_loops(cfg)
     values = ValueAnalysis(
         program, cfg, loops, initial_registers=initial_registers or {}
@@ -77,7 +77,7 @@ class TestValueAnalysis:
         program, cfg, loops, values, _ = analyse(asm)
         dead_block = cfg.node_ids()[2]
         assert not values.state_at_block_entry(dead_block).reachable
-        assert dead_block in values.semantically_unreachable_blocks()
+        assert dead_block in find_unreachable_code(cfg, values).semantically_unreachable
 
     def test_loop_counter_interval_is_widened_but_bounded_by_refinement(self):
         program, cfg, loops, values, bounds = analyse(COUNTER_LOOP)
@@ -130,7 +130,7 @@ class TestValueAnalysis:
     def test_soundness_against_interpreter(self, counter_loop_program):
         """Every concrete register value must lie in its abstract interval."""
         program = counter_loop_program
-        cfg, _ = reconstruct_cfg(program, "main")
+        cfg = reconstruct_cfg(program, "main")
         loops = find_loops(cfg)
         values = ValueAnalysis(program, cfg, loops).run()
         result = Interpreter(program).run()
@@ -255,7 +255,7 @@ class TestReachability:
             ".func main\n    br end\n    mov r3, 1\nend:\n    halt\n"
         )
         program = parse_assembly(asm)
-        cfg, _ = reconstruct_cfg(program, "main")
+        cfg = reconstruct_cfg(program, "main")
         report = find_unreachable_code(cfg)
         assert report.structurally_unreachable
         assert report.dead_instruction_count >= 1
@@ -266,13 +266,13 @@ class TestReachability:
             "taken:\n    mov r3, 1\n    halt\n"
         )
         program = parse_assembly(asm)
-        cfg, _ = reconstruct_cfg(program, "main")
+        cfg = reconstruct_cfg(program, "main")
         loops = find_loops(cfg)
         values = ValueAnalysis(program, cfg, loops).run()
         report = find_unreachable_code(cfg, values)
         assert report.semantically_unreachable
 
     def test_clean_program_has_no_dead_code(self, counter_loop_program):
-        cfg, _ = reconstruct_cfg(counter_loop_program, "main")
+        cfg = reconstruct_cfg(counter_loop_program, "main")
         report = find_unreachable_code(cfg)
         assert not report.has_unreachable_code

@@ -147,6 +147,20 @@ class TestAnnotationParser:
         annotations = parse_annotations("loopbound f.0x1014 8")
         assert annotations.loop_bounds_for("f")[0].location == 0x1014
 
+    @pytest.mark.parametrize(
+        "text, terms",
+        [
+            ("flow f: 0x1014 <= 3", ((0x1014, 1),)),
+            ("flow f: a + 2*0x1014 <= 3", (("a", 1), (0x1014, 2))),
+        ],
+    )
+    def test_flow_constraint_terms_may_be_block_addresses(self, text, terms):
+        assert parse_annotations(text).flow_constraints_for("f")[0].terms == terms
+
+    def test_malformed_address_term_is_a_parse_error_naming_the_line(self):
+        with pytest.raises(ParseError, match="^2:0: expected an integer, got '0xzz'$"):
+            parse_annotations("\nflow f: 0xzz <= 3")
+
     def test_unknown_keyword_rejected(self):
         with pytest.raises(ParseError):
             parse_annotations("frobnicate f.loop 3")

@@ -9,6 +9,7 @@ from repro.cfg import (
     ControlFlowHints,
     build_callgraph,
     compute_dominators,
+    decode_program,
     find_loops,
     reconstruct_cfg,
     reconstruct_program,
@@ -62,23 +63,22 @@ join:
 
 class TestReconstruction:
     def test_block_count_of_diamond(self):
-        cfg, issues = reconstruct_cfg(parse_assembly(DIAMOND_ASM), "main")
+        cfg = reconstruct_cfg(parse_assembly(DIAMOND_ASM), "main")
         assert cfg.num_blocks == 4
-        assert not issues
 
     def test_every_block_ends_properly(self):
-        cfg, _ = reconstruct_cfg(parse_assembly(NESTED_LOOP_ASM), "main")
+        cfg = reconstruct_cfg(parse_assembly(NESTED_LOOP_ASM), "main")
         for block in cfg.blocks.values():
             # A block is either terminated or falls through to another block.
             assert cfg.successors(block.id)
 
     def test_entry_and_exit_edges(self):
-        cfg, _ = reconstruct_cfg(parse_assembly(DIAMOND_ASM), "main")
+        cfg = reconstruct_cfg(parse_assembly(DIAMOND_ASM), "main")
         assert cfg.successors(ENTRY) == [cfg.entry_block]
         assert cfg.exit_blocks(), "halt block must connect to the virtual exit"
 
     def test_taken_and_fallthrough_edges(self):
-        cfg, _ = reconstruct_cfg(parse_assembly(DIAMOND_ASM), "main")
+        cfg = reconstruct_cfg(parse_assembly(DIAMOND_ASM), "main")
         kinds = {edge.kind for edge in cfg.out_edges(cfg.entry_block)}
         assert kinds == {EdgeKind.TAKEN, EdgeKind.FALLTHROUGH}
 
@@ -87,76 +87,59 @@ class TestReconstruction:
         with pytest.raises(CFGError):
             reconstruct_cfg(parse_assembly(asm), "main")
 
-    def test_unresolved_indirect_branch_permissive_mode(self):
-        asm = ".func main\n    la r4, main\n    ibr r4\n    halt\n"
-        cfg, issues = reconstruct_cfg(parse_assembly(asm), "main", strict=False)
-        assert issues and issues[0].kind == "indirect-branch"
-
     def test_indirect_branch_resolved_by_hints(self):
         asm = ".func main\n    la r4, main\nalt:\n    ibr r4\n    halt\n"
         program = parse_assembly(asm)
         address = program.function("main").instructions[1].address
         hints = ControlFlowHints()
         hints.add_branch_targets(address, ["alt"])
-        cfg, issues = reconstruct_cfg(program, "main", hints=hints)
-        assert not issues
+        cfg = reconstruct_cfg(program, "main", hints=hints)
         assert any(e.kind is EdgeKind.INDIRECT for e in cfg.edges())
 
     def test_reconstruct_program_covers_all_functions(self, counter_loop_program):
-        cfgs, _ = reconstruct_program(counter_loop_program)
+        cfgs = reconstruct_program(counter_loop_program)
         assert set(cfgs) == {"main", "scale"}
 
     def test_block_containing(self):
-        cfg, _ = reconstruct_cfg(parse_assembly(DIAMOND_ASM), "main")
+        cfg = reconstruct_cfg(parse_assembly(DIAMOND_ASM), "main")
         entry_block = cfg.block(cfg.entry_block)
         last_address = entry_block.instructions[-1].address
         assert cfg.block_containing(last_address).id == cfg.entry_block
 
     def test_reverse_postorder_starts_with_entry_block(self):
-        cfg, _ = reconstruct_cfg(parse_assembly(NESTED_LOOP_ASM), "main")
+        cfg = reconstruct_cfg(parse_assembly(NESTED_LOOP_ASM), "main")
         assert cfg.reverse_postorder()[0] == cfg.entry_block
 
     def test_dot_export_mentions_blocks(self):
-        cfg, _ = reconstruct_cfg(parse_assembly(DIAMOND_ASM), "main")
+        cfg = reconstruct_cfg(parse_assembly(DIAMOND_ASM), "main")
         assert "digraph" in cfg.to_dot()
 
 
 class TestDominators:
     def test_entry_block_dominates_everything(self):
-        cfg, _ = reconstruct_cfg(parse_assembly(NESTED_LOOP_ASM), "main")
+        cfg = reconstruct_cfg(parse_assembly(NESTED_LOOP_ASM), "main")
         dom = compute_dominators(cfg)
         for block in cfg.node_ids():
             assert dom.dominates(cfg.entry_block, block)
 
     def test_branches_do_not_dominate_join(self):
-        cfg, _ = reconstruct_cfg(parse_assembly(DIAMOND_ASM), "main")
+        cfg = reconstruct_cfg(parse_assembly(DIAMOND_ASM), "main")
         dom = compute_dominators(cfg)
         blocks = cfg.node_ids()
         join = blocks[-1]
         then_block, else_block = blocks[1], blocks[2]
         assert not dom.dominates(then_block, join)
         assert not dom.dominates(else_block, join)
-        assert dom.immediate_dominator(join) == cfg.entry_block
+        assert dom.idom[join] == cfg.entry_block
 
-    def test_dominator_tree_children_partition(self):
-        cfg, _ = reconstruct_cfg(parse_assembly(NESTED_LOOP_ASM), "main")
-        dom = compute_dominators(cfg)
-        children = dom.dominator_tree_children()
-        all_children = [c for childs in children.values() for c in childs]
-        assert len(all_children) == len(set(all_children))
-
-    def test_dominance_frontier_of_branches_is_join(self):
-        cfg, _ = reconstruct_cfg(parse_assembly(DIAMOND_ASM), "main")
-        dom = compute_dominators(cfg)
-        frontier = dom.dominance_frontier()
-        blocks = cfg.node_ids()
-        join = blocks[-1]
-        assert join in frontier[blocks[1]]
+    def test_loop_forest_keeps_the_dominator_tree(self):
+        cfg = reconstruct_cfg(parse_assembly(NESTED_LOOP_ASM), "main")
+        assert find_loops(cfg).dominators.idom == compute_dominators(cfg).idom
 
 
 class TestLoops:
     def test_nested_loops_detected_with_depths(self):
-        cfg, _ = reconstruct_cfg(parse_assembly(NESTED_LOOP_ASM), "main")
+        cfg = reconstruct_cfg(parse_assembly(NESTED_LOOP_ASM), "main")
         forest = find_loops(cfg)
         assert len(forest) == 2
         assert forest.max_depth() == 2
@@ -166,12 +149,12 @@ class TestLoops:
         assert inner.blocks < outer.blocks
 
     def test_reducible_program_has_no_irreducible_loops(self):
-        cfg, _ = reconstruct_cfg(parse_assembly(NESTED_LOOP_ASM), "main")
+        cfg = reconstruct_cfg(parse_assembly(NESTED_LOOP_ASM), "main")
         forest = find_loops(cfg)
         assert forest.reducible and not forest.has_irreducible
 
     def test_goto_into_loop_is_irreducible(self):
-        cfg, _ = reconstruct_cfg(parse_assembly(IRREDUCIBLE_ASM), "main")
+        cfg = reconstruct_cfg(parse_assembly(IRREDUCIBLE_ASM), "main")
         forest = find_loops(cfg)
         assert not forest.reducible
         assert forest.has_irreducible
@@ -179,7 +162,7 @@ class TestLoops:
         assert irreducible and len(irreducible[0].entries) >= 2
 
     def test_loop_exit_edges_leave_the_loop(self):
-        cfg, _ = reconstruct_cfg(parse_assembly(NESTED_LOOP_ASM), "main")
+        cfg = reconstruct_cfg(parse_assembly(NESTED_LOOP_ASM), "main")
         forest = find_loops(cfg)
         for loop in forest.loops:
             for edge in loop.exit_edges(cfg):
@@ -187,13 +170,13 @@ class TestLoops:
                 assert edge.target not in loop.blocks
 
     def test_innermost_loop_query(self):
-        cfg, _ = reconstruct_cfg(parse_assembly(NESTED_LOOP_ASM), "main")
+        cfg = reconstruct_cfg(parse_assembly(NESTED_LOOP_ASM), "main")
         forest = find_loops(cfg)
         inner = max(forest.loops, key=lambda l: l.depth)
         assert forest.innermost_loop_of(inner.header) is inner
 
     def test_straight_line_code_has_no_loops(self):
-        cfg, _ = reconstruct_cfg(parse_assembly(DIAMOND_ASM), "main")
+        cfg = reconstruct_cfg(parse_assembly(DIAMOND_ASM), "main")
         assert len(find_loops(cfg)) == 0
 
 
@@ -204,7 +187,8 @@ class TestCallGraph:
         assert graph.callers("scale") == {"main"}
 
     def test_bottom_up_order_puts_callees_first(self, counter_loop_program):
-        order = build_callgraph(counter_loop_program).bottom_up_order()
+        components = decode_program(counter_loop_program).components
+        order = [name for component in components for name in component]
         assert order.index("scale") < order.index("main")
 
     def test_recursion_detection(self):
@@ -213,16 +197,13 @@ class TestCallGraph:
             ".func even\n    call odd\n    ret\n"
             ".func odd\n    call even\n    ret\n"
         )
-        graph = build_callgraph(parse_assembly(asm))
-        assert graph.has_recursion
-        assert {"even", "odd"} in [set(c) for c in graph.recursive_cycles()]
-        with pytest.raises(CFGError):
-            graph.bottom_up_order()
+        decoded = decode_program(parse_assembly(asm))
+        assert decoded.recursive == {"even", "odd"}
+        assert list(decoded.components) == [{"even", "odd"}, {"main"}]
 
     def test_self_recursion_detected(self):
         asm = ".func main\n    call main\n    halt\n"
-        graph = build_callgraph(parse_assembly(asm))
-        assert graph.recursive_functions() == {"main"}
+        assert decode_program(parse_assembly(asm)).recursive == {"main"}
 
     def test_indirect_call_needs_hints_in_strict_mode(self):
         asm = ".func main\n    la r4, helper\n    icall r4\n    halt\n.func helper\n    ret\n"
@@ -238,10 +219,6 @@ class TestCallGraph:
         graph = build_callgraph(program, hints=hints)
         assert graph.callees("main") == {"helper"}
         assert any(site.indirect for site in graph.call_sites)
-
-    def test_max_call_depth(self, counter_loop_program):
-        graph = build_callgraph(counter_loop_program)
-        assert graph.max_call_depth() == 2
 
     def test_reachability_from_entry(self, counter_loop_program):
         graph = build_callgraph(counter_loop_program)

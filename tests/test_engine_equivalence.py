@@ -174,10 +174,8 @@ class TestValueFixpoints:
         ):
             program = module.program()
             program.validate()
-            cfgs, _ = reconstruct_program(
-                program,
-                hints=module.annotations().control_flow_hints,
-                strict=False,
+            cfgs = reconstruct_program(
+                program, hints=module.annotations().control_flow_hints
             )
             for function_name, cfg in sorted(cfgs.items()):
                 loops = find_loops(cfg)

@@ -208,7 +208,7 @@ loop:
 class TestCacheAnalyses:
     def _prepare(self):
         program = parse_assembly(ICACHE_LOOP)
-        cfg, _ = reconstruct_cfg(program, "main")
+        cfg = reconstruct_cfg(program, "main")
         loops = find_loops(cfg)
         values = ValueAnalysis(program, cfg, loops).run()
         return program, cfg, loops, values
@@ -244,7 +244,7 @@ class TestCacheAnalyses:
 
 class TestPipeline:
     def test_block_bounds_are_ordered(self, counter_loop_program, cached_processor):
-        cfg, _ = reconstruct_cfg(counter_loop_program, "main")
+        cfg = reconstruct_cfg(counter_loop_program, "main")
         model = PipelineModel(cached_processor)
         for block in cfg.blocks.values():
             bounds = model.block_time_bounds(block)
@@ -252,8 +252,8 @@ class TestPipeline:
 
     def test_unknown_access_charged_with_slowest_module(self, cached_processor):
         program = parse_assembly(".func main params=1\n    load r4, [r3 + 0]\n    halt\n")
-        cfg, _ = reconstruct_cfg(program, "main")
-        values = ValueAnalysis(program, cfg).run()
+        cfg = reconstruct_cfg(program, "main")
+        values = ValueAnalysis(program, cfg, find_loops(cfg)).run()
         model = PipelineModel(cached_processor)
         block = cfg.block(cfg.entry_block)
         with_info = model.block_time_bounds(block, accesses=values.accesses)

@@ -24,10 +24,7 @@ def _generated_cfgs(seed):
     case = generate_case(seed)
     rendered = render_case(case)
     program = compile_source(rendered.source, entry=case.entry)
-    cfgs, issues = reconstruct_program(
-        program, hints=rendered.annotations.control_flow_hints, strict=False
-    )
-    assert not issues, f"seed {seed}: generated programs decode without hints"
+    cfgs = reconstruct_program(program, hints=rendered.annotations.control_flow_hints)
     return program, cfgs
 
 
@@ -44,7 +41,7 @@ class TestReachabilityHandWritten:
                 halt
             """
         )
-        cfgs, _ = reconstruct_program(program)
+        cfgs = reconstruct_program(program)
         result = find_unreachable_code(cfgs["main"])
         assert result.has_unreachable_code
         assert result.structurally_unreachable
@@ -63,7 +60,7 @@ class TestReachabilityHandWritten:
             }
             """
         )
-        cfgs, _ = reconstruct_program(program)
+        cfgs = reconstruct_program(program)
         cfg = cfgs["main"]
         loops = find_loops(cfg)
         values = ValueAnalysis(program, cfg, loops).run()
@@ -71,7 +68,7 @@ class TestReachabilityHandWritten:
         assert result.semantically_unreachable, "the if(0) body never executes"
 
     def test_fully_reachable_function_reports_nothing(self, counter_loop_program):
-        cfgs, _ = reconstruct_program(counter_loop_program)
+        cfgs = reconstruct_program(counter_loop_program)
         result = find_unreachable_code(cfgs["main"])
         assert not result.has_unreachable_code
         assert result.all_unreachable() == []
@@ -85,9 +82,7 @@ class TestReachabilityOnGeneratedCFGs:
         case = generate_case(seed)
         rendered = render_case(case)
         program = compile_source(rendered.source, entry=case.entry)
-        cfgs, _ = reconstruct_program(
-            program, hints=rendered.annotations.control_flow_hints, strict=False
-        )
+        cfgs = reconstruct_program(program, hints=rendered.annotations.control_flow_hints)
         execution = Interpreter(program, max_steps=case.max_steps).run(case.entry)
         executed = set(execution.trace.instruction_addresses)
         for name, cfg in cfgs.items():

@@ -95,7 +95,7 @@ class TestWireRoundTrips:
         AnalysisOptions(use_data_cache=False, max_contexts_per_function=3),
         AnalysisRequest(),
         AnalysisRequest(entry="task", mode="air", error_scenario="single_fault",
-                        options=AnalysisOptions(strict_indirect=False),
+                        options=AnalysisOptions(use_instruction_cache=False),
                         check_guidelines=True, label="wire"),
         ServerSubmit(project=ProjectSpec(workload="message-handler"),
                      request=AnalysisRequest(all_modes=True), lane="batch"),
@@ -155,7 +155,8 @@ class TestWireRoundTrips:
             from_json(payload)
 
     @pytest.mark.parametrize(
-        "knob", ["engine", "ilp_backend", "compute_bcet", "assume_initial_globals"]
+        "knob",
+        ["engine", "ilp_backend", "compute_bcet", "assume_initial_globals", "strict_indirect"],
     )
     @pytest.mark.parametrize("value", ["reference", "scipy", 5, True, False, None])
     def test_retired_knob_dropped(self, knob, value):
@@ -839,7 +840,7 @@ class TestHTTPEndToEnd:
         [
             ("use_data_cache", "false"),
             ("context_sensitive_calls", 0),
-            ("strict_indirect", "no"),
+            ("use_instruction_cache", "no"),
             ("max_contexts_per_function", "x"),
         ],
     )
@@ -878,6 +879,23 @@ class TestHTTPEndToEnd:
             job.result(timeout=60)
         assert excinfo.value.status == 500
         assert "no-such-workload" in excinfo.value.error.message
+
+    def test_unresolved_function_pointer_fails_under_a_retired_knob(self, client):
+        """A tier-one challenge always stops the analysis: an older client's
+        ``"strict_indirect": false`` is dropped on load, so ``dispatch``, whose
+        function pointer has no hint, fails instead of getting a bound that
+        charges the indirect call 0 cycles."""
+        payload = to_json(ServerSubmit(project=ProjectSpec(workload="dispatch")))
+        payload["request"]["options"] = dict(
+            to_json(AnalysisOptions()), strict_indirect=False
+        )
+        reply = client._call("POST", "/v1/jobs", payload)
+        with pytest.raises(JobFailed) as excinfo:
+            client.result(reply["job_id"], wait=60)
+        assert excinfo.value.error.error == "CFGError"
+        assert excinfo.value.error.message.endswith(
+            "indirect call with no callee hints (function pointer, tier-one challenge)"
+        )
 
     def test_deep_nesting_fails_the_job_with_a_typed_error(self, client):
         source = "int main(void) { return " + "(" * 100 + "1" + ")" * 100 + "; }"

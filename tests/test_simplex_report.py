@@ -21,37 +21,37 @@ from repro.wcet.report import (
     PhaseTiming,
     WCETReport,
 )
-from repro.wcet.simplex import SimplexResult, solve_lp
+from repro.wcet.simplex import SimplexResult, solve_sparse_lp
 
 
 class TestSimplexOptimal:
     def test_simple_maximisation(self):
         # max x + y  s.t. x + y <= 4, x <= 2  ->  4
-        result = solve_lp([1, 1], [[1, 1], [1, 0]], [4, 2], [], [])
+        result = solve_sparse_lp([1, 1], [{0: 1, 1: 1}, {0: 1}], [4, 2], [], [])
         assert result.status == "optimal"
         assert result.objective == pytest.approx(4.0)
 
     def test_minimisation(self):
         # min x + y  s.t. x + y >= 3 (as -x - y <= -3)  ->  3
-        result = solve_lp([1, 1], [[-1, -1]], [-3], [], [], maximise=False)
+        result = solve_sparse_lp([1, 1], [{0: -1, 1: -1}], [-3], [], [], maximise=False)
         assert result.status == "optimal"
         assert result.objective == pytest.approx(3.0)
 
     def test_equality_constraints(self):
         # max x  s.t. x + y == 3, x <= 2  ->  x = 2, y = 1
-        result = solve_lp([1, 0], [[1, 0]], [2], [[1, 1]], [3])
+        result = solve_sparse_lp([1, 0], [{0: 1}], [2], [{0: 1, 1: 1}], [3])
         assert result.status == "optimal"
         assert result.objective == pytest.approx(2.0)
         assert result.values == pytest.approx([2.0, 1.0])
 
     def test_negative_rhs_equality_is_normalised(self):
         # max x  s.t. -x == -3  ->  x = 3
-        result = solve_lp([1], [], [], [[-1]], [-3])
+        result = solve_sparse_lp([1], [], [], [{0: -1}], [-3])
         assert result.status == "optimal"
         assert result.objective == pytest.approx(3.0)
 
     def test_zero_objective(self):
-        result = solve_lp([0, 0], [[1, 0], [0, 1]], [1, 1], [], [])
+        result = solve_sparse_lp([0, 0], [{0: 1}, {1: 1}], [1, 1], [], [])
         assert result.status == "optimal"
         assert result.objective == pytest.approx(0.0)
 
@@ -60,9 +60,9 @@ class TestSimplexDegenerate:
     def test_redundant_constraints(self):
         # The same constraint three times: degenerate pivots must not cycle
         # (Bland's rule) and the optimum is still found.
-        result = solve_lp(
+        result = solve_sparse_lp(
             [1, 1],
-            [[1, 1], [1, 1], [1, 1], [1, 0], [0, 1]],
+            [{0: 1, 1: 1}, {0: 1, 1: 1}, {0: 1, 1: 1}, {0: 1}, {1: 1}],
             [2, 2, 2, 1, 1],
             [],
             [],
@@ -72,18 +72,18 @@ class TestSimplexDegenerate:
 
     def test_degenerate_vertex_zero_rhs(self):
         # A constraint with rhs 0 forces a degenerate basic solution.
-        result = solve_lp([2, 1], [[1, -1], [1, 1]], [0, 4], [], [])
+        result = solve_sparse_lp([2, 1], [{0: 1, 1: -1}, {0: 1, 1: 1}], [0, 4], [], [])
         assert result.status == "optimal"
         assert result.objective == pytest.approx(6.0)  # x = y = 2
 
     def test_classic_cycling_example_terminates(self):
         # Beale's cycling example — terminates only with an anti-cycling rule.
-        result = solve_lp(
+        result = solve_sparse_lp(
             [0.75, -150, 0.02, -6],
             [
-                [0.25, -60, -1 / 25, 9],
-                [0.5, -90, -1 / 50, 3],
-                [0, 0, 1, 0],
+                {0: 0.25, 1: -60, 2: -1 / 25, 3: 9},
+                {0: 0.5, 1: -90, 2: -1 / 50, 3: 3},
+                {2: 1},
             ],
             [0, 0, 1],
             [],
@@ -96,22 +96,22 @@ class TestSimplexDegenerate:
 class TestSimplexUnboundedInfeasible:
     def test_unbounded_problem(self):
         # max x with no constraints at all: x can grow without limit.
-        result = solve_lp([1], [], [], [], [])
+        result = solve_sparse_lp([1], [], [], [], [])
         assert result.status == "unbounded"
 
     def test_unbounded_direction_in_one_variable(self):
         # y is bounded but x is free to grow.
-        result = solve_lp([1, 1], [[0, 1]], [5], [], [])
+        result = solve_sparse_lp([1, 1], [{1: 1}], [5], [], [])
         assert result.status == "unbounded"
 
     def test_infeasible_contradictory_bounds(self):
         # x <= 1 and x >= 2 cannot both hold.
-        result = solve_lp([1], [[1], [-1]], [1, -2], [], [])
+        result = solve_sparse_lp([1], [{0: 1}, {0: -1}], [1, -2], [], [])
         assert result.status == "infeasible"
 
     def test_infeasible_equality(self):
         # x + y == -5 with x, y >= 0 is impossible.
-        result = solve_lp([1, 1], [], [], [[1, 1]], [-5])
+        result = solve_sparse_lp([1, 1], [], [], [{0: 1, 1: 1}], [-5])
         assert result.status == "infeasible"
 
     def test_result_dataclass_defaults(self):
@@ -172,9 +172,12 @@ class TestReportRendering:
         assert "[error scenario: single_fault]" in text
 
     def test_challenges_render_in_tiers(self):
-        challenges = ChallengeReport()
-        challenges.add_tier_one("unresolved indirect call")
-        challenges.add_tier_two("loop bounded only by annotation")
+        # A tier-one challenge stops the analysis, so only a report decoded
+        # from another peer carries one; the text still renders it.
+        challenges = ChallengeReport(
+            tier_one=["unresolved indirect call"],
+            tier_two=["loop bounded only by annotation"],
+        )
         assert not challenges.is_clean
         report = WCETReport(
             entry="t",

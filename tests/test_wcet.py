@@ -157,7 +157,7 @@ join:
 class TestIPET:
     def _build(self):
         program = parse_assembly(LOOP_WITH_BRANCH)
-        cfg, _ = reconstruct_cfg(program, "main")
+        cfg = reconstruct_cfg(program, "main")
         loops = find_loops(cfg)
         weights = {block: 10 for block in cfg.node_ids()}
         bounds = {loops.loops[0].header: 10}
